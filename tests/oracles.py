@@ -150,3 +150,43 @@ def wigner_6j_racah(j1, j2, j3, j4, j5, j6) -> float:
                  * _fact(j3 + j1 + j6 + j4 - k))
         total += (-1.0) ** k * _fact(k + 1) / denom
     return prefactor * total
+
+
+# ---------------------------------------------------------------------------
+# Pearson correlation and its delete-one-block jackknife, recomputed from the
+# frames left after each deletion (no moment merging).
+# ---------------------------------------------------------------------------
+
+def pearson_direct(x, y) -> float:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    dx = x - x.mean()
+    dy = y - y.mean()
+    return float((dx * dy).mean() / math.sqrt(x.var() * y.var()))
+
+
+def jackknife_se_loop(x, y, n_batches: int = 50) -> float:
+    """Delete each of n_batches contiguous row blocks in turn (np.linspace
+    edges; n_batches = max(2, n // 2) when n < 2 n_batches) and recompute r."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = x.size
+    if n < 2 * n_batches:
+        n_batches = max(2, n // 2)
+    edges = np.linspace(0, n, n_batches + 1, dtype=int)
+    stats = []
+    for k in range(n_batches):
+        mask = np.ones(n, dtype=bool)
+        mask[edges[k]:edges[k + 1]] = False
+        stats.append(pearson_direct(x[mask], y[mask]))
+    stats = np.array(stats)
+    return float(math.sqrt((n_batches - 1) / n_batches * ((stats - stats.mean()) ** 2).sum()))
+
+
+def pearson_map_direct(xs, ys) -> np.ndarray:
+    """r between every column of xs and every column of ys over all rows."""
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    dx = xs - xs.mean(axis=0)
+    dy = ys - ys.mean(axis=0)
+    return (dx.T @ dy / xs.shape[0]) / np.outer(xs.std(axis=0), ys.std(axis=0))

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from rbfilter import cli
+from rbfilter.config import load_config
 from rbfilter.fitting import model_transmission
 from rbfilter.io import read_spectrum_csv, write_spectrum_csv
 from rbfilter.lineshape import CellConfig, TRANSVERSE
+from rbfilter.photon_stats import simulate_frames
 
 
 def run(*argv) -> int:
@@ -94,8 +96,10 @@ def test_optimize_command_with_trace(tmp_path):
 
 
 def test_photon_sim_command(tmp_path):
+    frames = 5000
+    assert frames % cli.FRAMES_PER_CHUNK != 0  # a short last chunk is written too
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"noise": {"frames": 5000}}))
+    cfg.write_text(json.dumps({"noise": {"frames": frames}}))
     assert run("photon-sim", "--out", str(tmp_path), "--config", str(cfg),
                "--frames-csv") == 0
     doc = json.loads((tmp_path / "photon_summary.json").read_text())
@@ -107,7 +111,13 @@ def test_photon_sim_command(tmp_path):
 
     lines = (tmp_path / "frames.csv").read_text().splitlines()
     assert lines[0] == "frame,region,n_s,n_as"
-    assert len(lines) == 1 + 5000 * 10
+    assert len(lines) == 1 + frames * 10
+    resolved = load_config(str(cfg))
+    batch = simulate_frames(resolved.frames, resolved.noise, seed=resolved.seed,
+                            layout=resolved.layout)
+    frame, region = np.divmod(np.arange(frames * 10), 10)
+    expected = np.column_stack([frame, region, batch.n_s.ravel(), batch.n_as.ravel()])
+    assert lines[1:] == [",".join(map(str, row)) for row in expected.tolist()]
 
 
 def test_photon_sim_seed_override_changes_sample_not_analytic(tmp_path):

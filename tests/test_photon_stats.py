@@ -1,9 +1,11 @@
 """Photon-counting Monte Carlo and its closed-form correlation oracle."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from oracles import jackknife_se_loop, pearson_map_direct
 
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.photon_stats import (
@@ -13,6 +15,7 @@ from rbfilter.photon_stats import (
     analytic_pair_correlation,
     correlation_coefficient,
     correlation_map,
+    correlation_standard_error,
     filtered_preset,
     joint_histogram,
     pair_correlation_summary,
@@ -81,6 +84,22 @@ def test_simulate_frames_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.n_s, c.n_s)
 
 
+# SHA-256 of n_s.tobytes() + n_as.tobytes(), 3001 frames, seed 11, recorded
+# from the stream before simulate_frames stopped copying its draws.
+@pytest.mark.parametrize("noise, layout, digest", [
+    (*filtered_preset(), "80f993ed9c0ab546b181aac42af8ca91ac167b37e34ddb2d37c4413a2a1056a8"),
+    (*unfiltered_preset(), "38f097b8f1e1d7494cbcb23dfa98377cdfe9ac5387783ff6276b7f5716810f11"),
+    (NoiseModel(n_sig=0.8, eta_s=0.7, eta_as=0.4, b_fluorescence=0.0, b_leakage=0.0,
+                intensifier_per_frame=0.0), RegionLayout(n_regions=4),
+     "fd24136f3a983bc4a53956fa95524c8a6190cae088642eacaa0620d5d9282957"),
+], ids=["filtered", "unfiltered", "no-background"])
+def test_simulate_frames_stream_is_pinned(noise, layout, digest):
+    batch = simulate_frames(3001, noise, seed=11, layout=layout)
+    assert batch.n_s.dtype == np.int64 and batch.n_as.dtype == np.int64
+    assert batch.n_s.flags.c_contiguous and batch.n_as.flags.c_contiguous
+    assert hashlib.sha256(batch.n_s.tobytes() + batch.n_as.tobytes()).hexdigest() == digest
+
+
 def test_simulate_frames_validation():
     noise, layout = filtered_preset()
     with pytest.raises(ConfigError):
@@ -142,6 +161,88 @@ def test_correlation_shape_checks():
         correlation_coefficient(np.ones(5), np.ones(6))
     with pytest.raises(DataError):
         correlation_coefficient(np.ones((5, 2)), np.ones((5, 2)))
+
+
+# ------------------------------------------- blocked jackknife vs loop
+
+HIGH_COUNT = NoiseModel(n_sig=100.0, eta_s=0.9, eta_as=0.9, b_fluorescence=0.0,
+                        b_leakage=0.0, intensifier_per_frame=1e4)
+
+
+@pytest.mark.parametrize("noise, layout, frames", [
+    (*filtered_preset(), 20_000),
+    (*unfiltered_preset(), 20_000),
+    (*filtered_preset(), 137),  # uneven block edges
+    (*filtered_preset(), 73),   # n < 2 n_batches: 36 blocks
+    (NoiseModel(), RegionLayout(n_regions=1), 5_000),
+    (HIGH_COUNT, RegionLayout(n_regions=1), 5_000),  # the validator's high-count corner
+], ids=["filtered", "unfiltered", "137-frames", "73-frames", "one-region", "high-count"])
+def test_jackknife_and_map_match_loop_oracle(noise, layout, frames):
+    batch = simulate_frames(frames, noise, seed=5, layout=layout)
+    partner = [j for _, j in layout.pairs()]
+    expected = np.array([jackknife_se_loop(batch.n_s[:, i], batch.n_as[:, j])
+                         for i, j in layout.pairs()])
+
+    paired = correlation_standard_error(batch.n_s, batch.n_as[:, partner])
+    np.testing.assert_allclose(paired, expected, rtol=1e-10, atol=0.0)
+    single = correlation_standard_error(batch.n_s[:, 0], batch.n_as[:, partner[0]])
+    assert isinstance(single, float)
+    assert single == pytest.approx(expected[0], rel=1e-10, abs=0.0)
+
+    cmap = correlation_map(batch)
+    np.testing.assert_allclose(cmap, pearson_map_direct(batch.n_s, batch.n_as),
+                               rtol=1e-10, atol=0.0)
+    summary = pair_correlation_summary(batch)
+    assert summary["se_on_pair"] == pytest.approx(
+        expected.mean() / math.sqrt(layout.n_regions), rel=1e-10, abs=0.0)
+    assert summary["mean_on_pair"] == pytest.approx(
+        np.mean([cmap[i, j] for i, j in layout.pairs()]), rel=1e-10, abs=0.0)
+
+
+def test_jackknife_zero_variance_after_one_deletion_is_error():
+    # x varies only inside block 5 of 50: deleting that block leaves a constant
+    # stream, whose merged centred moment must come out exactly 0
+    rng = np.random.default_rng(3)
+    x = np.full(1000, 7, dtype=np.int64)
+    x[100:120] = rng.poisson(2.0, 20) + 1
+    y = rng.poisson(3.0, 1000)
+    assert np.isfinite(correlation_map(CountsBatch(
+        n_s=x[:, None], n_as=y[:, None], layout=RegionLayout(n_regions=1)))).all()
+    with pytest.raises(DataError):
+        correlation_standard_error(x, y)
+    with pytest.raises(DataError):
+        correlation_standard_error(y, x)
+    # too few frames: a deleted block leaves a single frame
+    with pytest.raises(DataError):
+        correlation_standard_error([1, 2, 4], [0, 3, 1])
+    with pytest.raises(DataError):
+        correlation_standard_error(np.ones(5), np.ones(6))
+
+
+def test_moments_stay_exact_in_the_validator_range():
+    """The validator accepts 1e8 frames and the high-count corner with 1e3
+    fluorescence and leakage per region; magnitudes are computed, not run."""
+    noise = NoiseModel(n_sig=100.0, eta_s=1.0, eta_as=1.0, b_fluorescence=1e3,
+                       b_leakage=1e3, intensifier_per_frame=1e4)
+    layout = RegionLayout(n_regions=1)
+    frames = 10**8
+    mean = noise.n_sig + noise.background_per_region(layout)
+    var = noise.n_sig * (1.0 + noise.n_sig) + noise.background_per_region(layout)
+    # raw integer moments N * sum(x^2) would overflow int64: centred float moments needed
+    assert frames * frames * (var + mean**2) > np.iinfo(np.int64).max
+    # block sums of integer counts stay exact in float64 even 50 sd above the mean,
+    # which keeps a constant stream's centred moment exactly 0
+    assert frames // 50 * (mean + 50.0 * math.sqrt(var)) < 2.0**53
+    # the largest centred moment rounds to far less than the 0.5 that separates a
+    # varying integer stream from a constant one
+    assert np.spacing(frames * var) < 1e-3
+
+    # the same corner, run small, keeps float moments and finite results
+    batch = simulate_frames(2_000, noise, seed=8, layout=layout)
+    se = correlation_standard_error(batch.n_s, batch.n_as)
+    assert se.dtype == np.float64 and np.isfinite(se).all()
+    assert se[0] == pytest.approx(jackknife_se_loop(batch.n_s[:, 0], batch.n_as[:, 0]),
+                                  rel=1e-10, abs=0.0)
 
 
 def test_joint_histogram_normalized_with_matching_marginals():
