@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError, DataError
 from .lineshape import CellConfig, LONGITUDINAL, TRANSVERSE
-from .optimize import FomSpec, ParamBox
+from .optimize import PAPER_OPTIMUM, WOLLASTON_EXTINCTION, FomSpec, ParamBox, build_cells
 from .photon_stats import NoiseModel, RegionLayout
 
 TEMPERATURE_RANGE_C = (20.0, 140.0)
@@ -23,41 +23,38 @@ FIELD_RANGE_MT = (0.0, 300.0)
 LENGTH_RANGE_CM = (1.0, 100.0)
 
 
+def _cell_section(cell: CellConfig) -> dict:
+    """A cell in config units; _validate_cell converts it back exactly."""
+    return {
+        "length_cm": cell.length_m * 1e2,
+        "temperature_c": cell.temperature_k - 273.15,
+        "b_field_mt": cell.b_field_t * 1e3,
+        "geometry": cell.geometry,
+        "rb85_fraction": cell.rb85_fraction,
+        "rb87_fraction": cell.rb87_fraction,
+        "buffer_pressure_pa": cell.buffer_pressure_pa,
+        "polarization_angle_deg": math.degrees(cell.polarization_angle_rad),
+        "temperature_offset_c": cell.temperature_offset_k,
+    }
+
+
 def preset_paper_optimum() -> dict:
     """Reference operating point: both filters on, Faraday cell at 102 C and
-    10 mT, absorption cell at 100 C, signal detunings -2.3 / +7.8 GHz."""
+    10 mT, absorption cell at 100 C, signal detunings -2.3 / +7.8 GHz.
+
+    Cells, chain, figure of merit and search box come from build_cells at
+    PAPER_OPTIMUM and the FomSpec / ParamBox defaults."""
+    absorption, faraday = build_cells(PAPER_OPTIMUM)
+    fom, box = FomSpec(), ParamBox()
     return {
         "seed": 12345,
         "grid": {"points": 4001, "lo_ghz": -15.0, "hi_ghz": 15.0},
-        "cells": {
-            "absorption": {
-                "length_cm": 30.0,
-                "temperature_c": 100.0,
-                "b_field_mt": 10.0,
-                "geometry": "transverse",
-                "rb85_fraction": 0.985,
-                "rb87_fraction": 0.015,
-                "buffer_pressure_pa": 0.0,
-                "polarization_angle_deg": 90.0,
-                "temperature_offset_c": 0.0,
-            },
-            "faraday": {
-                "length_cm": 30.0,
-                "temperature_c": 102.0,
-                "b_field_mt": 10.0,
-                "geometry": "longitudinal",
-                "rb85_fraction": 0.0,
-                "rb87_fraction": 1.0,
-                "buffer_pressure_pa": 0.0,
-                "polarization_angle_deg": 0.0,
-                "temperature_offset_c": 0.0,
-            },
-        },
-        "chain": {"wollaston_extinction": 1.0e-5},
+        "cells": {"absorption": _cell_section(absorption), "faraday": _cell_section(faraday)},
+        "chain": {"wollaston_extinction": WOLLASTON_EXTINCTION},
         "fom": {
-            "signal_detunings_ghz": [-2.3, 7.8],
-            "noise_detunings_ghz": [4.534682610904291, 0.9653173890957092],
-            "min_suppression_db": 100.0,
+            "signal_detunings_ghz": list(fom.signal_detunings_ghz),
+            "noise_detunings_ghz": list(fom.noise_detunings_ghz),
+            "min_suppression_db": fom.min_suppression_db,
         },
         "noise": {
             "preset": "filtered",
@@ -68,10 +65,10 @@ def preset_paper_optimum() -> dict:
             "budget": 2000,
             "restarts": 3,
             "box": {
-                "t_abs_c": [90.0, 120.0],
-                "t_far_c": [60.0, 120.0],
-                "b_abs_mt": [5.0, 20.0],
-                "b_far_mt": [1.0, 20.0],
+                "t_abs_c": list(box.t_abs_c),
+                "t_far_c": list(box.t_far_c),
+                "b_abs_mt": [x * 1e3 for x in box.b_abs_t],
+                "b_far_mt": [x * 1e3 for x in box.b_far_t],
             },
         },
     }

@@ -17,17 +17,15 @@ exposed here so spectra from both species live on one detuning axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 # ---------------------------------------------------------------------------
 # SI constants (CODATA 2018; h, k_B exact by definition since 2019)
 # ---------------------------------------------------------------------------
 C_LIGHT = 299_792_458.0            # m/s, exact
 H_PLANCK = 6.626_070_15e-34        # J s, exact
-HBAR = H_PLANCK / (2.0 * math.pi)  # J s
 K_BOLTZMANN = 1.380_649e-23        # J/K, exact
 MU_BOHR = 9.274_010_0783e-24       # J/T
-EPSILON_0 = 8.854_187_8128e-12     # F/m
 G_S = 2.002_319_304_362_2          # electron spin g-factor
 
 # Lande g for the 5S1/2 ground and 5P1/2 excited fine-structure levels.
@@ -40,10 +38,6 @@ G_J_EXCITED = (4.0 - G_S) / 3.0
 RB87_D1_CENTROID_HZ = 377.107_463_380e12
 
 TORR_TO_PA = 133.322_368
-
-# Nominal laboratory magnetic-field presets for the two filter cells (tesla).
-ABSORPTION_FIELD_T = 1.0e-2
-FARADAY_FIELD_T = 1.0e-2
 
 
 def hyperfine_shift_mhz(a_mhz: float, nuclear_spin: float, f: float, j: float = 0.5) -> float:
@@ -94,10 +88,6 @@ class IsotopeSpec:
     def centroid_frequency_hz(self) -> float:
         return RB87_D1_CENTROID_HZ + self.isotope_shift_mhz * 1e6
 
-    @property
-    def ground_dim(self) -> int:
-        return int(round(2 * (2 * self.nuclear_spin + 1)))
-
 
 RB85 = IsotopeSpec(
     name="Rb85",
@@ -124,19 +114,6 @@ RB87 = IsotopeSpec(
 )
 
 ISOTOPES: dict[str, IsotopeSpec] = {"Rb85": RB85, "Rb87": RB87}
-
-
-def registry_as_dict() -> dict:
-    """JSON-ready dump of the isotope registry and shared constants."""
-    out = {name: asdict(spec) for name, spec in ISOTOPES.items()}
-    out["shared"] = {
-        "g_j_ground": G_J_GROUND,
-        "g_j_excited": G_J_EXCITED,
-        "g_s": G_S,
-        "rb87_d1_centroid_hz": RB87_D1_CENTROID_HZ,
-        "mu_bohr_j_per_t": MU_BOHR,
-    }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +168,6 @@ class FrequencyConvention:
 
     def detuning_to_omega(self, detuning_ghz):
         return 2.0 * math.pi * (self.reference_frequency_hz + detuning_ghz * 1e9)
-
-    def omega_to_detuning(self, omega_rad_s):
-        return (omega_rad_s / (2.0 * math.pi) - self.reference_frequency_hz) * 1e-9
 
     def centroid_offset_ghz(self, isotope: IsotopeSpec) -> float:
         """Detuning of an isotope's D1 centroid on this reference axis."""

@@ -17,7 +17,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, DataError
-from .lineshape import CellConfig, LONGITUDINAL, TRANSVERSE
+from .lineshape import CellConfig, TRANSVERSE
+from .optimize import PAPER_OPTIMUM, build_cells, initial_simplex
 from .propagation import absorption_transmission, faraday_transmission
 
 FIT_PARAM_RANGES = {
@@ -107,15 +108,7 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
     if measured.n_rows < MIN_FIT_ROWS:
         raise DataError(f"fit needs >= {MIN_FIT_ROWS} rows, got {measured.n_rows}")
 
-    template = template or CellConfig(
-        name="fit",
-        length_m=0.30,
-        temperature_k=373.15,
-        b_field_t=1.0e-2,
-        geometry=TRANSVERSE,
-        rb85_fraction=0.985,
-        rb87_fraction=0.015,
-    )
+    template = template or replace(build_cells(PAPER_OPTIMUM)[0], name="fit")
     lo = np.array([FIT_PARAM_RANGES[p][0] for p in free])
     hi = np.array([FIT_PARAM_RANGES[p][1] for p in free])
     x0 = np.array([float(initial[p]) for p in free])
@@ -141,7 +134,7 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
     u0 = (x0 - lo) / (hi - lo)
     res = minimize(loss_scaled, u0, method="Nelder-Mead",
                    options=dict(maxfev=max_evaluations, xatol=1e-8, fatol=1e-16,
-                                initial_simplex=_simplex_around(u0, 0.02)))
+                                initial_simplex=initial_simplex(u0, 0.02)))
     x_best = np.clip(lo + res.x * (hi - lo), lo, hi)
     r_best = residuals(x_best)
     rms = float(math.sqrt((r_best * r_best).mean()))
@@ -163,16 +156,6 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
     params = dict(zip(free, (float(v) for v in x_best)))
     return FitResult(params=params, rms=rms, covariance=covariance,
                      degenerate=degenerate, n_evaluations=n_eval, free_names=free)
-
-
-def _simplex_around(u0: np.ndarray, step: float) -> np.ndarray:
-    n = u0.size
-    s = np.tile(u0, (n + 1, 1))
-    for k in range(n):
-        s[k + 1, k] = min(max(u0[k] + step, 0.0), 1.0)
-        if s[k + 1, k] == u0[k]:
-            s[k + 1, k] = max(u0[k] - step, 0.0)
-    return s
 
 
 def _covariance_estimate(residuals, x: np.ndarray, span: np.ndarray, r0: np.ndarray):

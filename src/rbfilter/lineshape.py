@@ -1,10 +1,7 @@
 """Complex Voigt lineshapes and the linear susceptibility of a thermal Rb cell.
 
-The Faddeeva function w(z) = exp(-z^2) erfc(-iz) is evaluated by the rational
-approximation of J. A. C. Weideman, SIAM J. Numer. Anal. 31, 1497 (1994) for
-moderate |z| and by the Laplace continued fraction in the far region; both pieces
-are standard documented schemes and the split point is chosen so the relative
-error stays below ~1e-9 everywhere tests sample.
+The Faddeeva function w(z) = exp(-z^2) erfc(-iz) is scipy.special.wofz
+(S. G. Johnson's Faddeeva package), the same library route ElecSus takes.
 
 Susceptibility convention: chi(Delta) per polarization mode with Im chi >= 0
 (passive medium), intensity absorption alpha = (omega/c) Im chi, refractive index
@@ -15,9 +12,10 @@ n = 1 + Re chi / 2.  The absolute scale follows from the natural linewidth via
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import wofz
 
 from .constants import (
     C_LIGHT,
@@ -37,67 +35,13 @@ TRANSVERSE = "transverse"
 # Rotondaro & Perram, JQSRT 57, 497 (1997): 17.2 MHz/torr.
 KR_BROADENING_MHZ_PER_PA = 17.2 / 133.322368
 
-_SQRT_PI = math.sqrt(math.pi)
-_WEIDEMAN_N = 48
-_FAR_ZONE = 9.0
-_CF_DEPTH = 17
-
-
-def _weideman_coefficients(n: int) -> np.ndarray:
-    # FFT construction from the reference, evaluated once at import.
-    m = 2 * n
-    big_l = math.sqrt(n / math.sqrt(2.0))
-    k = np.arange(-m + 1, m)
-    theta = k * np.pi / m
-    t = big_l * np.tan(theta / 2.0)
-    f = np.exp(-t * t) * (big_l * big_l + t * t)
-    f = np.concatenate(([0.0], f))
-    a = np.real(np.fft.fft(np.fft.fftshift(f))) / (2.0 * m)
-    return a[1 : n + 1][::-1]
-
-
-_WEIDEMAN_A = _weideman_coefficients(_WEIDEMAN_N)
-_WEIDEMAN_L = math.sqrt(_WEIDEMAN_N / math.sqrt(2.0))
-
-
-def _weideman(z: np.ndarray) -> np.ndarray:
-    lz = _WEIDEMAN_L - 1j * z
-    zz = (_WEIDEMAN_L + 1j * z) / lz
-    p = np.polyval(_WEIDEMAN_A, zz)
-    return 2.0 * p / (lz * lz) + (1.0 / _SQRT_PI) / lz
-
-
-def _continued_fraction(z: np.ndarray) -> np.ndarray:
-    # Laplace continued fraction, accurate far from the origin.
-    r = np.zeros_like(z)
-    for k in range(_CF_DEPTH, 0, -1):
-        r = (k / 2.0) / (z - r)
-    return (1j / _SQRT_PI) / (z - r)
-
 
 def faddeeva(z) -> np.ndarray:
-    """w(z) = exp(-z^2) erfc(-iz), vectorized, for finite complex z.
-
-    Upper half-plane (and the real axis) is computed directly; Im z < 0 uses the
-    reflection w(z) = 2 exp(-z^2) - w(-z), which may overflow for large |Im z|.
-    """
+    """w(z) = exp(-z^2) erfc(-iz), vectorized, for finite complex z."""
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("faddeeva requires finite input")
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-
-    lower = z.imag < 0.0
-    zu = np.where(lower, -z, z)
-    far = np.abs(zu) >= _FAR_ZONE
-    if np.any(far):
-        out[far] = _continued_fraction(zu[far])
-    if np.any(~far):
-        out[~far] = _weideman(zu[~far])
-    if np.any(lower):
-        out[lower] = 2.0 * np.exp(-zu[lower] ** 2) - out[lower]
-    return out[0] if scalar else out
+    return wofz(z)
 
 
 def voigt_profile(detuning, center: float, sigma: float, gamma_hwhm: float) -> np.ndarray:
@@ -167,9 +111,6 @@ class CellConfig:
 
     def fraction(self, isotope_name: str) -> float:
         return {"Rb85": self.rb85_fraction, "Rb87": self.rb87_fraction}[isotope_name]
-
-    def with_temperature_k(self, t_k: float) -> "CellConfig":
-        return replace(self, temperature_k=t_k)
 
 
 @dataclass

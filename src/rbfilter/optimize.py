@@ -131,7 +131,9 @@ def build_cells(params: ChainParams) -> tuple[CellConfig, CellConfig]:
 
     Absorption cell: 30 cm, isotopically enriched Rb85 with a 1.5% Rb87
     residual, transverse field, beam polarization perpendicular to it.
-    Faraday cell: 30 cm of pure Rb87, longitudinal field.
+    Faraday cell: 30 cm of pure Rb87, longitudinal field.  At PAPER_OPTIMUM
+    these are the reference cells; the config preset and the fit template
+    derive from them.
     """
     absorption = CellConfig(
         name="absorption",
@@ -150,6 +152,7 @@ def build_cells(params: ChainParams) -> tuple[CellConfig, CellConfig]:
         geometry=LONGITUDINAL,
         rb85_fraction=0.0,
         rb87_fraction=1.0,
+        polarization_angle_rad=0.0,
     )
     return absorption, faraday
 
@@ -158,7 +161,7 @@ def score(params: ChainParams, spec: FomSpec | None = None) -> FigureOfMerit:
     """Deterministic figure of merit at the four named detunings only."""
     spec = spec or FomSpec()
     absorption, faraday = build_cells(params)
-    chain = dual_filter(absorption, faraday, extinction=WOLLASTON_EXTINCTION)
+    chain = dual_filter(absorption, faraday, extinction=spec.wollaston_extinction)
     detunings = sorted(set(spec.signal_detunings_ghz) | set(spec.noise_detunings_ghz))
     grid = np.array(detunings, dtype=float)
     t = chain.transmission(grid)
@@ -286,7 +289,7 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
                 maxfev=min(per_restart, remaining),
                 xatol=1e-6,
                 fatol=1e-10,
-                initial_simplex=_initial_simplex((x0 - box.lower()) / scale, 0.05),
+                initial_simplex=initial_simplex((x0 - box.lower()) / scale, 0.05),
             ),
         )
 
@@ -307,9 +310,12 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
     )
 
 
-def _initial_simplex(u0: np.ndarray, step: float) -> np.ndarray:
-    simplex = np.tile(u0, (5, 1))
-    for k in range(4):
+def initial_simplex(u0: np.ndarray, step: float) -> np.ndarray:
+    """Nelder-Mead start simplex in unit-box coordinates: u0 plus one vertex per
+    axis, stepped by +step (or -step where that would leave [0, 1])."""
+    n = u0.size
+    simplex = np.tile(u0, (n + 1, 1))
+    for k in range(n):
         simplex[k + 1, k] = min(max(u0[k] + step, 0.0), 1.0)
         if simplex[k + 1, k] == u0[k]:
             simplex[k + 1, k] = max(u0[k] - step, 0.0)

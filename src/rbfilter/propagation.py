@@ -187,9 +187,6 @@ class RotatorCellElement:
         _require_geometry(self.cell, LONGITUDINAL, "RotatorCellElement")
 
 
-ChainElement = Polarizer | AbsorptionCellElement | RotatorCellElement
-
-
 def cascade(elements, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
     """Intensity transmission of a chain of polarizers and cells.
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import block_diag
 from scipy.optimize import linear_sum_assignment
 
 from .constants import (
@@ -21,7 +22,6 @@ from .constants import (
     MU_BOHR,
     IsotopeSpec,
 )
-from .wigner import wigner3j
 
 GROUND = "ground"
 EXCITED = "excited"
@@ -109,26 +109,21 @@ def build_hamiltonian(isotope: IsotopeSpec, manifold: str, b_field_t: float) -> 
 def _dipole_projectors(two_i: int) -> dict[int, np.ndarray]:
     """P_q matrices <m_i', m_j'| T_q |m_i, m_j> for a J=1/2 -> J'=1/2 transition.
 
-    Matrix elements delta(m_i) * (-1)^(1/2 - m_j') * 3j(1/2 1 1/2; -m_j' q m_j),
-    i.e. the electron-dipole part in units of the reduced matrix element.
+    The electron-dipole part in units of the reduced matrix element, i.e.
+    delta(m_i) (-1)^(1/2 - m_j') 3j(1/2 1 1/2; -m_j' q m_j), in closed form.
+    In the m_j = (-1/2, +1/2) basis:
+        q =  0: diag(-1/sqrt(6), +1/sqrt(6));
+        q = +1: -1/sqrt(3) at [+1/2 <- -1/2];
+        q = -1: +1/sqrt(3) at [-1/2 <- +1/2];
+    each one repeated block-diagonally over the m_i slot (m_i first).
     """
-    nuclear_spin = two_i / 2.0
-    di = two_i + 1
-    dim = di * 2
-    mj_vals = (-0.5, 0.5)
-    out = {}
-    for q in (-1, 0, +1):
-        p = np.zeros((dim, dim))
-        for i_idx in range(di):
-            for a, mj in enumerate(mj_vals):
-                mjp = mj + q
-                if abs(mjp) > 0.5:
-                    continue
-                b = mj_vals.index(mjp)
-                coeff = (-1.0) ** (0.5 - mjp) * wigner3j(0.5, 1.0, 0.5, -mjp, q, mj)
-                p[i_idx * 2 + b, i_idx * 2 + a] = coeff
-        out[q] = p
-    return out
+    s3, s6 = 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(6.0)
+    electron = {
+        -1: np.array([[0.0, s3], [0.0, 0.0]]),
+        0: np.diag([-s6, s6]),
+        +1: np.array([[0.0, 0.0], [-s3, 0.0]]),
+    }
+    return {q: block_diag(*[p] * (two_i + 1)) for q, p in electron.items()}
 
 
 @dataclass

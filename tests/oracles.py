@@ -93,7 +93,7 @@ def faddeeva_quadrature(z, rel_tol: float = 1e-9) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Wigner 3j / 6j by the Racah single-sum formulas with exact integer
+# Wigner 3j by the Racah single-sum formula with exact integer
 # factorials (converted to float at the end).
 # ---------------------------------------------------------------------------
 
@@ -132,24 +132,6 @@ def wigner_3j_racah(j1, j2, j3, m1, m2, m3) -> float:
                  * _fact(j3 - j1 - m2 + k))
         total += (-1.0) ** k / denom
     return (-1.0) ** int(round(j1 - j2 - m3)) * prefactor * total
-
-
-def wigner_6j_racah(j1, j2, j3, j4, j5, j6) -> float:
-    triads = ((j1, j2, j3), (j1, j5, j6), (j4, j2, j6), (j4, j5, j3))
-    for a, b, c in triads:
-        if c > a + b or c < abs(a - b) or abs((a + b + c) - round(a + b + c)) > 1e-9:
-            return 0.0
-    prefactor = math.sqrt(math.prod(_triangle(*t) for t in triads))
-    k_min = int(round(max(j1 + j2 + j3, j1 + j5 + j6, j4 + j2 + j6, j4 + j5 + j3)))
-    k_max = int(round(min(j1 + j2 + j4 + j5, j2 + j3 + j5 + j6, j3 + j1 + j6 + j4)))
-    total = 0.0
-    for k in range(k_min, k_max + 1):
-        denom = (_fact(k - j1 - j2 - j3) * _fact(k - j1 - j5 - j6)
-                 * _fact(k - j4 - j2 - j6) * _fact(k - j4 - j5 - j3)
-                 * _fact(j1 + j2 + j4 + j5 - k) * _fact(j2 + j3 + j5 + j6 - k)
-                 * _fact(j3 + j1 + j6 + j4 - k))
-        total += (-1.0) ** k * _fact(k + 1) / denom
-    return prefactor * total
 
 
 # ---------------------------------------------------------------------------

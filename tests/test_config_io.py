@@ -15,6 +15,7 @@ from rbfilter.io import (
     write_lines_csv,
     write_spectrum_csv,
 )
+from rbfilter.optimize import PAPER_OPTIMUM, build_cells
 from rbfilter.photon_stats import filtered_preset
 from rbfilter.zeeman import zeeman_lines
 
@@ -146,6 +147,19 @@ def test_config_hash_stable_and_sensitive():
     assert config_hash(a) == config_hash(b)
     assert config_hash(a) != config_hash(c)
     assert len(config_hash(a)) == 64
+
+
+def test_default_config_hash_is_pinned():
+    # any drift in a value the preset derives from build_cells, FomSpec or ParamBox moves it
+    assert config_hash(validate_config({}).resolved) == (
+        "728b96e503d2b555c9264c33edfd03799ffd330894f49867ded80b2334659a14")
+
+
+def test_default_cells_are_the_reference_cells():
+    cells = validate_config({}).cells
+    absorption, faraday = build_cells(PAPER_OPTIMUM)
+    assert cells["absorption"] == absorption
+    assert cells["faraday"] == faraday
 
 
 # ------------------------------------------------------------- CSV I/O

@@ -1,8 +1,11 @@
 """Spectrum fitting: validation, round trips, and degeneracy detection."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import rbfilter.fitting
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.fitting import (
     FIT_PARAM_RANGES,
@@ -11,6 +14,7 @@ from rbfilter.fitting import (
     model_transmission,
 )
 from rbfilter.lineshape import LONGITUDINAL, TRANSVERSE, CellConfig
+from rbfilter.optimize import PAPER_OPTIMUM, build_cells
 
 GRID = np.linspace(-12.0, 12.0, 201)
 TEMPLATE = CellConfig(
@@ -132,3 +136,21 @@ def test_model_transmission_dispatches_on_geometry():
     # the absorption cell passes far wings; the crossed Faraday cell blocks them
     assert t_abs[0] > 0.9
     assert t_far[0] < 0.1
+
+
+def test_default_template_is_the_reference_absorption_cell(monkeypatch, truth):
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def capture(cell, grid):
+        seen.append(cell)
+        raise Stop
+
+    monkeypatch.setattr(rbfilter.fitting, "model_transmission", capture)
+    with pytest.raises(Stop):
+        fit_spectrum(MeasuredSpectrum(GRID, truth), ["temperature_c"], {"temperature_c": 95.0})
+    reference = build_cells(PAPER_OPTIMUM)[0]
+    # every field but the free temperature and the name comes from the template
+    assert replace(seen[0], temperature_k=reference.temperature_k) == replace(reference, name="fit")

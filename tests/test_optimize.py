@@ -13,6 +13,7 @@ from rbfilter.optimize import (
     optimize,
     score,
 )
+from rbfilter.propagation import dual_filter
 
 
 def test_reference_point_lands_in_both_signal_windows():
@@ -49,6 +50,16 @@ def test_score_deterministic():
     b = score(p)
     assert a.objective == b.objective
     assert a.signal_transmissions == b.signal_transmissions
+
+
+def test_score_builds_chain_with_spec_extinction():
+    """The config's chain.wollaston_extinction reaches the chain polarizers."""
+    spec = FomSpec(wollaston_extinction=1e-2)
+    absorption, faraday = build_cells(PAPER_OPTIMUM)
+    expected = dual_filter(absorption, faraday, extinction=1e-2).transmission(np.array([7.8]))[0]
+    got = score(PAPER_OPTIMUM, spec).signal_transmissions[7.8]
+    assert got == pytest.approx(expected, rel=1e-12)
+    assert got != pytest.approx(score(PAPER_OPTIMUM).signal_transmissions[7.8], rel=1e-4)
 
 
 def test_build_cells_geometries():

@@ -5,13 +5,14 @@ import pytest
 
 from rbfilter.constants import G_J_EXCITED, G_J_GROUND, ISOTOPES, RB85, RB87
 from rbfilter.zeeman import (
+    _dipole_projectors,
     build_hamiltonian,
     eigenvalue_sweep,
     hyperfine_zeeman_hamiltonian,
     zeeman_lines,
 )
 
-from oracles import breit_rabi_energies_hz
+from oracles import breit_rabi_energies_hz, wigner_3j_racah
 
 FIELDS_T = (1e-4, 1e-3, 1e-2, 1e-1)
 
@@ -74,6 +75,19 @@ def test_eigenvalue_sweep_is_continuous():
     # second differences catch identity swaps that first differences miss
     curvature = np.abs(np.diff(branches, 2, axis=0))
     assert curvature.max() < 2e6
+
+
+@pytest.mark.parametrize("two_i", [3, 5])
+@pytest.mark.parametrize("q", [-1, 0, +1])
+def test_dipole_projectors_match_racah(two_i, q):
+    """Closed-form projectors against (-1)^(1/2 - m_j') 3j(1/2 1 1/2; -m_j' q m_j)."""
+    mj = (-0.5, 0.5)
+    electron = np.array([[(-1.0) ** (0.5 - b) * wigner_3j_racah(0.5, 1.0, 0.5, -b, q, a)
+                          for a in mj] for b in mj])
+    expected = np.kron(np.eye(two_i + 1), electron)
+    got = _dipole_projectors(two_i)[q]
+    assert got.shape == expected.shape
+    assert np.abs(got - expected).max() <= 1e-15
 
 
 @pytest.mark.parametrize("isotope_name", ["Rb85", "Rb87"])
