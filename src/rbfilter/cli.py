@@ -35,17 +35,13 @@ from .io import (
     write_spectrum_csv,
 )
 from .optimize import optimize
-from .photon_stats import (
-    analytic_pair_correlation,
-    correlation_map,
-    pair_correlation_summary,
-    simulate_frames,
-)
+from .photon_stats import analytic_pair_correlation, simulate_frames, summary_and_map
 from .propagation import (
     absorption_transmission,
     dual_filter,
     faraday_rotation,
     faraday_transmission,
+    susceptibility,
     transmission_db,
 )
 from .zeeman import zeeman_lines
@@ -166,10 +162,13 @@ def cmd_cascade(args) -> int:
     absorption = cfg.cells["absorption"]
     faraday = cfg.cells["faraday"]
     if args.psi_sweep:
+        # the angle moves no line, so both susceptibilities serve every column
+        spectra = (susceptibility(absorption, grid), susceptibility(faraday, grid))
         columns = {}
         for deg in PSI_SWEEP_DEG:
             cell = dataclasses.replace(absorption, polarization_angle_rad=math.radians(deg))
-            chain = dual_filter(cell, faraday, extinction=cfg.wollaston_extinction)
+            chain = dual_filter(cell, faraday, extinction=cfg.wollaston_extinction,
+                                spectra=spectra)
             columns[f"transmission_psi_{deg:g}_deg"] = chain.transmission(grid)
         path = _outpath(args, "cascade_psi_sweep.csv")
         write_spectrum_csv(path, grid, columns)
@@ -250,9 +249,8 @@ def _write_frames_csv(path: str, batch) -> None:
 def cmd_photon_sim(args) -> int:
     cfg = _load(args)
     batch = simulate_frames(cfg.frames, cfg.noise, seed=cfg.seed, layout=cfg.layout)
-    summary = pair_correlation_summary(batch)
+    summary, cmap = summary_and_map(batch)
     summary["analytic_pair_correlation"] = analytic_pair_correlation(cfg.noise, cfg.layout)
-    cmap = correlation_map(batch)
     map_path = _outpath(args, "correlation_map.csv")
     write_spectrum_csv(map_path, np.arange(cmap.shape[0], dtype=float),
                        {f"region_{j}": cmap[:, j] for j in range(cmap.shape[1])})

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, DataError
 from .lineshape import CellConfig, TRANSVERSE
@@ -130,6 +129,9 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
         x = np.clip(lo + u * (hi - lo), lo, hi)
         r = residuals(x)
         return float((r * r).mean())
+
+    # SciPy's own minimize, not rbfilter.optimize.minimize: a fit is not a search restart
+    from scipy.optimize import minimize
 
     u0 = (x0 - lo) / (hi - lo)
     res = minimize(loss_scaled, u0, method="Nelder-Mead",

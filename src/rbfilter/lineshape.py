@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import wofz
 
 from .constants import (
     C_LIGHT,
@@ -41,6 +40,8 @@ def faddeeva(z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     if not np.all(np.isfinite(z)):
         raise ValueError("faddeeva requires finite input")
+    from scipy.special import wofz  # here, so importing rbfilter loads no SciPy
+
     return wofz(z)
 
 

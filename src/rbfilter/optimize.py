@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .constants import DEFAULT_DETUNINGS
 from .errors import ConfigError, NumericalError
@@ -216,6 +215,18 @@ def _grid_axes(box: ParamBox, grid_budget: int) -> list[np.ndarray]:
     rest //= n_tfar
     n_babs = max(1, min(2, rest))
     return [axis(0, n_tabs), axis(1, n_tfar), axis(2, n_babs), axis(3, n_bfar)]
+
+
+def minimize(*args, **kwargs):
+    """scipy.optimize.minimize, imported on the first call so that importing
+    rbfilter loads no SciPy.
+
+    optimize() looks this name up at call time, so replacing the module
+    attribute sees every Nelder-Mead restart.
+    """
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(*args, **kwargs)
 
 
 def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,

@@ -353,6 +353,12 @@ def analytic_pair_correlation(noise: NoiseModel, layout: RegionLayout | None = N
 
 def pair_correlation_summary(batch: CountsBatch) -> dict:
     """Mean on-pair and off-pair correlations with jackknife errors."""
+    return summary_and_map(batch)[0]
+
+
+def summary_and_map(batch: CountsBatch) -> tuple[dict, np.ndarray]:
+    """pair_correlation_summary(batch) and correlation_map(batch) from one pass
+    over the counts."""
     partner = _partners(batch.layout)
     mom = _block_moments(batch.n_s, batch.n_as, partner)
     cmap = _moment_map(mom)
@@ -362,10 +368,11 @@ def pair_correlation_summary(batch: CountsBatch) -> dict:
     on = cmap[pair_mask]
     off = cmap[~pair_mask]
     se = _jackknife_se(mom, partner)
-    return {
+    summary = {
         "n_frames": batch.n_frames,
         "mean_on_pair": float(on.mean()),
         "se_on_pair": float(np.mean(se) / math.sqrt(len(se))),
         "mean_abs_off_pair": float(np.abs(off).mean()) if off.size else 0.0,
         "max_abs_off_pair": float(np.abs(off).max()) if off.size else 0.0,
     }
+    return summary, cmap

@@ -168,10 +168,15 @@ class Polarizer:
 
 @dataclass(frozen=True)
 class AbsorptionCellElement:
-    """Transverse-field cell; attenuates pi/sigma components incoherently."""
+    """Transverse-field cell; attenuates pi/sigma components incoherently.
+
+    spectrum, when given, is the cell's susceptibility on the cascade grid,
+    computed once for chains that differ only in angles.
+    """
 
     cell: CellConfig
     field_angle_rad: float = 0.0
+    spectrum: ComplexSpectrum | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _require_geometry(self.cell, TRANSVERSE, "AbsorptionCellElement")
@@ -179,9 +184,13 @@ class AbsorptionCellElement:
 
 @dataclass(frozen=True)
 class RotatorCellElement:
-    """Longitudinal-field cell; coherent circular birefringence and dichroism."""
+    """Longitudinal-field cell; coherent circular birefringence and dichroism.
+
+    spectrum as for AbsorptionCellElement.
+    """
 
     cell: CellConfig
+    spectrum: ComplexSpectrum | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         _require_geometry(self.cell, LONGITUDINAL, "RotatorCellElement")
@@ -205,6 +214,9 @@ def cascade(elements, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
     amp: np.ndarray | None = None  # (n, 2) complex while inside a coherent segment
 
     for el in elements:
+        spectrum = getattr(el, "spectrum", None)
+        if spectrum is not None and not np.array_equal(spectrum.grid_ghz, grid):
+            raise DataError(f"precomputed spectrum of {el.cell.name} is on another detuning grid")
         if isinstance(el, Polarizer):
             ax = np.array([math.cos(el.axis_angle_rad), math.sin(el.axis_angle_rad)])
             perp = np.array([-ax[1], ax[0]])
@@ -223,9 +235,10 @@ def cascade(elements, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
                     ["rotator cell output must pass a polarizer before an absorption cell"]
                 )
             psi = angle - el.field_angle_rad
-            t_total = t_total * absorption_transmission(el.cell, grid, psi_rad=psi)
+            t_total = t_total * absorption_transmission(el.cell, grid, psi_rad=psi,
+                                                        spectrum=spectrum)
         elif isinstance(el, RotatorCellElement):
-            jt = jones_transfer(el.cell, grid)
+            jt = jones_transfer(el.cell, grid, spectrum=spectrum)
             if amp is None:
                 amp = jt.apply(np.array([math.cos(angle), math.sin(angle)]))
             else:
@@ -266,20 +279,24 @@ def faraday_filter(cell: CellConfig, extinction: float = 1.0e-5, name: str = "fa
 
 
 def dual_filter(absorption_cell: CellConfig, faraday_cell: CellConfig,
-                extinction: float = 1.0e-5, name: str = "dual") -> FilterChain:
+                extinction: float = 1.0e-5, name: str = "dual",
+                spectra: tuple[ComplexSpectrum, ComplexSpectrum] | None = None) -> FilterChain:
     """Absorption cell followed by a crossed Faraday filter.
 
     The absorption cell's field is perpendicular to the beam polarization of
     the signal path (its configured polarization angle measures the field
-    angle from the input polarizer axis).
+    angle from the input polarizer axis).  spectra, when given, are the two
+    cells' precomputed susceptibilities (absorption, Faraday).
     """
+    abs_spec, far_spec = spectra or (None, None)
     return FilterChain(
         elements=[
             Polarizer(0.0, extinction),
             AbsorptionCellElement(absorption_cell,
-                                  field_angle_rad=absorption_cell.polarization_angle_rad),
+                                  field_angle_rad=absorption_cell.polarization_angle_rad,
+                                  spectrum=abs_spec),
             Polarizer(0.0, extinction),
-            RotatorCellElement(faraday_cell),
+            RotatorCellElement(faraday_cell, spectrum=far_spec),
             Polarizer(math.pi / 2.0, extinction),
         ],
         name=name,

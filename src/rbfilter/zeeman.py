@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import block_diag
-from scipy.optimize import linear_sum_assignment
 
 from .constants import (
     G_J_EXCITED,
@@ -115,7 +113,8 @@ def _dipole_projectors(two_i: int) -> dict[int, np.ndarray]:
         q =  0: diag(-1/sqrt(6), +1/sqrt(6));
         q = +1: -1/sqrt(3) at [+1/2 <- -1/2];
         q = -1: +1/sqrt(3) at [-1/2 <- +1/2];
-    each one repeated block-diagonally over the m_i slot (m_i first).
+    each one repeated block-diagonally over the m_i slot (m_i first); the
+    + 0.0 turns the -0.0 that kron leaves in the off-diagonal blocks into +0.0.
     """
     s3, s6 = 1.0 / np.sqrt(3.0), 1.0 / np.sqrt(6.0)
     electron = {
@@ -123,7 +122,7 @@ def _dipole_projectors(two_i: int) -> dict[int, np.ndarray]:
         0: np.diag([-s6, s6]),
         +1: np.array([[0.0, 0.0], [-s3, 0.0]]),
     }
-    return {q: block_diag(*[p] * (two_i + 1)) for q, p in electron.items()}
+    return {q: np.kron(np.eye(two_i + 1), p) + 0.0 for q, p in electron.items()}
 
 
 @dataclass
@@ -221,6 +220,8 @@ def eigenvalue_sweep(
     b_values_t = np.asarray(b_values_t, dtype=float)
     if b_values_t.ndim != 1 or len(b_values_t) == 0:
         raise ValueError("b_values_t must be a non-empty 1-D array")
+    from scipy.optimize import linear_sum_assignment  # here, so importing rbfilter loads no SciPy
+
     energies = []
     prev_vecs = None
     for b in b_values_t:

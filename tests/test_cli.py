@@ -1,11 +1,16 @@
-"""End-to-end command-line runs through cli.main (no subprocesses)."""
+"""End-to-end command-line runs through cli.main; the import floor in fresh interpreters."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rbfilter import cli
+import rbfilter
+from rbfilter import cli, propagation
 from rbfilter.config import load_config
 from rbfilter.fitting import model_transmission
 from rbfilter.io import read_spectrum_csv, write_spectrum_csv
@@ -72,6 +77,20 @@ def test_cascade_psi_sweep(tmp_path):
     assert "transmission_psi_90_deg" in cols
     for arr in cols.values():
         assert np.all((arr >= 0) & (arr <= 1 + 1e-9))
+
+
+def test_cascade_psi_sweep_computes_each_susceptibility_once(tmp_path, monkeypatch):
+    cells = []
+    real = propagation.susceptibility
+
+    def counting(cell, grid_ghz, *args, **kwargs):
+        cells.append(cell.name)
+        return real(cell, grid_ghz, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "susceptibility", counting)
+    monkeypatch.setattr(propagation, "susceptibility", counting)
+    assert run("cascade", "--out", str(tmp_path), "--grid-points", "51", "--psi-sweep") == 0
+    assert sorted(cells) == ["absorption", "faraday"]
 
 
 def test_optimize_command_with_trace(tmp_path):
@@ -156,6 +175,47 @@ def test_preset_flag_accepted(tmp_path):
     assert run("cascade", "--out", str(tmp_path), "--grid-points", "51",
                "--preset", "paper-optimum") == 0
     assert (tmp_path / "cascade.csv").exists()
+
+
+# ----------------------------------------------------------- import floor
+
+# Imports the CLI in a fresh interpreter, runs the command given (if any) and
+# prints the SciPy modules loaded.
+CHILD = """
+import sys
+import rbfilter.cli
+code = rbfilter.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+sys.exit(code)
+"""
+
+
+def scipy_loaded_by(*argv) -> set[str]:
+    src = str(Path(rbfilter.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", CHILD, *argv],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.splitlines()[-1].split()) if done.stdout.strip() else set()
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert scipy_loaded_by() == set()
+
+
+@pytest.mark.parametrize("argv", [["constants"], ["lines"], ["photon-sim", "--frames-csv"]],
+                         ids=lambda a: a[0])
+def test_commands_that_need_no_scipy_load_none(tmp_path, argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"frames": 2000}}))
+    assert scipy_loaded_by(*argv, "--config", str(cfg), "--out", str(tmp_path)) == set()
+
+
+@pytest.mark.parametrize("argv", [["spectrum", "--cell", "faraday"], ["cascade", "--psi-sweep"]],
+                         ids=lambda a: a[0])
+def test_spectra_load_no_scipy_optimize(tmp_path, argv):
+    loaded = scipy_loaded_by(*argv, "--grid-points", "101", "--out", str(tmp_path))
+    assert not {m for m in loaded if m.startswith("scipy.optimize")}
 
 
 # ------------------------------------------------------------- exit codes

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from rbfilter import lineshape
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.lineshape import (
     CellConfig,
@@ -15,6 +16,7 @@ from rbfilter.lineshape import (
     susceptibility,
     voigt_profile,
 )
+from rbfilter.zeeman import zeeman_lines
 
 from oracles import faddeeva_quadrature
 
@@ -157,6 +159,23 @@ def test_susceptibility_zero_density_is_zero():
     spec = susceptibility(cell, default_grid(101))
     for mode in spec.modes:
         assert np.all(spec.mode(mode) == 0.0)
+
+
+def test_susceptibility_looks_up_faddeeva_at_call_time(monkeypatch):
+    """A replaced lineshape.faddeeva sees every line of every isotope (tracers rely on it)."""
+    points = []
+    real = lineshape.faddeeva
+
+    def counting(z):
+        points.append(np.size(z))
+        return real(z)
+
+    monkeypatch.setattr(lineshape, "faddeeva", counting)
+    cell = CellConfig(temperature_k=341.15, b_field_t=1e-2, geometry="transverse")
+    susceptibility(cell, default_grid(51))
+    n_lines = sum(zeeman_lines(name, cell.b_field_t, cell.geometry).n_lines
+                  for name in ("Rb85", "Rb87"))
+    assert sum(points) == n_lines * 51
 
 
 def test_susceptibility_modes_by_geometry():

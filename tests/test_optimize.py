@@ -1,5 +1,7 @@
 """Figure-of-merit scoring and the operating-point search."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,22 @@ def test_optimize_trace_stays_in_box():
         assert np.isfinite(value)
     values = [v for _, v in result.trace]
     assert result.best_objective == pytest.approx(max(values))
+
+
+def test_optimize_looks_up_minimize_at_call_time(monkeypatch):
+    """A replaced rbfilter.optimize.minimize runs every restart (tracers rely on it)."""
+    module = importlib.import_module("rbfilter.optimize")  # rbfilter.optimize is the function
+    methods = []
+    real = module.minimize
+
+    def counting(*args, **kwargs):
+        methods.append(kwargs["method"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "minimize", counting)
+    optimize(ParamBox(), budget=300, seed=0, restarts=3,
+             objective_fn=lambda x: -abs(float(x[0]) - 100.0))
+    assert methods == ["Nelder-Mead"] * 3
 
 
 def test_optimize_deterministic_given_seed():

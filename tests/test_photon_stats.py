@@ -21,6 +21,7 @@ from rbfilter.photon_stats import (
     pair_correlation_summary,
     sample_thermal,
     simulate_frames,
+    summary_and_map,
     unfiltered_preset,
 )
 
@@ -197,6 +198,9 @@ def test_jackknife_and_map_match_loop_oracle(noise, layout, frames):
         expected.mean() / math.sqrt(layout.n_regions), rel=1e-10, abs=0.0)
     assert summary["mean_on_pair"] == pytest.approx(
         np.mean([cmap[i, j] for i, j in layout.pairs()]), rel=1e-10, abs=0.0)
+    one_pass = summary_and_map(batch)
+    assert one_pass[0] == summary
+    assert one_pass[1].tobytes() == cmap.tobytes()
 
 
 def test_jackknife_zero_variance_after_one_deletion_is_error():

@@ -186,6 +186,11 @@ def test_dual_filter_composes_both_cells():
     # chain is strictly tighter than the Faraday stage alone
     t_far = faraday_transmission(far, GRID, extinction=1e-5)
     assert np.all(t <= t_far + 1e-9)
+    # precomputed spectra give the same bytes; a spectrum on another grid is refused
+    spectra = (susceptibility(absorption, GRID), susceptibility(far, GRID))
+    assert dual_filter(absorption, far, spectra=spectra).transmission(GRID).tobytes() == t.tobytes()
+    with pytest.raises(DataError, match="another detuning grid"):
+        dual_filter(absorption, far, spectra=spectra).transmission(GRID[::2])
 
 
 def test_transmission_db_floor():

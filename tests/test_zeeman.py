@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from rbfilter.constants import G_J_EXCITED, G_J_GROUND, ISOTOPES, RB85, RB87
 from rbfilter.zeeman import (
@@ -88,6 +89,8 @@ def test_dipole_projectors_match_racah(two_i, q):
     got = _dipole_projectors(two_i)[q]
     assert got.shape == expected.shape
     assert np.abs(got - expected).max() <= 1e-15
+    # byte-equal to repeating the first block with block_diag: every zero is +0.0
+    assert got.tobytes() == block_diag(*[got[:2, :2]] * (two_i + 1)).tobytes()
 
 
 @pytest.mark.parametrize("isotope_name", ["Rb85", "Rb87"])
