@@ -13,7 +13,8 @@ from .constants import DEFAULT_DETUNINGS, ISOTOPES, REFERENCE, vapor_pressure_pa
 from .errors import ConfigError, DataError, NumericalError, RbFilterError
 from .fitting import MeasuredSpectrum, fit_spectrum
 from .lineshape import CellConfig, ComplexSpectrum, default_grid, susceptibility
-from .optimize import ChainParams, FomSpec, ParamBox, build_cells, optimize, score
+# not the function optimize: rbfilter.optimize stays the submodule
+from .optimize import ChainParams, FomSpec, ParamBox, build_cells, score
 from .photon_stats import (
     NoiseModel,
     RegionLayout,

@@ -18,13 +18,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, load_config
+from .config import RunConfig, read_config, validate_config
 from .constants import DEFAULT_DETUNINGS, ISOTOPES, REFERENCE, vapor_pressure_pa
 from .errors import ConfigError, DataError, NumericalError
 from .fitting import FIT_PARAM_RANGES, fit_spectrum
@@ -34,7 +33,8 @@ from .io import (
     write_lines_csv,
     write_spectrum_csv,
 )
-from .optimize import optimize
+from .lineshape import CELL_KEYS
+from .optimize import ChainParams, optimize
 from .photon_stats import analytic_pair_correlation, simulate_frames, summary_and_map
 from .propagation import (
     absorption_transmission,
@@ -60,23 +60,17 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _load(args) -> RunConfig:
+    """The config with --seed and --grid-points written into it, validated once."""
     if args.preset and args.config:
         raise ConfigError(["--preset and --config are mutually exclusive"])
-    cfg = load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError([f"--seed must be non-negative, got {args.seed}"])
-        overrides["seed"] = args.seed
-    if args.grid_points is not None:
-        if args.grid_points < 2:
-            raise ConfigError([f"--grid-points must be at least 2, got {args.grid_points}"])
-        overrides["grid_points"] = args.grid_points
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-        cfg.resolved["seed"] = cfg.seed
-        cfg.resolved.setdefault("grid", {})["points"] = cfg.grid_points
-    return cfg
+    data = read_config(args.config)
+    if isinstance(data, dict):
+        if args.seed is not None:
+            data["seed"] = args.seed
+        grid = data.get("grid", {})
+        if args.grid_points is not None and isinstance(grid, dict):
+            data["grid"] = {**grid, "points": args.grid_points}
+    return validate_config(data)
 
 
 def _outpath(args, name: str) -> str:
@@ -143,9 +137,10 @@ def cmd_spectrum(args) -> int:
     if cell.geometry == "transverse":
         t = absorption_transmission(cell, grid)
     else:
+        spectrum = susceptibility(cell, grid)
         t = faraday_transmission(cell, grid, output="crossed",
-                                 extinction=cfg.wollaston_extinction)
-        theta, t_rot = faraday_rotation(cell, grid)
+                                 extinction=cfg.wollaston_extinction, spectrum=spectrum)
+        theta, t_rot = faraday_rotation(cell, grid, spectrum=spectrum)
         columns["rotation_rad"] = theta
         columns["rotation_transmission"] = t_rot
     out = {"transmission": t, "transmission_db": transmission_db(t)}
@@ -164,9 +159,10 @@ def cmd_cascade(args) -> int:
     if args.psi_sweep:
         # the angle moves no line, so both susceptibilities serve every column
         spectra = (susceptibility(absorption, grid), susceptibility(faraday, grid))
+        to_rad = CELL_KEYS["polarization_angle_deg"].to_field
         columns = {}
         for deg in PSI_SWEEP_DEG:
-            cell = dataclasses.replace(absorption, polarization_angle_rad=math.radians(deg))
+            cell = dataclasses.replace(absorption, polarization_angle_rad=to_rad(deg))
             chain = dual_filter(cell, faraday, extinction=cfg.wollaston_extinction,
                                 spectra=spectra)
             columns[f"transmission_psi_{deg:g}_deg"] = chain.transmission(grid)
@@ -194,12 +190,7 @@ def cmd_optimize(args) -> int:
         restarts=cfg.optimizer_restarts,
     )
     payload = {
-        "best_params": {
-            "t_abs_c": result.best_params.t_abs_c,
-            "t_far_c": result.best_params.t_far_c,
-            "b_abs_mt": result.best_params.b_abs_t * 1e3,
-            "b_far_mt": result.best_params.b_far_t * 1e3,
-        },
+        "best_params": result.best_params.config_units(),
         "objective": result.best_objective,
         "signal_transmissions": {f"{k:g}": v for k, v in result.best_fom.signal_transmissions.items()},
         "noise_suppressions_db": {f"{k:g}": v for k, v in result.best_fom.noise_suppressions_db.items()},
@@ -211,17 +202,10 @@ def cmd_optimize(args) -> int:
     write_json_report(path, payload, cfg.resolved)
     if args.trace:
         trace_path = _outpath(args, "optimize_trace.csv")
-        rows = np.array([
-            [x[0], x[1], x[2] * 1e3, x[3] * 1e3, obj]
-            for x, obj in result.trace
-        ])
-        write_spectrum_csv(trace_path, np.arange(len(result.trace), dtype=float), {
-            "t_abs_c": rows[:, 0],
-            "t_far_c": rows[:, 1],
-            "b_abs_mt": rows[:, 2],
-            "b_far_mt": rows[:, 3],
-            "objective": rows[:, 4],
-        })
+        rows = [{**ChainParams.from_array(x).config_units(), "objective": obj}
+                for x, obj in result.trace]
+        write_spectrum_csv(trace_path, np.arange(len(result.trace), dtype=float),
+                           {name: np.array([row[name] for row in rows]) for name in rows[0]})
         print(trace_path)
     print(path)
     return 0

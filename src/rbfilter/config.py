@@ -1,9 +1,10 @@
 """Run configuration: JSON schema, validation, presets, and hashing.
 
 Config keys carry explicit unit suffixes (temperature_c, b_field_mt,
-length_cm, polarization_angle_deg) and are converted to SI exactly once, here.
-Validation is total: every problem in the file is reported in one pass with
-its dotted key path, and no partially built object escapes a failed load.
+length_cm, polarization_angle_deg); each cell key's range and SI conversion
+is its entry in lineshape.CELL_KEYS.  Validation is total: every problem in
+the file is reported in one pass with its dotted key path, and no partially
+built object escapes a failed load.
 """
 
 from __future__ import annotations
@@ -14,28 +15,18 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError, DataError
-from .lineshape import CellConfig, LONGITUDINAL, TRANSVERSE
+from .lineshape import CELL_KEYS, CellConfig
 from .optimize import PAPER_OPTIMUM, WOLLASTON_EXTINCTION, FomSpec, ParamBox, build_cells
 from .photon_stats import NoiseModel, RegionLayout
 
-TEMPERATURE_RANGE_C = (20.0, 140.0)
-FIELD_RANGE_MT = (0.0, 300.0)
-LENGTH_RANGE_CM = (1.0, 100.0)
+_TEMPERATURE, _FIELD = CELL_KEYS["temperature_c"], CELL_KEYS["b_field_mt"]
+# optimizer.box key -> the cell key whose range bounds it
+_BOX_KEYS = {"t_abs_c": _TEMPERATURE, "t_far_c": _TEMPERATURE, "b_abs_mt": _FIELD, "b_far_mt": _FIELD}
 
 
 def _cell_section(cell: CellConfig) -> dict:
     """A cell in config units; _validate_cell converts it back exactly."""
-    return {
-        "length_cm": cell.length_m * 1e2,
-        "temperature_c": cell.temperature_k - 273.15,
-        "b_field_mt": cell.b_field_t * 1e3,
-        "geometry": cell.geometry,
-        "rb85_fraction": cell.rb85_fraction,
-        "rb87_fraction": cell.rb87_fraction,
-        "buffer_pressure_pa": cell.buffer_pressure_pa,
-        "polarization_angle_deg": math.degrees(cell.polarization_angle_rad),
-        "temperature_offset_c": cell.temperature_offset_k,
-    }
+    return {key.name: key.from_field(getattr(cell, key.field)) for key in CELL_KEYS.values()}
 
 
 def preset_paper_optimum() -> dict:
@@ -67,8 +58,8 @@ def preset_paper_optimum() -> dict:
             "box": {
                 "t_abs_c": list(box.t_abs_c),
                 "t_far_c": list(box.t_far_c),
-                "b_abs_mt": [x * 1e3 for x in box.b_abs_t],
-                "b_far_mt": [x * 1e3 for x in box.b_far_t],
+                "b_abs_mt": [_FIELD.from_field(x) for x in box.b_abs_t],
+                "b_far_mt": [_FIELD.from_field(x) for x in box.b_far_t],
             },
         },
     }
@@ -123,15 +114,17 @@ class _Validator:
                 self.fail(dotted, "missing required key")
                 return None
             return default
-        v = data[key]
+        return self._value(dotted, data[key], default, lo, hi, integer)
+
+    def _value(self, dotted, v, default, lo, hi, integer=False):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             self.fail(dotted, f"expected a number, got {type(v).__name__}")
             return default
+        if isinstance(v, float) and not math.isfinite(v):
+            self.fail(dotted, "must be finite")
+            return default
         if integer and int(v) != v:
             self.fail(dotted, f"expected an integer, got {v}")
-            return default
-        if not math.isfinite(v):
-            self.fail(dotted, "must be finite")
             return default
         if lo is not None and v < lo or hi is not None and v > hi:
             self.fail(dotted, f"value {v} outside valid range [{lo}, {hi}]")
@@ -145,55 +138,30 @@ class _Validator:
             return default
         return v
 
-    def pair(self, data, path, key, default):
+    def pair(self, data, path, key, default, lo=None, hi=None):
+        dotted = f"{path}.{key}"
         v = data.get(key, default)
-        if (not isinstance(v, (list, tuple)) or len(v) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v)):
-            self.fail(f"{path}.{key}", "expected a pair of numbers")
+        if not isinstance(v, (list, tuple)) or len(v) != 2:
+            self.fail(dotted, "expected a pair of numbers")
             return default
-        return [float(v[0]), float(v[1])]
-
-
-_CELL_KEYS = {"length_cm", "temperature_c", "b_field_mt", "geometry", "rb85_fraction",
-              "rb87_fraction", "buffer_pressure_pa", "polarization_angle_deg",
-              "temperature_offset_c"}
+        n_before = len(self.errors)
+        values = [self._value(dotted, x, None, lo, hi) for x in v]
+        return default if len(self.errors) > n_before else values
 
 
 def _validate_cell(v: _Validator, data: dict, path: str, defaults: dict) -> CellConfig | None:
-    data = v.section(data, path, _CELL_KEYS)
-    merged = dict(defaults)
-    merged.update(data)
+    merged = {**defaults, **v.section(data, path, set(CELL_KEYS))}
     n_before = len(v.errors)
-    length = v.number(merged, path, "length_cm", defaults["length_cm"], *LENGTH_RANGE_CM)
-    temp = v.number(merged, path, "temperature_c", defaults["temperature_c"], *TEMPERATURE_RANGE_C)
-    bfield = v.number(merged, path, "b_field_mt", defaults["b_field_mt"], *FIELD_RANGE_MT)
-    geometry = v.choice(merged, path, "geometry", {LONGITUDINAL, TRANSVERSE}, defaults["geometry"])
-    f85 = v.number(merged, path, "rb85_fraction", defaults["rb85_fraction"], 0.0, 1.0)
-    f87 = v.number(merged, path, "rb87_fraction", defaults["rb87_fraction"], 0.0, 1.0)
-    buffer_pa = v.number(merged, path, "buffer_pressure_pa", defaults["buffer_pressure_pa"], 0.0, 1e6)
-    pol_deg = v.number(merged, path, "polarization_angle_deg", defaults["polarization_angle_deg"], -360.0, 360.0)
-    t_off = v.number(merged, path, "temperature_offset_c", defaults["temperature_offset_c"], -5.0, 5.0)
+    values = {name: v.choice(merged, path, name, key.choices) if key.choices
+              else v.number(merged, path, name, lo=key.lo, hi=key.hi)
+              for name, key in CELL_KEYS.items()}
+    f85, f87 = values["rb85_fraction"], values["rb87_fraction"]
     if f85 is not None and f87 is not None and f85 + f87 > 1.0 + 1e-12:
         v.fail(path, f"rb85_fraction + rb87_fraction = {f85 + f87} exceeds 1")
     if len(v.errors) > n_before:
         return None
-    try:
-        return CellConfig(
-            name=path.rsplit(".", 1)[-1],
-            length_m=length * 1e-2,
-            temperature_k=273.15 + temp,
-            b_field_t=bfield * 1e-3,
-            geometry=geometry,
-            rb85_fraction=f85,
-            rb87_fraction=f87,
-            buffer_pressure_pa=buffer_pa,
-            polarization_angle_rad=math.radians(pol_deg),
-            temperature_offset_k=t_off,
-        )
-    except ConfigError as exc:
-        for e in exc.errors:
-            v.fail(path, e)
-        return None
+    fields = {CELL_KEYS[name].field: CELL_KEYS[name].to_field(x) for name, x in values.items()}
+    return CellConfig(name=path.rsplit(".", 1)[-1], **fields)
 
 
 def validate_config(data: dict) -> RunConfig:
@@ -255,8 +223,11 @@ def validate_config(data: dict) -> RunConfig:
     box_in = v.section(opt_in.get("box", {}), "optimizer.box",
                        {"t_abs_c", "t_far_c", "b_abs_mt", "b_far_mt"})
     box_vals = {}
-    for key in ("t_abs_c", "t_far_c", "b_abs_mt", "b_far_mt"):
-        box_vals[key] = v.pair(box_in, "optimizer.box", key, defaults["optimizer"]["box"][key])
+    for key, valid in _BOX_KEYS.items():
+        lo_hi = box_vals[key] = v.pair(box_in, "optimizer.box", key,
+                                       defaults["optimizer"]["box"][key], valid.lo, valid.hi)
+        if lo_hi[0] > lo_hi[1]:
+            v.fail(f"optimizer.box.{key}", f"lower bound {lo_hi[0]} exceeds upper bound {lo_hi[1]}")
 
     if v.errors:
         raise ConfigError(v.errors)
@@ -275,21 +246,18 @@ def validate_config(data: dict) -> RunConfig:
         noise_model = dataclasses.replace(noise_model, **custom_fields)
     layout = RegionLayout(n_regions=n_regions)
 
-    try:
-        fom = FomSpec(
-            signal_detunings_ghz=tuple(sig),
-            noise_detunings_ghz=tuple(noi),
-            min_suppression_db=min_supp,
-            wollaston_extinction=max(extinction, 1e-300),
-        )
-        box = ParamBox(
-            t_abs_c=tuple(box_vals["t_abs_c"]),
-            t_far_c=tuple(box_vals["t_far_c"]),
-            b_abs_t=tuple(x * 1e-3 for x in box_vals["b_abs_mt"]),
-            b_far_t=tuple(x * 1e-3 for x in box_vals["b_far_mt"]),
-        )
-    except ConfigError as exc:
-        raise ConfigError(exc.errors) from None
+    fom = FomSpec(
+        signal_detunings_ghz=tuple(sig),
+        noise_detunings_ghz=tuple(noi),
+        min_suppression_db=min_supp,
+        wollaston_extinction=max(extinction, 1e-300),
+    )
+    box = ParamBox(
+        t_abs_c=tuple(box_vals["t_abs_c"]),
+        t_far_c=tuple(box_vals["t_far_c"]),
+        b_abs_t=tuple(map(_FIELD.to_field, box_vals["b_abs_mt"])),
+        b_far_t=tuple(map(_FIELD.to_field, box_vals["b_far_mt"])),
+    )
 
     resolved = _resolve(defaults, data)
     return RunConfig(
@@ -326,22 +294,26 @@ def _resolve(defaults: dict, overrides: dict) -> dict:
     return out
 
 
-def load_config(path: str | None = None) -> RunConfig:
-    """Read, parse, and fully validate a JSON config; None loads the preset."""
+def read_config(path: str | None) -> dict:
+    """Read and parse a JSON config without validating it; None gives {}."""
     if path is None:
-        return validate_config({})
+        return {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             [f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from exc
-    return validate_config(data)
+
+
+def load_config(path: str | None = None) -> RunConfig:
+    """Read, parse, and fully validate a JSON config; None loads the preset."""
+    return validate_config(read_config(path))
 
 
 def config_hash(resolved: dict) -> str:

@@ -16,16 +16,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .lineshape import CellConfig, TRANSVERSE
+from .lineshape import CELL_KEYS, CellConfig, TRANSVERSE
 from .optimize import PAPER_OPTIMUM, build_cells, initial_simplex
 from .propagation import absorption_transmission, faraday_transmission
 
-FIT_PARAM_RANGES = {
-    "temperature_c": (20.0, 140.0),
-    "b_field_mt": (0.0, 300.0),
-    "rb87_fraction": (0.0, 1.0),
-    "length_m": (0.01, 1.0),
-}
+# Fit parameter -> its cell key.  A parameter named after the key is in config
+# units; one named after the CellConfig field (length_m) is in field units.
+_FIT_KEYS = {name: CELL_KEYS[key] for name, key in (
+    ("temperature_c", "temperature_c"), ("b_field_mt", "b_field_mt"),
+    ("rb87_fraction", "rb87_fraction"), ("length_m", "length_cm"))}
+FIT_PARAM_RANGES = {name: (key.lo, key.hi) if name == key.name else key.field_range()
+                    for name, key in _FIT_KEYS.items()}
 MIN_FIT_ROWS = 50
 
 
@@ -67,14 +68,9 @@ class FitResult:
 
 def _apply_params(template: CellConfig, values: dict[str, float]) -> CellConfig:
     updates = {}
-    if "temperature_c" in values:
-        updates["temperature_k"] = 273.15 + values["temperature_c"]
-    if "b_field_mt" in values:
-        updates["b_field_t"] = values["b_field_mt"] * 1e-3
-    if "rb87_fraction" in values:
-        updates["rb87_fraction"] = values["rb87_fraction"]
-    if "length_m" in values:
-        updates["length_m"] = values["length_m"]
+    for name, value in values.items():
+        key = _FIT_KEYS[name]
+        updates[key.field] = key.to_field(value) if name == key.name else value
     return replace(template, **updates)
 
 
@@ -86,8 +82,7 @@ def model_transmission(cell: CellConfig, grid_ghz) -> np.ndarray:
 
 
 def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
-                 initial: dict[str, float], template: CellConfig | None = None,
-                 max_evaluations: int = 4000) -> FitResult:
+                 initial: dict[str, float], template: CellConfig | None = None) -> FitResult:
     """Weighted least squares over the named free parameters.
 
     initial must provide a starting value for every free parameter, in the
@@ -111,7 +106,7 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
     lo = np.array([FIT_PARAM_RANGES[p][0] for p in free])
     hi = np.array([FIT_PARAM_RANGES[p][1] for p in free])
     x0 = np.array([float(initial[p]) for p in free])
-    if np.any(x0 < lo) or np.any(x0 > hi):
+    if not np.all((lo <= x0) & (x0 <= hi)):  # NaN fails too
         raise ConfigError([f"fit: initial {p}={initial[p]} outside range {FIT_PARAM_RANGES[p]}"
                            for p, v, a, b in zip(free, x0, lo, hi) if not a <= v <= b])
     grid = measured.detuning_ghz
@@ -135,7 +130,7 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
 
     u0 = (x0 - lo) / (hi - lo)
     res = minimize(loss_scaled, u0, method="Nelder-Mead",
-                   options=dict(maxfev=max_evaluations, xatol=1e-8, fatol=1e-16,
+                   options=dict(maxfev=4000, xatol=1e-8, fatol=1e-16,
                                 initial_simplex=initial_simplex(u0, 0.02)))
     x_best = np.clip(lo + res.x * (hi - lo), lo, hi)
     r_best = residuals(x_best)

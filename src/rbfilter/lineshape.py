@@ -13,22 +13,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .constants import (
-    C_LIGHT,
-    ISOTOPES,
-    K_BOLTZMANN,
-    REFERENCE,
-    IsotopeSpec,
-    number_density_m3,
-)
+from .constants import C_LIGHT, ISOTOPES, K_BOLTZMANN, REFERENCE, number_density_m3
 from .errors import ConfigError, DataError
 from .zeeman import LineTable, zeeman_lines
 
 LONGITUDINAL = "longitudinal"
 TRANSVERSE = "transverse"
+GEOMETRIES = (LONGITUDINAL, TRANSVERSE)
 
 # Rb D1 pressure broadening by Kr buffer gas, FWHM rate.
 # Rotondaro & Perram, JQSRT 57, 497 (1997): 17.2 MHz/torr.
@@ -73,9 +68,11 @@ def doppler_sigma_ghz(temperature_k: float, mass_kg: float, frequency_hz: float)
 class CellConfig:
     """Geometry and thermodynamic state of one vapor cell.
 
-    temperature_offset_k is a declared calibration constant (|offset| <= 5 K)
-    between the cell's set-point reading and the vapor temperature that fixes
-    the absolute optical depth; it defaults to 0 and is reported verbatim.
+    temperature_offset_k is a declared calibration constant between the cell's
+    set-point reading and the vapor temperature that fixes the absolute optical
+    depth; it defaults to 0 and is reported verbatim.  The accepted ranges of a
+    run's cells are CELL_KEYS; direct construction checks only what the physics
+    needs (a positive length, a known geometry, a non-negative buffer pressure).
     """
 
     name: str = "cell"
@@ -94,15 +91,10 @@ class CellConfig:
         errors = []
         if self.length_m <= 0.0:
             errors.append(f"{self.name}: length must be positive, got {self.length_m} m")
-        if self.geometry not in (LONGITUDINAL, TRANSVERSE):
+        if self.geometry not in GEOMETRIES:
             errors.append(f"{self.name}: geometry must be '{LONGITUDINAL}' or '{TRANSVERSE}'")
-        for label, frac in (("rb85_fraction", self.rb85_fraction), ("rb87_fraction", self.rb87_fraction)):
-            if not 0.0 <= frac <= 1.0:
-                errors.append(f"{self.name}: {label} must lie in [0, 1], got {frac}")
         if self.buffer_pressure_pa < 0.0:
             errors.append(f"{self.name}: buffer pressure must be non-negative")
-        if abs(self.temperature_offset_k) > 5.0:
-            errors.append(f"{self.name}: |temperature_offset_k| must be <= 5 K (calibration bound)")
         if errors:
             raise ConfigError(errors)
 
@@ -112,6 +104,40 @@ class CellConfig:
 
     def fraction(self, isotope_name: str) -> float:
         return {"Rb85": self.rb85_fraction, "Rb87": self.rb87_fraction}[isotope_name]
+
+
+@dataclass(frozen=True)
+class CellKey:
+    """One cell key of a run config: its name in config units, the CellConfig
+    field it sets, the conversion each way and what it accepts: a range in
+    config units (bounds included) or, for a named choice, the choices."""
+
+    name: str
+    field: str
+    lo: float | None = None
+    hi: float | None = None
+    to_field: Callable = lambda x: x
+    from_field: Callable = lambda x: x
+    choices: tuple[str, ...] = ()
+
+    def field_range(self) -> tuple[float, float]:
+        return self.to_field(self.lo), self.to_field(self.hi)
+
+
+# The only place a cell's config units, conversions and ranges are written.
+CELL_KEYS = {key.name: key for key in (
+    CellKey("length_cm", "length_m", 1.0, 100.0, lambda cm: cm * 1e-2, lambda m: m * 1e2),
+    CellKey("temperature_c", "temperature_k", 20.0, 140.0,
+            lambda c: 273.15 + c, lambda k: k - 273.15),
+    CellKey("b_field_mt", "b_field_t", 0.0, 300.0, lambda mt: mt * 1e-3, lambda t: t * 1e3),
+    CellKey("geometry", "geometry", choices=GEOMETRIES),
+    CellKey("rb85_fraction", "rb85_fraction", 0.0, 1.0),
+    CellKey("rb87_fraction", "rb87_fraction", 0.0, 1.0),
+    CellKey("buffer_pressure_pa", "buffer_pressure_pa", 0.0, 1e6),
+    CellKey("polarization_angle_deg", "polarization_angle_rad", -360.0, 360.0,
+            math.radians, math.degrees),
+    CellKey("temperature_offset_c", "temperature_offset_k", -5.0, 5.0),
+)}
 
 
 @dataclass
@@ -167,36 +193,19 @@ def _mode_strength_tables(lines: LineTable, geometry: str) -> dict[str, list[tup
     return {"pi": [pi], "sigma": [half(sp), half(sm)]}
 
 
-def susceptibility(cell: CellConfig, grid_ghz, line_tables: dict[str, LineTable] | None = None) -> ComplexSpectrum:
-    """Complex susceptibility of all modes of one cell on the given grid.
-
-    line_tables may be passed to reuse precomputed Zeeman tables; they must be
-    tagged with the cell's geometry and evaluated at the cell's field.
-    """
+def susceptibility(cell: CellConfig, grid_ghz) -> ComplexSpectrum:
+    """Complex susceptibility of all modes of one cell on the given grid."""
     grid = _validate_grid(grid_ghz)
     t_k = cell.effective_temperature_k
-
-    if line_tables is None:
-        line_tables = {
-            name: zeeman_lines(name, cell.b_field_t, cell.geometry)
-            for name in ISOTOPES
-            if cell.fraction(name) > 0.0
-        }
-    else:
-        for name, table in line_tables.items():
-            if table.geometry != cell.geometry:
-                raise ConfigError([f"line table for {name} tagged {table.geometry!r}, cell is {cell.geometry!r}"])
-            if table.b_field_t != cell.b_field_t:
-                raise ConfigError([f"line table for {name} computed at {table.b_field_t} T, cell at {cell.b_field_t} T"])
 
     mode_names = ("sigma+", "sigma-") if cell.geometry == LONGITUDINAL else ("pi", "sigma")
     chi = {m: np.zeros(grid.shape, dtype=complex) for m in mode_names}
 
-    for name, table in line_tables.items():
-        isotope: IsotopeSpec = ISOTOPES[name]
+    for name, isotope in ISOTOPES.items():
         frac = cell.fraction(name)
         if frac <= 0.0:
             continue
+        table = zeeman_lines(name, cell.b_field_t, cell.geometry)
         density = number_density_m3(t_k, frac)
         omega0 = 2.0 * math.pi * isotope.centroid_frequency_hz
         gamma_ang = 2.0 * math.pi * isotope.natural_linewidth_mhz * 1e6
@@ -213,10 +222,8 @@ def susceptibility(cell: CellConfig, grid_ghz, line_tables: dict[str, LineTable]
             for offsets, strengths in pieces:
                 if len(offsets) == 0:
                     continue
-                # evaluate all lines at once: (n_lines, n_grid)
-                delta = grid[None, :] - (centroid + offsets[:, None])
-                z = (delta + 1j * gamma_hwhm) / (sigma_d * math.sqrt(2.0))
-                prof = 1j * faddeeva(z) / (sigma_d * math.sqrt(2.0 * math.pi))
+                # all lines at once: (n_lines, n_grid)
+                prof = voigt_profile(grid[None, :], centroid + offsets[:, None], sigma_d, gamma_hwhm)
                 chi[mode] += prefactor * (strengths[:, None] * prof).sum(axis=0)
 
     return ComplexSpectrum(grid_ghz=grid, chi=chi, cell=cell)

@@ -23,11 +23,12 @@ import numpy as np
 
 from .constants import DEFAULT_DETUNINGS
 from .errors import ConfigError, NumericalError
-from .lineshape import CellConfig, LONGITUDINAL, TRANSVERSE
+from .lineshape import CELL_KEYS, CellConfig, LONGITUDINAL, TRANSVERSE
 from .propagation import dual_filter
 
 WOLLASTON_EXTINCTION = 1.0e-5
 _T_FLOOR = 1.0e-15
+_TEMPERATURE, _FIELD = CELL_KEYS["temperature_c"], CELL_KEYS["b_field_mt"]
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,23 @@ class ChainParams:
     def from_array(x) -> "ChainParams":
         return ChainParams(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
 
+    def config_units(self) -> dict[str, float]:
+        """The parameters under their config and report names (Celsius, mT)."""
+        return {"t_abs_c": self.t_abs_c, "t_far_c": self.t_far_c,
+                "b_abs_mt": _FIELD.from_field(self.b_abs_t), "b_far_mt": _FIELD.from_field(self.b_far_t)}
+
 
 PAPER_OPTIMUM = ChainParams(t_abs_c=100.0, t_far_c=102.0, b_abs_t=1.0e-2, b_far_t=1.0e-2)
 
 
 @dataclass(frozen=True)
 class ParamBox:
-    """Search ranges; defaults follow the cells' documented operational limits."""
+    """Search ranges; defaults follow the cells' documented operational limits.
+
+    Every range must be ordered and lie within the cell table's temperature
+    (Celsius) or field (tesla) range, so each searched cell is one a config
+    may name.
+    """
 
     t_abs_c: tuple[float, float] = (90.0, 120.0)
     t_far_c: tuple[float, float] = (60.0, 120.0)
@@ -85,12 +96,11 @@ class ParamBox:
     b_far_t: tuple[float, float] = (1.0e-3, 2.0e-2)
 
     def __post_init__(self):
-        errors = []
-        for name, (lo, hi) in self.ranges().items():
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                errors.append(f"box.{name}: bounds must be finite")
-            elif lo > hi:
-                errors.append(f"box.{name}: lower bound {lo} exceeds upper bound {hi}")
+        t_valid, b_valid = (_TEMPERATURE.lo, _TEMPERATURE.hi), _FIELD.field_range()
+        valid = {"t_abs_c": t_valid, "t_far_c": t_valid, "b_abs_t": b_valid, "b_far_t": b_valid}
+        errors = [f"box.{name}: ({lo}, {hi}) must be an ordered range within {list(valid[name])}"
+                  for name, (lo, hi) in self.ranges().items()
+                  if not valid[name][0] <= lo <= hi <= valid[name][1]]
         if errors:
             raise ConfigError(errors)
 
@@ -137,7 +147,7 @@ def build_cells(params: ChainParams) -> tuple[CellConfig, CellConfig]:
     absorption = CellConfig(
         name="absorption",
         length_m=0.30,
-        temperature_k=273.15 + params.t_abs_c,
+        temperature_k=_TEMPERATURE.to_field(params.t_abs_c),
         b_field_t=params.b_abs_t,
         geometry=TRANSVERSE,
         rb85_fraction=0.985,
@@ -146,7 +156,7 @@ def build_cells(params: ChainParams) -> tuple[CellConfig, CellConfig]:
     faraday = CellConfig(
         name="faraday",
         length_m=0.30,
-        temperature_k=273.15 + params.t_far_c,
+        temperature_k=_TEMPERATURE.to_field(params.t_far_c),
         b_field_t=params.b_far_t,
         geometry=LONGITUDINAL,
         rb85_fraction=0.0,
@@ -205,7 +215,7 @@ def _grid_axes(box: ParamBox, grid_budget: int) -> list[np.ndarray]:
             return np.array([0.5 * (lo[i] + hi[i])])
         return np.linspace(lo[i], hi[i], n)
 
-    span_mt = (hi[3] - lo[3]) * 1e3
+    span_mt = _FIELD.from_field(hi[3] - lo[3])
     n_bfar = max(1, min(int(math.ceil(span_mt / (1.0 / 3.0))) + 1, 64))
     rest = max(1, grid_budget // max(n_bfar, 1))
     # split the remaining factor over the three slow axes
@@ -231,7 +241,7 @@ def minimize(*args, **kwargs):
 
 def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
              budget: int = 2000, seed: int = 0, restarts: int = 3,
-             objective_fn=None, include_reference_point: bool = True) -> OptimizeResult:
+             objective_fn=None) -> OptimizeResult:
     """Grid scan plus Nelder-Mead refinement inside the box.
 
     objective_fn(x: ndarray[4]) -> float is a test seam replacing the physical
@@ -262,7 +272,7 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
         trace.append((x.copy(), val))
         return val
 
-    if include_reference_point and box.contains(PAPER_OPTIMUM):
+    if box.contains(PAPER_OPTIMUM):
         evaluate(PAPER_OPTIMUM.as_array())
 
     nm_share = max(60 * restarts, budget // 5)

@@ -261,10 +261,6 @@ class FilterChain:
     def transmission(self, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
         return cascade(self.elements, grid_ghz, input_angle_rad=input_angle_rad)
 
-    def transmission_db(self, grid_ghz, input_angle_rad: float = 0.0,
-                        floor_db: float = MIN_DB) -> np.ndarray:
-        return transmission_db(self.transmission(grid_ghz, input_angle_rad), floor_db)
-
 
 def faraday_filter(cell: CellConfig, extinction: float = 1.0e-5, name: str = "faraday") -> FilterChain:
     """Crossed-polarizer Faraday filter around one longitudinal cell."""

@@ -169,7 +169,6 @@ def eigenlines(
     ground: ManifoldHamiltonian,
     excited: ManifoldHamiltonian,
     geometry: str = "longitudinal",
-    strength_cutoff: float = 1e-12,
 ) -> LineTable:
     """Dipole lines between field-dressed eigenstates, equal ground-state populations."""
     if ground.isotope.name != excited.isotope.name:
@@ -186,7 +185,7 @@ def eigenlines(
         # amplitude matrix M[e, g] = <e| T_q |g> between dressed states
         amp = ve.conj().T @ p @ vg
         s = pop * np.abs(amp) ** 2
-        idx_e, idx_g = np.nonzero(s > strength_cutoff)
+        idx_e, idx_g = np.nonzero(s > 1e-12)
         offsets.append((ee[idx_e] - eg[idx_g]) * 1e-9)
         comps.append(np.full(idx_e.shape, _COMPONENT_NAME[q]))
         strengths.append(s[idx_e, idx_g])

@@ -93,6 +93,20 @@ def test_cascade_psi_sweep_computes_each_susceptibility_once(tmp_path, monkeypat
     assert sorted(cells) == ["absorption", "faraday"]
 
 
+def test_spectrum_faraday_computes_one_susceptibility(tmp_path, monkeypatch):
+    cells = []
+    real = propagation.susceptibility
+
+    def counting(cell, grid_ghz, *args, **kwargs):
+        cells.append(cell.name)
+        return real(cell, grid_ghz, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "susceptibility", counting)
+    monkeypatch.setattr(propagation, "susceptibility", counting)
+    assert run("spectrum", "--out", str(tmp_path), "--cell", "faraday", "--grid-points", "51") == 0
+    assert cells == ["faraday"]
+
+
 def test_optimize_command_with_trace(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -226,6 +240,36 @@ def test_exit_2_on_bad_grid_points(tmp_path):
 
 def test_exit_2_on_negative_seed(tmp_path):
     assert run("constants", "--out", str(tmp_path), "--seed", "-5") == 2
+
+
+@pytest.mark.parametrize("flag, value, path", [("--grid-points", "10000001", "grid.points"),
+                                               ("--seed", str(2**70), "seed")])
+def test_exit_2_on_override_outside_config_range(tmp_path, capsys, flag, value, path):
+    """CLI overrides go through the config's own ranges (constants allocates no grid)."""
+    assert run("constants", "--out", str(tmp_path), flag, value) == 2
+    assert f"config error: {path}: value {value} outside valid range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '{"grid": 5}'])
+def test_exit_2_when_overrides_meet_a_malformed_config(tmp_path, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert run("constants", "--out", str(tmp_path), "--config", str(cfg),
+               "--seed", "1", "--grid-points", "51") == 2
+
+
+def test_exit_2_on_optimizer_box_outside_cell_range(tmp_path, capsys):
+    cfg = tmp_path / "box.json"
+    cfg.write_text(json.dumps({"optimizer": {"budget": 400, "box": {"t_abs_c": [0, 400]}}}))
+    assert run("optimize", "--out", str(tmp_path), "--config", str(cfg)) == 2
+    assert "optimizer.box.t_abs_c: value 400 outside valid range" in capsys.readouterr().err
+    assert not (tmp_path / "optimize.json").exists()
+
+
+def test_exit_2_on_nan_detuning(tmp_path):
+    cfg = tmp_path / "nan.json"
+    cfg.write_text('{"fom": {"signal_detunings_ghz": [NaN, 7.8]}}')
+    assert run("constants", "--out", str(tmp_path), "--config", str(cfg)) == 2
 
 
 def test_exit_2_on_malformed_config(tmp_path):

@@ -1,13 +1,16 @@
 """Config loading/validation and CSV/JSON file round trips."""
 
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rbfilter import __version__
 from rbfilter.config import config_hash, load_config, preset_paper_optimum, validate_config
 from rbfilter.errors import ConfigError, DataError
+from rbfilter.lineshape import CELL_KEYS
 from rbfilter.io import (
     read_measured_csv,
     read_spectrum_csv,
@@ -73,6 +76,60 @@ def test_every_error_reported_with_its_path():
     assert "140" in joined          # the named temperature range bound
     assert "bogus" in joined
     assert "noise.preset" in joined
+
+
+NUMERIC_CELL_KEYS = [key for key in CELL_KEYS.values() if not key.choices]
+
+
+def one_cell_key(key, value) -> dict:
+    """A cells section setting one key; the other isotope fraction is zeroed so
+    that any fraction in range keeps the sum at or below 1."""
+    partner = {"rb85_fraction": "rb87_fraction", "rb87_fraction": "rb85_fraction"}.get(key.name)
+    return {key.name: value, **({partner: 0.0} if partner else {})}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_cell_table_ranges_are_the_validated_ranges(data):
+    """Every value in a key's range validates and converts by the table; the
+    next float past either bound is rejected under the key's dotted path."""
+    key = data.draw(st.sampled_from(NUMERIC_CELL_KEYS), label="key")
+    cell = data.draw(st.sampled_from(["absorption", "faraday"]), label="cell")
+    value = data.draw(st.floats(key.lo, key.hi), label="value")
+    cfg = validate_config({"cells": {cell: one_cell_key(key, value)}})
+    assert getattr(cfg.cells[cell], key.field) == key.to_field(value)
+    for past in (math.nextafter(key.lo, -math.inf), math.nextafter(key.hi, math.inf)):
+        with pytest.raises(ConfigError) as info:
+            validate_config({"cells": {cell: one_cell_key(key, past)}})
+        assert info.value.errors == [
+            f"cells.{cell}.{key.name}: value {past} outside valid range [{key.lo}, {key.hi}]"]
+
+
+def test_optimizer_box_checked_against_cell_ranges():
+    with pytest.raises(ConfigError) as info:
+        validate_config({"optimizer": {"box": {"t_abs_c": [0, 400], "b_far_mt": [1, 301],
+                                               "t_far_c": [110, 70]}}})
+    assert info.value.errors == [
+        "optimizer.box.t_abs_c: value 0 outside valid range [20.0, 140.0]",
+        "optimizer.box.t_abs_c: value 400 outside valid range [20.0, 140.0]",
+        "optimizer.box.t_far_c: lower bound 110.0 exceeds upper bound 70.0",
+        "optimizer.box.b_far_mt: value 301 outside valid range [0.0, 300.0]",
+    ]
+    box = validate_config({"optimizer": {"box": {"b_abs_mt": [0, 300]}}}).optimizer_box
+    assert box.b_abs_t == CELL_KEYS["b_field_mt"].field_range()
+
+
+@pytest.mark.parametrize("fom", [{"signal_detunings_ghz": [float("nan"), 7.8]},
+                                 {"noise_detunings_ghz": [1.0, float("inf")]}])
+def test_detuning_pairs_must_be_finite(fom):
+    with pytest.raises(ConfigError, match="must be finite"):
+        validate_config({"fom": fom})
+
+
+@pytest.mark.parametrize("seed", [float("inf"), float("nan"), 2**70, 10**400])
+def test_seed_outside_u64_is_a_config_error(seed):
+    with pytest.raises(ConfigError, match="seed"):
+        validate_config({"seed": seed})
 
 
 def test_unknown_cell_key_rejected():

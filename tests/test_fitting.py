@@ -67,8 +67,9 @@ def test_fit_rejects_missing_or_out_of_range_initial(truth):
     with pytest.raises(ConfigError, match="no initial value"):
         fit_spectrum(meas, ["temperature_c"], {}, TEMPLATE)
     lo, hi = FIT_PARAM_RANGES["temperature_c"]
-    with pytest.raises(ConfigError, match="outside range"):
-        fit_spectrum(meas, ["temperature_c"], {"temperature_c": hi + 10.0}, TEMPLATE)
+    for bad in (hi + 10.0, float("nan")):
+        with pytest.raises(ConfigError, match="outside range"):
+            fit_spectrum(meas, ["temperature_c"], {"temperature_c": bad}, TEMPLATE)
 
 
 def test_fit_rejects_short_spectra(truth):

@@ -1,7 +1,5 @@
 """Figure-of-merit scoring and the operating-point search."""
 
-import importlib
-
 import numpy as np
 import pytest
 
@@ -87,6 +85,11 @@ def test_param_box_validation():
         ParamBox(t_abs_c=(120.0, 90.0))
     with pytest.raises(ConfigError):
         ParamBox(b_far_t=(0.0, float("inf")))
+    with pytest.raises(ConfigError, match=r"box.t_abs_c: \(0.0, 400.0\)"):
+        ParamBox(t_abs_c=(0.0, 400.0))  # past the vapor-pressure formula's domain
+    with pytest.raises(ConfigError, match="box.b_far_t"):
+        ParamBox(b_far_t=(0.0, 0.5))
+    ParamBox(t_abs_c=(20.0, 140.0), b_far_t=(0.0, 0.3))  # the cell table's bounds
     box = ParamBox()
     assert box.contains(PAPER_OPTIMUM)
     clipped = box.clip(np.array([200.0, 0.0, 1.0, -1.0]))
@@ -142,7 +145,7 @@ def test_optimize_trace_stays_in_box():
 
 def test_optimize_looks_up_minimize_at_call_time(monkeypatch):
     """A replaced rbfilter.optimize.minimize runs every restart (tracers rely on it)."""
-    module = importlib.import_module("rbfilter.optimize")  # rbfilter.optimize is the function
+    import rbfilter.optimize as module
     methods = []
     real = module.minimize
 
@@ -154,6 +157,14 @@ def test_optimize_looks_up_minimize_at_call_time(monkeypatch):
     optimize(ParamBox(), budget=300, seed=0, restarts=3,
              objective_fn=lambda x: -abs(float(x[0]) - 100.0))
     assert methods == ["Nelder-Mead"] * 3
+
+
+def test_package_attribute_optimize_is_the_submodule():
+    import rbfilter
+    import rbfilter.optimize as module
+
+    assert rbfilter.optimize is module
+    assert module.build_cells is build_cells and module.optimize is optimize
 
 
 def test_optimize_deterministic_given_seed():
