@@ -19,6 +19,9 @@ from .lineshape import CELL_KEYS, CellConfig
 from .optimize import PAPER_OPTIMUM, WOLLASTON_EXTINCTION, FomSpec, ParamBox, build_cells
 from .photon_stats import NoiseModel, RegionLayout
 
+# frames x n_regions bound: two int64 count arrays of 1e8 entries take 1.6 GB
+MAX_COUNTS_PER_ARM = 10**8
+
 _TEMPERATURE, _FIELD = CELL_KEYS["temperature_c"], CELL_KEYS["b_field_mt"]
 # optimizer.box key -> the cell key whose range bounds it
 _BOX_KEYS = {"t_abs_c": _TEMPERATURE, "t_far_c": _TEMPERATURE, "b_abs_mt": _FIELD, "b_far_mt": _FIELD}
@@ -206,6 +209,9 @@ def validate_config(data: dict) -> RunConfig:
                             defaults["noise"]["preset"])
     frames = v.number(noise_in, "noise", "frames", defaults["noise"]["frames"], 1, 10**8, integer=True)
     n_regions = v.number(noise_in, "noise", "n_regions", defaults["noise"]["n_regions"], 1, 1000, integer=True)
+    if frames * n_regions > MAX_COUNTS_PER_ARM:
+        v.fail("noise.frames", f"frames x n_regions = {frames * n_regions} exceeds "
+               f"{MAX_COUNTS_PER_ARM} counts per arm")
     custom_fields = {}
     for key, lo_k, hi_k in (("n_sig", 0.0, 100.0), ("eta_s", 0.0, 1.0), ("eta_as", 0.0, 1.0),
                             ("b_fluorescence", 0.0, 1e3), ("b_leakage", 0.0, 1e3),

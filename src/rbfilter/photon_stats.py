@@ -26,7 +26,9 @@ Memory is the count arrays plus block-sized float temporaries.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -35,6 +37,8 @@ import numpy as np
 from .errors import ConfigError, DataError
 
 REGION_AREA_MRAD2 = 0.02
+# frames per seeded chunk of simulate_frames; part of the stream's definition
+CHUNK_FRAMES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -163,47 +167,59 @@ def sample_thermal(rng: np.random.Generator, nbar: float, size) -> np.ndarray:
     return draws
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _draw_chunk(rng: np.random.Generator, noise: NoiseModel, b: float,
+                n_s: np.ndarray, n_as: np.ndarray) -> None:
+    """Fill one chunk's (frames, regions) slices of both count arrays."""
+    n_pair = sample_thermal(rng, noise.n_sig, n_s.shape)
+    n_s[:] = rng.binomial(n_pair, noise.eta_s)
+    # mirror pairing: signal drawn for Stokes region i lands in AS region m-1-i
+    n_as[:] = rng.binomial(n_pair, noise.eta_as)[:, ::-1]
+    del n_pair
+    if b > 0:
+        n_s += rng.poisson(b, size=n_s.shape)
+        n_as += rng.poisson(b, size=n_as.shape)
+
+
 def simulate_frames(frames: int, noise: NoiseModel, seed: int,
                     layout: RegionLayout | None = None) -> CountsBatch:
     """Draw a reproducible stream of camera frames.
 
-    One generator seeded once produces the whole vectorized stream; frames are
-    statistically independent (a per-frame seed-splitting scheme would allow
-    parallel generation, but the whole stream is cheap enough in one pass).
+    Frames are drawn in chunks of CHUNK_FRAMES; chunk i has its own generator
+    from SeedSequence(seed).spawn(n_chunks)[i] and writes its own rows, so the
+    chunks run on a thread per available CPU (NumPy's samplers release the
+    GIL) and the stream depends only on the arguments, not on the CPU count.
+    Memory is the two count arrays plus chunk-sized temporaries.
     """
     if frames < 1:
         raise ConfigError([f"need at least one frame, got {frames}"])
     layout = layout or RegionLayout()
-    rng = np.random.default_rng(seed)
-    m = layout.n_regions
-    shape = (frames, m)
-
-    n_pair = sample_thermal(rng, noise.n_sig, shape)
-    n_s = rng.binomial(n_pair, noise.eta_s)
-    # mirror pairing: signal drawn for Stokes region i lands in AS region m-1-i
-    n_as = rng.binomial(n_pair, noise.eta_as)[:, ::-1]
-    del n_pair
-
+    n_s = np.empty((frames, layout.n_regions), dtype=np.int64)
+    n_as = np.empty_like(n_s)
     b = noise.background_per_region(layout)
-    if b > 0:
-        n_s += rng.poisson(b, size=shape)
-        background = rng.poisson(b, size=shape)
-        background += n_as
-        n_as = background
-    else:
-        n_as = np.ascontiguousarray(n_as)
+    starts = range(0, frames, CHUNK_FRAMES)
+    seeds = np.random.SeedSequence(seed).spawn(len(starts))
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(seeds))) as pool:
+        jobs = []
+        for lo, seed_seq in zip(starts, seeds):
+            rows = slice(lo, lo + CHUNK_FRAMES)
+            # a context copy per job carries the caller's np.errstate into the worker
+            jobs.append(pool.submit(contextvars.copy_context().run, _draw_chunk,
+                                    np.random.default_rng(seed_seq), noise, b,
+                                    n_s[rows], n_as[rows]))
+    for job in jobs:
+        job.result()
     return CountsBatch(n_s=n_s, n_as=n_as, layout=layout)
-
-
-def joint_histogram(batch: CountsBatch, region_s: int, region_as: int) -> np.ndarray:
-    """Normalized p(n_S, n_AS) for one region pair."""
-    x = batch.n_s[:, region_s]
-    y = batch.n_as[:, region_as]
-    if x.size < 1:
-        raise DataError("empty frame stream")
-    h = np.zeros((int(x.max()) + 1, int(y.max()) + 1))
-    np.add.at(h, (x, y), 1.0)
-    return h / x.size
 
 
 def correlation_coefficient(x, y) -> float:

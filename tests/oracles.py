@@ -172,3 +172,33 @@ def pearson_map_direct(xs, ys) -> np.ndarray:
     dx = xs - xs.mean(axis=0)
     dy = ys - ys.mean(axis=0)
     return (dx.T @ dy / xs.shape[0]) / np.outer(xs.std(axis=0), ys.std(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# Camera frames, one seeded chunk after another
+# ---------------------------------------------------------------------------
+
+def simulate_frames_serial(frames: int, noise, seed: int, n_regions: int,
+                           chunk: int) -> tuple[np.ndarray, np.ndarray]:
+    """(n_s, n_as) drawn chunk by chunk in order, chunk k from spawned seed k:
+    thermal pair, Stokes thinning, mirrored anti-Stokes thinning, then the
+    Stokes and anti-Stokes Poisson backgrounds."""
+    background = (noise.b_fluorescence + noise.b_leakage
+                  + noise.intensifier_per_frame / (2.0 * n_regions))
+    n_chunks = -(-frames // chunk)
+    stokes, anti_stokes = [], []
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(n_chunks)):
+        rng = np.random.default_rng(child)
+        shape = (min(chunk, frames - k * chunk), n_regions)
+        if noise.n_sig > 0:
+            pair = rng.geometric(1.0 / (1.0 + noise.n_sig), size=shape) - 1
+        else:
+            pair = np.zeros(shape, dtype=np.int64)
+        s = rng.binomial(pair, noise.eta_s)
+        a = rng.binomial(pair, noise.eta_as)[:, ::-1]
+        if background > 0:
+            s = s + rng.poisson(background, size=shape)
+            a = a + rng.poisson(background, size=shape)
+        stokes.append(s)
+        anti_stokes.append(a)
+    return np.concatenate(stokes), np.concatenate(anti_stokes)

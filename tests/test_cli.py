@@ -194,27 +194,35 @@ def test_preset_flag_accepted(tmp_path):
 # ----------------------------------------------------------- import floor
 
 # Imports the CLI in a fresh interpreter, runs the command given (if any) and
-# prints the SciPy modules loaded.
+# prints the modules loaded.
 CHILD = """
 import sys
 import rbfilter.cli
 code = rbfilter.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
-print(" ".join(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+print(" ".join(sys.modules))
 sys.exit(code)
 """
 
 
-def scipy_loaded_by(*argv) -> set[str]:
+def modules_loaded_by(*argv) -> set[str]:
     src = str(Path(rbfilter.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", CHILD, *argv],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    return set(done.stdout.splitlines()[-1].split()) if done.stdout.strip() else set()
+    return set(done.stdout.splitlines()[-1].split())
+
+
+def scipy_loaded_by(*argv) -> set[str]:
+    return {m for m in modules_loaded_by(*argv) if m == "scipy" or m.startswith("scipy.")}
 
 
 def test_importing_the_cli_loads_no_scipy():
     assert scipy_loaded_by() == set()
+
+
+def test_importing_the_cli_loads_no_thread_pool():
+    assert "concurrent.futures" not in modules_loaded_by()
 
 
 @pytest.mark.parametrize("argv", [["constants"], ["lines"], ["photon-sim", "--frames-csv"]],
@@ -270,6 +278,14 @@ def test_exit_2_on_nan_detuning(tmp_path):
     cfg = tmp_path / "nan.json"
     cfg.write_text('{"fom": {"signal_detunings_ghz": [NaN, 7.8]}}')
     assert run("constants", "--out", str(tmp_path), "--config", str(cfg)) == 2
+
+
+def test_exit_2_on_frame_arrays_past_the_count_bound(tmp_path, capsys):
+    cfg = tmp_path / "frames.json"
+    cfg.write_text(json.dumps({"noise": {"frames": 10**8, "n_regions": 1000}}))
+    assert run("photon-sim", "--out", str(tmp_path), "--config", str(cfg)) == 2
+    assert "config error: noise.frames: frames x n_regions" in capsys.readouterr().err
+    assert not (tmp_path / "photon_summary.json").exists()
 
 
 def test_exit_2_on_malformed_config(tmp_path):

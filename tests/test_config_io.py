@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbfilter import __version__
-from rbfilter.config import config_hash, load_config, preset_paper_optimum, validate_config
+from rbfilter.config import (
+    MAX_COUNTS_PER_ARM,
+    config_hash,
+    load_config,
+    preset_paper_optimum,
+    validate_config,
+)
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.lineshape import CELL_KEYS
 from rbfilter.io import (
@@ -130,6 +136,19 @@ def test_detuning_pairs_must_be_finite(fom):
 def test_seed_outside_u64_is_a_config_error(seed):
     with pytest.raises(ConfigError, match="seed"):
         validate_config({"seed": seed})
+
+
+@pytest.mark.parametrize("frames, n_regions", [(10**8, 1), (10**5, 1000)])
+def test_frame_arrays_up_to_the_count_bound_are_accepted(frames, n_regions):
+    cfg = validate_config({"noise": {"frames": frames, "n_regions": n_regions}})
+    assert cfg.frames * cfg.layout.n_regions == MAX_COUNTS_PER_ARM
+
+
+@pytest.mark.parametrize("frames, n_regions", [(10**8, 1000), (10**8, 2), (10**5 + 1, 1000)])
+def test_frame_arrays_past_the_count_bound_are_rejected(frames, n_regions):
+    """Each int64 count array would hold frames x n_regions entries (computed, not run)."""
+    with pytest.raises(ConfigError, match=r"noise\.frames: frames x n_regions"):
+        validate_config({"noise": {"frames": frames, "n_regions": n_regions}})
 
 
 def test_unknown_cell_key_rejected():

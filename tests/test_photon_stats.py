@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from oracles import jackknife_se_loop, pearson_map_direct
+from oracles import jackknife_se_loop, pearson_map_direct, simulate_frames_serial
 
+from rbfilter import photon_stats
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.photon_stats import (
+    CHUNK_FRAMES,
     CountsBatch,
     NoiseModel,
     RegionLayout,
@@ -17,7 +19,6 @@ from rbfilter.photon_stats import (
     correlation_map,
     correlation_standard_error,
     filtered_preset,
-    joint_histogram,
     pair_correlation_summary,
     sample_thermal,
     simulate_frames,
@@ -85,20 +86,54 @@ def test_simulate_frames_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.n_s, c.n_s)
 
 
-# SHA-256 of n_s.tobytes() + n_as.tobytes(), 3001 frames, seed 11, recorded
-# from the stream before simulate_frames stopped copying its draws.
-@pytest.mark.parametrize("noise, layout, digest", [
-    (*filtered_preset(), "80f993ed9c0ab546b181aac42af8ca91ac167b37e34ddb2d37c4413a2a1056a8"),
-    (*unfiltered_preset(), "38f097b8f1e1d7494cbcb23dfa98377cdfe9ac5387783ff6276b7f5716810f11"),
+# SHA-256 of n_s.tobytes() + n_as.tobytes(), seed 11, recorded from the chunked
+# sampler (CHUNK_FRAMES frames per SeedSequence.spawn child); the last case is
+# two chunks, the second one frame long.
+@pytest.mark.parametrize("noise, layout, frames, digest", [
+    (*filtered_preset(), 3001,
+     "198dd8df99308214b9938e58f765ade195a0f1db33b42acf541f222733c2a561"),
+    (*unfiltered_preset(), 3001,
+     "ee49b136dc72f4d7be6e82647db9e87aea3c5a604dd8558fc6c2f1514d65cd83"),
     (NoiseModel(n_sig=0.8, eta_s=0.7, eta_as=0.4, b_fluorescence=0.0, b_leakage=0.0,
-                intensifier_per_frame=0.0), RegionLayout(n_regions=4),
-     "fd24136f3a983bc4a53956fa95524c8a6190cae088642eacaa0620d5d9282957"),
-], ids=["filtered", "unfiltered", "no-background"])
-def test_simulate_frames_stream_is_pinned(noise, layout, digest):
-    batch = simulate_frames(3001, noise, seed=11, layout=layout)
+                intensifier_per_frame=0.0), RegionLayout(n_regions=4), 3001,
+     "57e617c9fb00512f1872dfe02fdb21563d2bd28818bc5232585aa911c2b2a2ae"),
+    (filtered_preset()[0], RegionLayout(n_regions=4), CHUNK_FRAMES + 1,
+     "4027e06239332d058175ef3960edb51dd5984ec19a4d3ff416869398aae2a705"),
+], ids=["filtered", "unfiltered", "no-background", "two-chunks"])
+def test_simulate_frames_stream_is_pinned(noise, layout, frames, digest):
+    batch = simulate_frames(frames, noise, seed=11, layout=layout)
     assert batch.n_s.dtype == np.int64 and batch.n_as.dtype == np.int64
     assert batch.n_s.flags.c_contiguous and batch.n_as.flags.c_contiguous
     assert hashlib.sha256(batch.n_s.tobytes() + batch.n_as.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("one_worker", [False, True], ids=["all-cpus", "one-worker"])
+@pytest.mark.parametrize("frames", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1,
+                                    2 * CHUNK_FRAMES + 7])
+def test_simulate_frames_matches_serial_oracle(monkeypatch, frames, one_worker):
+    """Chunk i draws from spawned seed i whatever the worker count."""
+    if one_worker:
+        monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 1)
+    noise, layout = filtered_preset()
+    batch = simulate_frames(frames, noise, seed=19, layout=layout)
+    n_s, n_as = simulate_frames_serial(frames, noise, 19, layout.n_regions, CHUNK_FRAMES)
+    assert batch.n_s.tobytes() == n_s.tobytes()
+    assert batch.n_as.tobytes() == n_as.tobytes()
+
+
+def test_simulate_frames_workers_see_the_callers_errstate(monkeypatch):
+    seen = []
+    draw = photon_stats._draw_chunk
+
+    def spy(*args):
+        seen.append(np.geterr()["over"])
+        draw(*args)
+
+    monkeypatch.setattr(photon_stats, "_draw_chunk", spy)
+    noise, layout = filtered_preset()
+    with np.errstate(over="raise"):
+        simulate_frames(2 * CHUNK_FRAMES + 1, noise, seed=1, layout=layout)
+    assert seen == ["raise"] * 3
 
 
 def test_simulate_frames_validation():
@@ -247,16 +282,6 @@ def test_moments_stay_exact_in_the_validator_range():
     assert se.dtype == np.float64 and np.isfinite(se).all()
     assert se[0] == pytest.approx(jackknife_se_loop(batch.n_s[:, 0], batch.n_as[:, 0]),
                                   rel=1e-10, abs=0.0)
-
-
-def test_joint_histogram_normalized_with_matching_marginals():
-    noise, layout = filtered_preset()
-    batch = simulate_frames(20_000, noise, seed=9, layout=layout)
-    h = joint_histogram(batch, 0, layout.partner(0))
-    assert h.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.all(h >= 0)
-    mean_s = float((np.arange(h.shape[0]) * h.sum(axis=1)).sum())
-    assert mean_s == pytest.approx(batch.n_s[:, 0].mean(), abs=1e-12)
 
 
 # --------------------------------------------- analytic oracle vs MC
