@@ -28,11 +28,10 @@ from .propagation import (
     FilterChain,
     absorption_transmission,
     dual_filter,
-    faraday_filter,
     faraday_rotation,
     faraday_transmission,
     jones_transfer,
     opaque_region_width,
     transmission_db,
 )
-from .zeeman import LineTable, build_hamiltonian, eigenvalue_sweep, zeeman_lines
+from .zeeman import LineTable, build_hamiltonian, zeeman_lines

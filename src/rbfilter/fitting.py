@@ -1,11 +1,11 @@
 """Least-squares fitting of measured filter spectra to the cell model.
 
-The fit drives the same simplex engine as the operating-point search over a
-subset of {temperature, field, Rb87 residual fraction, length}, with all
-parameters scaled to documented physical ranges so the simplex sees O(1)
-coordinates.  The covariance estimate comes from a finite-difference Jacobian
-at the optimum; a flat or collapsed direction marks the fit degenerate instead
-of silently returning garbage.
+The fit is one bounded least-squares solve (SciPy's ``least_squares``) over a
+subset of {temperature, field, Rb87 residual fraction, length}, with every
+parameter mapped onto the unit box of its documented physical range.  The
+Jacobian the solver returns at the optimum gives both the Gauss-Newton
+covariance and the degeneracy test: a direction the data cannot see marks the
+fit degenerate instead of silently returning garbage.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .lineshape import CELL_KEYS, CellConfig, TRANSVERSE
-from .optimize import PAPER_OPTIMUM, build_cells, initial_simplex
+from .optimize import PAPER_OPTIMUM, build_cells
 from .propagation import absorption_transmission, faraday_transmission
 
 # Fit parameter -> its cell key.  A parameter named after the key is in config
@@ -83,7 +83,7 @@ def model_transmission(cell: CellConfig, grid_ghz) -> np.ndarray:
 
 def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
                  initial: dict[str, float], template: CellConfig | None = None) -> FitResult:
-    """Weighted least squares over the named free parameters.
+    """Unweighted least squares over the named free parameters.
 
     initial must provide a starting value for every free parameter, in the
     units implied by the name (temperature_c in Celsius, b_field_mt in mT,
@@ -109,65 +109,37 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
     if not np.all((lo <= x0) & (x0 <= hi)):  # NaN fails too
         raise ConfigError([f"fit: initial {p}={initial[p]} outside range {FIT_PARAM_RANGES[p]}"
                            for p, v, a, b in zip(free, x0, lo, hi) if not a <= v <= b])
+    span = hi - lo
     grid = measured.detuning_ghz
     target = measured.transmission
 
     n_eval = 0
 
-    def residuals(x_nat: np.ndarray) -> np.ndarray:
-        cell = _apply_params(template, dict(zip(free, x_nat)))
-        return model_transmission(cell, grid) - target
-
-    def loss_scaled(u: np.ndarray) -> float:
+    def residuals(u: np.ndarray) -> np.ndarray:
         nonlocal n_eval
         n_eval += 1
-        x = np.clip(lo + u * (hi - lo), lo, hi)
-        r = residuals(x)
-        return float((r * r).mean())
+        x = np.clip(lo + u * span, lo, hi)
+        cell = _apply_params(template, dict(zip(free, x)))
+        return model_transmission(cell, grid) - target
 
-    # SciPy's own minimize, not rbfilter.optimize.minimize: a fit is not a search restart
-    from scipy.optimize import minimize
+    from scipy.optimize import least_squares
 
-    u0 = (x0 - lo) / (hi - lo)
-    res = minimize(loss_scaled, u0, method="Nelder-Mead",
-                   options=dict(maxfev=4000, xatol=1e-8, fatol=1e-16,
-                                initial_simplex=initial_simplex(u0, 0.02)))
-    x_best = np.clip(lo + res.x * (hi - lo), lo, hi)
-    r_best = residuals(x_best)
-    rms = float(math.sqrt((r_best * r_best).mean()))
+    # dogbox, not trf: trf stalls on a range bound when the fit starts there
+    res = least_squares(residuals, (x0 - lo) / span, bounds=(0.0, 1.0), method="dogbox")
+    x_best = np.clip(lo + res.x * span, lo, hi)
+    n, p = res.fun.size, len(free)
+    rss = float(res.fun @ res.fun)
 
-    covariance, degenerate = _covariance_estimate(residuals, x_best, hi - lo, r_best)
-    # flatness probe: a free parameter the data cannot see
-    base = (r_best * r_best).mean()
-    for k in range(len(free)):
-        xp = x_best.copy()
-        span = hi[k] - lo[k]
-        xp[k] = min(x_best[k] + 0.005 * span, hi[k])
-        xm = x_best.copy()
-        xm[k] = max(x_best[k] - 0.005 * span, lo[k])
-        dp = abs((residuals(xp) ** 2).mean() - base)
-        dm = abs((residuals(xm) ** 2).mean() - base)
-        if max(dp, dm) < 1e-14 * max(base, 1e-30) or max(dp, dm) == 0.0:
-            degenerate = True
+    # singular values of the unit-box Jacobian: the smallest below 1e-6 sqrt(n)
+    # means some parameter direction, swept over its whole range, moves the
+    # model by less than 1e-6 rms; below 1e-6 of the largest, J is ill-conditioned
+    sv = np.linalg.svd(res.jac, compute_uv=False)
+    degenerate = bool(sv.min() < 1e-6 * max(sv.max(), math.sqrt(n)))
+    covariance = None
+    if not degenerate:
+        jac = res.jac / span  # d(residual)/d(parameter) in natural units
+        covariance = rss / max(n - p, 1) * np.linalg.inv(jac.T @ jac)
 
     params = dict(zip(free, (float(v) for v in x_best)))
-    return FitResult(params=params, rms=rms, covariance=covariance,
+    return FitResult(params=params, rms=math.sqrt(rss / n), covariance=covariance,
                      degenerate=degenerate, n_evaluations=n_eval, free_names=free)
-
-
-def _covariance_estimate(residuals, x: np.ndarray, span: np.ndarray, r0: np.ndarray):
-    """Gauss-Newton covariance from central differences; None when singular."""
-    n, p = r0.size, x.size
-    jac = np.empty((n, p))
-    for k in range(p):
-        h = 1e-4 * span[k]
-        xp = x.copy(); xp[k] += h
-        xm = x.copy(); xm[k] -= h
-        jac[:, k] = (residuals(xp) - residuals(xm)) / (2.0 * h)
-    jtj = jac.T @ jac
-    dof = max(n - p, 1)
-    s2 = float((r0 * r0).sum()) / dof
-    cond = np.linalg.cond(jtj)
-    if not np.isfinite(cond) or cond > 1e12:
-        return None, True
-    return s2 * np.linalg.inv(jtj), False

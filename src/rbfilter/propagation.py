@@ -262,18 +262,6 @@ class FilterChain:
         return cascade(self.elements, grid_ghz, input_angle_rad=input_angle_rad)
 
 
-def faraday_filter(cell: CellConfig, extinction: float = 1.0e-5, name: str = "faraday") -> FilterChain:
-    """Crossed-polarizer Faraday filter around one longitudinal cell."""
-    return FilterChain(
-        elements=[
-            Polarizer(0.0, extinction),
-            RotatorCellElement(cell),
-            Polarizer(math.pi / 2.0, extinction),
-        ],
-        name=name,
-    )
-
-
 def dual_filter(absorption_cell: CellConfig, faraday_cell: CellConfig,
                 extinction: float = 1.0e-5, name: str = "dual",
                 spectra: tuple[ComplexSpectrum, ComplexSpectrum] | None = None) -> FilterChain:

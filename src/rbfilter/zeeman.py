@@ -206,30 +206,3 @@ def zeeman_lines(isotope_name: str, b_field_t: float, geometry: str = "longitudi
     g = build_hamiltonian(isotope, GROUND, b_field_t)
     e = build_hamiltonian(isotope, EXCITED, b_field_t)
     return eigenlines(g, e, geometry=geometry)
-
-
-def eigenvalue_sweep(
-    isotope: IsotopeSpec, manifold: str, b_values_t: np.ndarray
-) -> np.ndarray:
-    """Adiabatically continued eigenvalues (Hz) over a field sweep.
-
-    Rows follow b_values_t; columns are matched between consecutive fields by
-    maximum eigenvector overlap so each column is one continuously deformed level.
-    """
-    b_values_t = np.asarray(b_values_t, dtype=float)
-    if b_values_t.ndim != 1 or len(b_values_t) == 0:
-        raise ValueError("b_values_t must be a non-empty 1-D array")
-    from scipy.optimize import linear_sum_assignment  # here, so importing rbfilter loads no SciPy
-
-    energies = []
-    prev_vecs = None
-    for b in b_values_t:
-        vals, vecs = build_hamiltonian(isotope, manifold, float(b)).eigensystem()
-        if prev_vecs is not None:
-            overlap = np.abs(prev_vecs.conj().T @ vecs) ** 2
-            row, col = linear_sum_assignment(-overlap)
-            order = col[np.argsort(row)]
-            vals, vecs = vals[order], vecs[:, order]
-        energies.append(vals)
-        prev_vecs = vecs
-    return np.array(energies)

@@ -202,3 +202,24 @@ def simulate_frames_serial(frames: int, noise, seed: int, n_regions: int,
         stokes.append(s)
         anti_stokes.append(a)
     return np.concatenate(stokes), np.concatenate(anti_stokes)
+
+
+# ---------------------------------------------------------------------------
+# Fit covariance from a central-difference Jacobian (Gauss-Newton)
+
+def covariance_central_differences(residuals, x: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """s^2 (J^T J)^-1 at x, with J by central differences at 1e-4 of each span.
+
+    residuals maps natural-unit parameters to the residual vector; s^2 is the
+    residual sum of squares over n - p degrees of freedom.
+    """
+    r0 = residuals(x)
+    n, p = r0.size, x.size
+    jac = np.empty((n, p))
+    for k in range(p):
+        h = 1e-4 * span[k]
+        step = np.zeros(p)
+        step[k] = h
+        jac[:, k] = (residuals(x + step) - residuals(x - step)) / (2.0 * h)
+    s2 = float(r0 @ r0) / max(n - p, 1)
+    return s2 * np.linalg.inv(jac.T @ jac)

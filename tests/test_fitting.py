@@ -16,6 +16,8 @@ from rbfilter.fitting import (
 from rbfilter.lineshape import LONGITUDINAL, TRANSVERSE, CellConfig
 from rbfilter.optimize import PAPER_OPTIMUM, build_cells
 
+from oracles import covariance_central_differences
+
 GRID = np.linspace(-12.0, 12.0, 201)
 TEMPLATE = CellConfig(
     name="fit",
@@ -31,6 +33,24 @@ TEMPLATE = CellConfig(
 @pytest.fixture(scope="module")
 def truth():
     return model_transmission(TEMPLATE, GRID)
+
+
+@pytest.fixture
+def model_calls(monkeypatch):
+    """Counts every call the fit makes to the model."""
+    calls = []
+
+    def counted(cell, grid):
+        calls.append(cell)
+        return model_transmission(cell, grid)
+
+    monkeypatch.setattr(rbfilter.fitting, "model_transmission", counted)
+    return calls
+
+
+def _noisy(truth):
+    rng = np.random.default_rng(8)
+    return np.clip(truth + rng.normal(0.0, 0.01, truth.size), 0.0, 1.0)
 
 
 # ------------------------------------------------------------ validation
@@ -80,7 +100,7 @@ def test_fit_rejects_short_spectra(truth):
 
 # ------------------------------------------------------------ round trips
 
-def test_noiseless_single_parameter_round_trip(truth):
+def test_noiseless_single_parameter_round_trip(truth, model_calls):
     meas = MeasuredSpectrum(GRID, truth)
     result = fit_spectrum(meas, ["temperature_c"], {"temperature_c": 95.0}, TEMPLATE)
     assert result.params["temperature_c"] == pytest.approx(100.0, abs=0.01)
@@ -88,7 +108,7 @@ def test_noiseless_single_parameter_round_trip(truth):
     assert not result.degenerate
     assert result.covariance is not None
     assert result.covariance[0, 0] >= 0.0
-    assert result.n_evaluations >= 10
+    assert result.n_evaluations == len(model_calls)
 
 
 def test_noiseless_two_parameter_round_trip(truth):
@@ -106,13 +126,57 @@ def test_noiseless_two_parameter_round_trip(truth):
 
 
 def test_noisy_round_trip_stays_close(truth):
-    rng = np.random.default_rng(8)
-    noisy = np.clip(truth + rng.normal(0.0, 0.01, truth.size), 0.0, 1.0)
-    meas = MeasuredSpectrum(GRID, noisy)
+    meas = MeasuredSpectrum(GRID, _noisy(truth))
     result = fit_spectrum(meas, ["temperature_c"], {"temperature_c": 95.0}, TEMPLATE)
     assert result.params["temperature_c"] == pytest.approx(100.0, abs=0.5)
     # residual rms is set by the injected noise, not by model error
     assert result.rms == pytest.approx(0.01, rel=0.3)
+
+
+@pytest.mark.parametrize("initial", [
+    {"temperature_c": 20.0},                        # on the temperature range bound
+    {"temperature_c": 20.0, "b_field_mt": 0.0},     # on both range bounds
+    {"temperature_c": 60.0, "b_field_mt": 100.0},   # past a local minimum near 63 C, 127 mT
+])
+def test_round_trip_from_a_range_bound_or_far_start(truth, initial):
+    result = fit_spectrum(MeasuredSpectrum(GRID, truth), list(initial), initial, TEMPLATE)
+    assert result.params["temperature_c"] == pytest.approx(100.0, abs=0.01)
+    if "b_field_mt" in result.params:
+        assert result.params["b_field_mt"] == pytest.approx(10.0, abs=0.05)
+    assert result.rms < 1e-6
+    assert not result.degenerate
+
+
+def test_every_model_evaluation_is_counted(truth, model_calls):
+    free = ["temperature_c", "b_field_mt", "rb87_fraction", "length_m"]
+    initial = {"temperature_c": 96.0, "b_field_mt": 12.0, "rb87_fraction": 0.02, "length_m": 0.28}
+    result = fit_spectrum(MeasuredSpectrum(GRID, truth), free, initial, TEMPLATE)
+    assert result.n_evaluations == len(model_calls)
+    assert result.params == pytest.approx(
+        {"temperature_c": 100.0, "b_field_mt": 10.0, "rb87_fraction": 0.015, "length_m": 0.30},
+        rel=1e-6)
+    assert not result.degenerate
+
+
+@pytest.mark.parametrize("initial", [
+    {"temperature_c": 95.0},
+    {"temperature_c": 96.0, "b_field_mt": 12.0},
+])
+def test_covariance_matches_central_difference_reference(truth, initial):
+    meas = MeasuredSpectrum(GRID, _noisy(truth))
+    result = fit_spectrum(meas, list(initial), initial, TEMPLATE)
+
+    def residuals(x):
+        values = dict(zip(result.free_names, x))
+        cell = replace(TEMPLATE, temperature_k=273.15 + values["temperature_c"],
+                       b_field_t=1e-3 * values.get("b_field_mt", 10.0))
+        return model_transmission(cell, GRID) - meas.transmission
+
+    x = np.array([result.params[name] for name in result.free_names])
+    ranges = np.array([FIT_PARAM_RANGES[name] for name in result.free_names])
+    reference = covariance_central_differences(residuals, x, ranges[:, 1] - ranges[:, 0])
+    assert result.covariance is not None
+    np.testing.assert_allclose(result.covariance, reference, rtol=1e-3)
 
 
 def test_invisible_parameter_marked_degenerate():

@@ -8,7 +8,6 @@ from rbfilter.constants import G_J_EXCITED, G_J_GROUND, ISOTOPES, RB85, RB87
 from rbfilter.zeeman import (
     _dipole_projectors,
     build_hamiltonian,
-    eigenvalue_sweep,
     hyperfine_zeeman_hamiltonian,
     zeeman_lines,
 )
@@ -63,19 +62,6 @@ def test_trace_equals_eigenvalue_sum(isotope, manifold):
     vals = ham.eigensystem()[0]
     scale = np.max(np.abs(vals))
     assert np.trace(ham.matrix_hz) == pytest.approx(vals.sum(), abs=1e-12 * scale * vals.size)
-
-
-def test_eigenvalue_sweep_is_continuous():
-    """Adiabatic tracking: each branch moves smoothly, no level swaps."""
-    fields = np.linspace(0.0, 0.12, 241)
-    branches = eigenvalue_sweep(RB85, "ground", fields)
-    assert branches.shape == (fields.size, 12)
-    steps = np.abs(np.diff(branches, axis=0))
-    # 0.5 mT steps: each branch moves < 25 MHz per step (~ mu_B x 2 x 0.5 mT x margin)
-    assert steps.max() < 25e6
-    # second differences catch identity swaps that first differences miss
-    curvature = np.abs(np.diff(branches, 2, axis=0))
-    assert curvature.max() < 2e6
 
 
 @pytest.mark.parametrize("two_i", [3, 5])
