@@ -188,6 +188,7 @@ def cmd_optimize(args) -> int:
         budget=cfg.optimizer_budget,
         seed=cfg.seed,
         restarts=cfg.optimizer_restarts,
+        cells=(cfg.cells["absorption"], cfg.cells["faraday"]),
     )
     payload = {
         "best_params": result.best_params.config_units(),

@@ -28,6 +28,10 @@ GEOMETRIES = (LONGITUDINAL, TRANSVERSE)
 # Rb D1 pressure broadening by Kr buffer gas, FWHM rate.
 # Rotondaro & Perram, JQSRT 57, 497 (1997): 17.2 MHz/torr.
 KR_BROADENING_MHZ_PER_PA = 17.2 / 133.322368
+# grid points per (n_lines x points) Voigt block in susceptibility: bounds its
+# temporaries on any accepted grid; each column is summed alone, so the result
+# does not depend on it
+GRID_SLICE = 1 << 14
 
 
 def faddeeva(z) -> np.ndarray:
@@ -222,8 +226,11 @@ def susceptibility(cell: CellConfig, grid_ghz) -> ComplexSpectrum:
             for offsets, strengths in pieces:
                 if len(offsets) == 0:
                     continue
-                # all lines at once: (n_lines, n_grid)
-                prof = voigt_profile(grid[None, :], centroid + offsets[:, None], sigma_d, gamma_hwhm)
-                chi[mode] += prefactor * (strengths[:, None] * prof).sum(axis=0)
+                # all lines at once, GRID_SLICE grid points at a time: (n_lines, slice)
+                for lo in range(0, grid.size, GRID_SLICE):
+                    part = slice(lo, lo + GRID_SLICE)
+                    prof = voigt_profile(grid[None, part], centroid + offsets[:, None],
+                                         sigma_d, gamma_hwhm)
+                    chi[mode][part] += prefactor * (strengths[:, None] * prof).sum(axis=0)
 
     return ComplexSpectrum(grid_ghz=grid, chi=chi, cell=cell)

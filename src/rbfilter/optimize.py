@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -135,41 +135,42 @@ class FigureOfMerit:
     spec: FomSpec
 
 
-def build_cells(params: ChainParams) -> tuple[CellConfig, CellConfig]:
-    """Cascade cells at the given operating parameters.
+_REFERENCE_CELLS = (
+    CellConfig(name="absorption", length_m=0.30, geometry=TRANSVERSE,
+               rb85_fraction=0.985, rb87_fraction=0.015),
+    CellConfig(name="faraday", length_m=0.30, geometry=LONGITUDINAL,
+               rb85_fraction=0.0, rb87_fraction=1.0, polarization_angle_rad=0.0),
+)
 
-    Absorption cell: 30 cm, isotopically enriched Rb85 with a 1.5% Rb87
-    residual, transverse field, beam polarization perpendicular to it.
-    Faraday cell: 30 cm of pure Rb87, longitudinal field.  At PAPER_OPTIMUM
-    these are the reference cells; the config preset and the fit template
-    derive from them.
+
+def build_cells(params: ChainParams, cells: tuple[CellConfig, CellConfig] = _REFERENCE_CELLS
+                ) -> tuple[CellConfig, CellConfig]:
+    """Cascade cells at the given operating parameters: the (absorption,
+    faraday) template cells with their temperature and field replaced, and
+    nothing else.
+
+    The default templates are the reference cells.  Absorption cell: 30 cm,
+    isotopically enriched Rb85 with a 1.5% Rb87 residual, transverse field,
+    beam polarization perpendicular to it.  Faraday cell: 30 cm of pure Rb87,
+    longitudinal field.  At PAPER_OPTIMUM they give the reference operating
+    point; the config preset and the fit template derive from it.
     """
-    absorption = CellConfig(
-        name="absorption",
-        length_m=0.30,
-        temperature_k=_TEMPERATURE.to_field(params.t_abs_c),
-        b_field_t=params.b_abs_t,
-        geometry=TRANSVERSE,
-        rb85_fraction=0.985,
-        rb87_fraction=0.015,
-    )
-    faraday = CellConfig(
-        name="faraday",
-        length_m=0.30,
-        temperature_k=_TEMPERATURE.to_field(params.t_far_c),
-        b_field_t=params.b_far_t,
-        geometry=LONGITUDINAL,
-        rb85_fraction=0.0,
-        rb87_fraction=1.0,
-        polarization_angle_rad=0.0,
-    )
-    return absorption, faraday
+    absorption, faraday = cells
+
+    def at(cell, t_c, b_t):
+        return replace(cell, **{_TEMPERATURE.field: _TEMPERATURE.to_field(t_c),
+                                _FIELD.field: b_t})
+
+    return (at(absorption, params.t_abs_c, params.b_abs_t),
+            at(faraday, params.t_far_c, params.b_far_t))
 
 
-def score(params: ChainParams, spec: FomSpec | None = None) -> FigureOfMerit:
-    """Deterministic figure of merit at the four named detunings only."""
+def score(params: ChainParams, spec: FomSpec | None = None,
+          cells: tuple[CellConfig, CellConfig] = _REFERENCE_CELLS) -> FigureOfMerit:
+    """Deterministic figure of merit at the four named detunings only; cells
+    as in build_cells."""
     spec = spec or FomSpec()
-    absorption, faraday = build_cells(params)
+    absorption, faraday = build_cells(params, cells)
     chain = dual_filter(absorption, faraday, extinction=spec.wollaston_extinction)
     detunings = sorted(set(spec.signal_detunings_ghz) | set(spec.noise_detunings_ghz))
     grid = np.array(detunings, dtype=float)
@@ -241,8 +242,12 @@ def minimize(*args, **kwargs):
 
 def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
              budget: int = 2000, seed: int = 0, restarts: int = 3,
-             objective_fn=None) -> OptimizeResult:
+             objective_fn=None,
+             cells: tuple[CellConfig, CellConfig] = _REFERENCE_CELLS) -> OptimizeResult:
     """Grid scan plus Nelder-Mead refinement inside the box.
+
+    cells are the (absorption, faraday) templates the searched temperatures
+    and fields are set in (see build_cells).
 
     objective_fn(x: ndarray[4]) -> float is a test seam replacing the physical
     objective; the default maximizes score().objective.  The returned best
@@ -260,7 +265,7 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
     physical = objective_fn is None
     if physical:
         def objective_fn(x):
-            return score(ChainParams.from_array(x), spec).objective
+            return score(ChainParams.from_array(x), spec, cells).objective
 
     trace: list[tuple[np.ndarray, float]] = []
 
@@ -318,7 +323,7 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
     best_x, best_val = trace[best_i]
     best_params = ChainParams.from_array(box.clip(best_x))
     if physical:
-        fom = score(best_params, spec)
+        fom = score(best_params, spec, cells)
     else:
         fom = FigureOfMerit(best_params, best_val, {}, {}, spec)
     return OptimizeResult(

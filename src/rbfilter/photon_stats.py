@@ -16,12 +16,17 @@ every Monte Carlo run:
 where b_S, b_AS are the total per-region Poisson background means (a thinned
 thermal variable keeps thermal statistics, so its variance is n'(1+n')).
 
-The correlation map and the delete-one-block jackknife come from one blocked
-pass over the count arrays (``_block_moments``): per row block it keeps the
-frame count, the column means and the centred second moments.  Blocks merge by
-the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242 (1983)); the
-map merges all of them, and each jackknife estimate merges all but one.
-Memory is the count arrays plus block-sized float temporaries.
+The correlation map and the delete-one-block jackknife come from block
+moments: per row block the frame count, the column means and the centred
+second moments.  simulate_frames computes them in the worker that draws each
+chunk, while its rows are in cache: the chunk is cut at the block edges
+(``_piece_moments``) and the pieces merge into blocks (``_merge_pieces``).  A
+batch built from plain arrays, and correlation_standard_error, read the counts
+once through the same two functions, one piece per block.  Pieces and blocks
+merge by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242
+(1983)); the map merges all blocks, and each jackknife estimate all but one.
+The moments need only chunk-sized float temporaries; the full count arrays
+are kept for callers and the CLI's per-frame export.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -140,6 +145,8 @@ class CountsBatch:
     n_s: np.ndarray   # (frames, regions) int64, Stokes arm
     n_as: np.ndarray  # (frames, regions) int64, anti-Stokes arm
     layout: RegionLayout
+    # block moments kept by simulate_frames, whose count arrays are read-only
+    _moments: _BlockMoments | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_s.shape != self.n_as.shape or self.n_s.ndim != 2:
@@ -148,7 +155,7 @@ class CountsBatch:
             raise DataError("count arrays disagree with layout region count")
         if self.n_s.shape[0] < 1:
             raise DataError("empty frame stream")
-        if (self.n_s < 0).any() or (self.n_as < 0).any():
+        if self.n_s.min() < 0 or self.n_as.min() < 0:
             raise DataError("negative photon counts")
 
     @property
@@ -188,6 +195,15 @@ def _draw_chunk(rng: np.random.Generator, noise: NoiseModel, b: float,
         n_as += rng.poisson(b, size=n_as.shape)
 
 
+def _draw_and_reduce(rng: np.random.Generator, noise: NoiseModel, b: float,
+                     n_s: np.ndarray, n_as: np.ndarray, pair: np.ndarray,
+                     edges: np.ndarray, lo: int) -> _BlockMoments:
+    """Draw one chunk (rows lo.. of the stream) and reduce it to the moments of
+    its pieces while its rows are still in cache."""
+    _draw_chunk(rng, noise, b, n_s, n_as)
+    return _piece_moments(n_s, n_as, pair, edges, lo)
+
+
 def simulate_frames(frames: int, noise: NoiseModel, seed: int,
                     layout: RegionLayout | None = None) -> CountsBatch:
     """Draw a reproducible stream of camera frames.
@@ -196,6 +212,9 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
     from SeedSequence(seed).spawn(n_chunks)[i] and writes its own rows, so the
     chunks run on a thread per available CPU (NumPy's samplers release the
     GIL) and the stream depends only on the arguments, not on the CPU count.
+    The worker that draws a chunk also reduces it to block moments, cut at the
+    jackknife's block edges; the batch keeps the merged moments and its count
+    arrays are read-only, so the correlation functions read no counts again.
     Memory is the two count arrays plus chunk-sized temporaries.
     """
     if frames < 1:
@@ -204,6 +223,8 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
     n_s = np.empty((frames, layout.n_regions), dtype=np.int64)
     n_as = np.empty_like(n_s)
     b = noise.background_per_region(layout)
+    pair = _partners(layout)
+    edges = _block_edges(frames)
     starts = range(0, frames, CHUNK_FRAMES)
     seeds = np.random.SeedSequence(seed).spawn(len(starts))
 
@@ -214,12 +235,15 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
         for lo, seed_seq in zip(starts, seeds):
             rows = slice(lo, lo + CHUNK_FRAMES)
             # a context copy per job carries the caller's np.errstate into the worker
-            jobs.append(pool.submit(contextvars.copy_context().run, _draw_chunk,
+            jobs.append(pool.submit(contextvars.copy_context().run, _draw_and_reduce,
                                     np.random.default_rng(seed_seq), noise, b,
-                                    n_s[rows], n_as[rows]))
-    for job in jobs:
-        job.result()
-    return CountsBatch(n_s=n_s, n_as=n_as, layout=layout)
+                                    n_s[rows], n_as[rows], pair, edges, lo))
+    moments = _merge_pieces([job.result() for job in jobs], edges, pair)
+    n_s.flags.writeable = False
+    n_as.flags.writeable = False
+    batch = CountsBatch(n_s=n_s, n_as=n_as, layout=layout)
+    batch._moments = moments
+    return batch
 
 
 def correlation_coefficient(x, y) -> float:
@@ -236,7 +260,8 @@ def correlation_coefficient(x, y) -> float:
 
 
 class _BlockMoments(NamedTuple):
-    """Per-row-block moments of two (frames, columns) count arrays x and y."""
+    """Moments of two (frames, columns) count arrays x and y over consecutive
+    row blocks, or over the pieces the blocks are merged from."""
 
     count: np.ndarray      # (B,) frames per block
     mean_x: np.ndarray     # (B, m) block means
@@ -247,41 +272,90 @@ class _BlockMoments(NamedTuple):
     sxy_within: np.ndarray  # (m, m) centred cross moments of x with y, summed over blocks
 
 
-def _block_moments(x: np.ndarray, y: np.ndarray, pair: np.ndarray,
-                   n_batches: int = 50) -> _BlockMoments:
-    """One pass over the rows of x and y in the jackknife's blocks.
+def _block_edges(n: int, n_batches: int = 50) -> np.ndarray:
+    """Row edges of the jackknife's blocks of an n-frame stream."""
+    if n < 2 * n_batches:
+        n_batches = max(2, n // 2)
+    return np.linspace(0, n, n_batches + 1, dtype=int)
 
-    Moments are float and centred on each block's own means, so no integer sum
-    can overflow; integer counts make every block sum exact (they stay far
+
+def _piece_moments(x: np.ndarray, y: np.ndarray, pair: np.ndarray, edges: np.ndarray,
+                   lo: int = 0) -> _BlockMoments:
+    """One pass over x and y, rows lo.. of a stream, cut into pieces at the
+    block edges that fall inside them.
+
+    Moments are float and centred on each piece's own means, so no integer sum
+    can overflow; integer counts make every piece sum exact (they stay far
     below 2**53), which keeps the centred moments of a constant stream exactly 0.
     """
     n, m = x.shape
-    if n < 2 * n_batches:
-        n_batches = max(2, n // 2)
-    edges = np.linspace(0, n, n_batches + 1, dtype=int)
-    mean_x, mean_y, sxx, syy, sxy_pair = (np.zeros((n_batches, m)) for _ in range(5))
+    cuts = np.concatenate(([0], edges[(edges > lo) & (edges < lo + n)] - lo, [n]))
+    n_pieces = cuts.size - 1
+    mean_x, mean_y, sxx, syy, sxy_pair = (np.zeros((n_pieces, m)) for _ in range(5))
     sxy_within = np.zeros((m, m))
     rows = np.arange(m)
-    ones = np.ones(np.diff(edges).max())
-    for b in range(n_batches):
-        lo, hi = edges[b], edges[b + 1]
-        if lo == hi:
-            continue  # only a one-frame stream has an empty block
-        xb = x[lo:hi].astype(float)
-        yb = y[lo:hi].astype(float)
+    ones = np.ones(np.diff(cuts).max())
+    for k in range(n_pieces):
+        a, b = cuts[k], cuts[k + 1]
+        xb = x[a:b].astype(float)
+        yb = y[a:b].astype(float)
         # column sums as a BLAS product: several times faster than .mean(axis=0)
         # on narrow rows, and still exact for integer counts
-        mean_x[b] = ones[:hi - lo] @ xb / (hi - lo)
-        mean_y[b] = ones[:hi - lo] @ yb / (hi - lo)
-        xb -= mean_x[b]
-        yb -= mean_y[b]
+        mean_x[k] = ones[:b - a] @ xb / (b - a)
+        mean_y[k] = ones[:b - a] @ yb / (b - a)
+        xb -= mean_x[k]
+        yb -= mean_y[k]
         cross = xb.T @ yb
         sxy_within += cross
-        sxy_pair[b] = cross[rows, pair]
-        sxx[b] = np.einsum("ij,ij->j", xb, xb)
-        syy[b] = np.einsum("ij,ij->j", yb, yb)
-    return _BlockMoments(np.diff(edges).astype(float), mean_x, mean_y, sxx, syy, sxy_pair,
+        sxy_pair[k] = cross[rows, pair]
+        sxx[k] = np.einsum("ij,ij->j", xb, xb)
+        syy[k] = np.einsum("ij,ij->j", yb, yb)
+    return _BlockMoments(np.diff(cuts).astype(float), mean_x, mean_y, sxx, syy, sxy_pair,
                          sxy_within)
+
+
+def _merge_pieces(parts: list[_BlockMoments], edges: np.ndarray,
+                  pair: np.ndarray) -> _BlockMoments:
+    """Block moments from the piece moments of consecutive runs of rows, given
+    in row order.
+
+    A block of one piece keeps that piece's moments unchanged, so moments taken
+    over whole blocks pass through bit for bit; the pieces of a longer block
+    merge by _merge.  A block with no piece (only in a one-frame stream) keeps
+    count 0 and zero moments.
+    """
+    count, mean_x, mean_y, sxx, syy, sxy_pair = (
+        np.concatenate(f) for f in zip(*(part[:6] for part in parts)))
+    block = np.searchsorted(edges, np.cumsum(count) - count, side="right") - 1
+    keep = (np.arange(edges.size - 1)[:, None] == block).astype(float)  # (blocks, pieces)
+    block_mean_x, block_mean_y, block_sxx, block_syy, block_sxy = (
+        np.zeros((keep.shape[0], mean_x.shape[1])) for _ in range(5))
+    pieces = keep.sum(axis=1)
+    sole = pieces == 1
+    first = keep[sole].argmax(axis=1)
+    block_mean_x[sole], block_mean_y[sole] = mean_x[first], mean_y[first]
+    block_sxx[sole], block_syy[sole], block_sxy[sole] = sxx[first], syy[first], sxy_pair[first]
+    many = pieces > 1
+    k = keep[many]
+    weight = k * count
+    block_mean_x[many] = weight @ mean_x / weight.sum(axis=1)[:, None]
+    block_mean_y[many] = weight @ mean_y / weight.sum(axis=1)[:, None]
+    block_sxx[many] = _merge(k, count, mean_x, mean_x, sxx)
+    block_syy[many] = _merge(k, count, mean_y, mean_y, syy)
+    block_sxy[many] = _merge(k, count, mean_x, mean_y[:, pair], sxy_pair)
+    # the within-block cross moment gains each piece's offset from its block's means
+    dx = mean_x - block_mean_x[block]
+    dy = mean_y - block_mean_y[block]
+    sxy_within = sum(part.sxy_within for part in parts) + (count[:, None] * dx).T @ dy
+    return _BlockMoments(keep @ count, block_mean_x, block_mean_y, block_sxx, block_syy,
+                         block_sxy, sxy_within)
+
+
+def _block_moments(x: np.ndarray, y: np.ndarray, pair: np.ndarray,
+                   n_batches: int = 50) -> _BlockMoments:
+    """Block moments of x and y, read in one pass: one piece per block."""
+    edges = _block_edges(x.shape[0], n_batches)
+    return _merge_pieces([_piece_moments(x, y, pair, edges)], edges, pair)
 
 
 def _merge(keep: np.ndarray, count: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray,
@@ -349,9 +423,16 @@ def _partners(layout: RegionLayout) -> np.ndarray:
     return np.array([j for _, j in layout.pairs()])
 
 
+def _batch_moments(batch: CountsBatch) -> _BlockMoments:
+    """The block moments simulate_frames kept, else one pass over the counts."""
+    if batch._moments is not None:
+        return batch._moments
+    return _block_moments(batch.n_s, batch.n_as, _partners(batch.layout))
+
+
 def correlation_map(batch: CountsBatch) -> np.ndarray:
     """C_ij between every Stokes region i and anti-Stokes region j."""
-    return _moment_map(_block_moments(batch.n_s, batch.n_as, _partners(batch.layout)))
+    return _moment_map(_batch_moments(batch))
 
 
 def analytic_pair_correlation(noise: NoiseModel, layout: RegionLayout | None = None) -> float:
@@ -373,10 +454,10 @@ def pair_correlation_summary(batch: CountsBatch) -> dict:
 
 
 def summary_and_map(batch: CountsBatch) -> tuple[dict, np.ndarray]:
-    """pair_correlation_summary(batch) and correlation_map(batch) from one pass
-    over the counts."""
+    """pair_correlation_summary(batch) and correlation_map(batch) from one set
+    of block moments."""
     partner = _partners(batch.layout)
-    mom = _block_moments(batch.n_s, batch.n_as, partner)
+    mom = _batch_moments(batch)
     cmap = _moment_map(mom)
     m = batch.layout.n_regions
     pair_mask = np.zeros((m, m), dtype=bool)

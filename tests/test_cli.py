@@ -128,6 +128,22 @@ def test_optimize_command_with_trace(tmp_path):
     assert len(trace_cols["objective"]) == doc["trace_length"]
 
 
+def test_optimize_scores_the_config_cells(tmp_path):
+    """The search sets temperatures and fields; every other cell key is the config's."""
+    box = {"t_abs_c": [100, 100], "t_far_c": [102, 102], "b_abs_mt": [10, 10], "b_far_mt": [10, 10]}
+    docs = {}
+    for length_cm in (30, 20):
+        cfg = tmp_path / f"cfg_{length_cm}.json"
+        cfg.write_text(json.dumps({"cells": {"faraday": {"length_cm": length_cm}},
+                                   "optimizer": {"budget": 100, "box": box}}))
+        out = tmp_path / str(length_cm)
+        assert run("optimize", "--out", str(out), "--config", str(cfg)) == 0
+        docs[length_cm] = json.loads((out / "optimize.json").read_text())
+    assert docs[30]["objective"] == pytest.approx(0.27792, abs=2e-4)
+    assert docs[20]["objective"] != pytest.approx(docs[30]["objective"], abs=1e-3)
+    assert docs[20]["signal_transmissions"] != docs[30]["signal_transmissions"]
+
+
 def test_photon_sim_command(tmp_path):
     frames = 5000
     assert frames % cli.FRAMES_PER_CHUNK != 0  # a short last chunk is written too

@@ -180,6 +180,45 @@ def test_susceptibility_looks_up_faddeeva_at_call_time(monkeypatch):
     assert sum(points) == n_lines * 51
 
 
+def _largest_line_group() -> int:
+    """Most lines one Voigt block of susceptibility holds, over both isotopes,
+    both geometries and the field range."""
+    return max(len(zeeman_lines(name, b, geometry).select(pol)[0])
+               for name in ("Rb85", "Rb87") for geometry in ("longitudinal", "transverse")
+               for b in (0.0, 1e-2, 0.3) for pol in ("sigma+", "sigma-", "pi"))
+
+
+def test_susceptibility_evaluates_the_grid_in_bounded_slices(monkeypatch):
+    shapes = []
+    real = lineshape.faddeeva
+
+    def recording(z):
+        shapes.append(np.shape(z))
+        return real(z)
+
+    monkeypatch.setattr(lineshape, "faddeeva", recording)
+    cell = CellConfig(temperature_k=373.15, b_field_t=1e-2, geometry="transverse")
+    grid = default_grid(2 * lineshape.GRID_SLICE + 5)  # two full slices and a short one
+    sliced = susceptibility(cell, grid)
+    assert max(n * points for n, points in shapes) <= _largest_line_group() * lineshape.GRID_SLICE
+    n_lines = sum(zeeman_lines(name, cell.b_field_t, cell.geometry).n_lines
+                  for name in ("Rb85", "Rb87"))
+    assert sum(n * points for n, points in shapes) == n_lines * grid.size
+    # each grid column is summed on its own: one block gives the same bytes
+    monkeypatch.setattr(lineshape, "GRID_SLICE", grid.size)
+    whole = susceptibility(cell, grid)
+    for mode in sliced.modes:
+        assert sliced.chi[mode].tobytes() == whole.chi[mode].tobytes()
+
+
+def test_voigt_block_is_bounded_on_the_largest_accepted_grid():
+    """The config accepts grid.points up to 1e7; the block is computed, not run."""
+    max_points = 10_000_000
+    per_point = _largest_line_group() * np.dtype(complex).itemsize
+    assert per_point * max_points > 3e9  # one unsliced block: 22 lines, 3.5 GB
+    assert per_point * min(max_points, lineshape.GRID_SLICE) < 6e6
+
+
 def test_susceptibility_modes_by_geometry():
     grid = default_grid(51)
     spec_l = susceptibility(CELL_87, grid)

@@ -2,9 +2,11 @@
 
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from oracles import jackknife_se_loop, pearson_map_direct, simulate_frames_serial
 
 from rbfilter import photon_stats
@@ -236,6 +238,56 @@ def test_jackknife_and_map_match_loop_oracle(noise, layout, frames):
     one_pass = summary_and_map(batch)
     assert one_pass[0] == summary
     assert one_pass[1].tobytes() == cmap.tobytes()
+
+
+def _or_error(fn, batch):
+    try:
+        return fn(batch)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=20, deadline=None)
+@given(frames=st.integers(1, 3 * CHUNK_FRAMES), n_regions=st.integers(1, 12),
+       one_worker=st.booleans(), unfiltered=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_moments_kept_by_simulate_frames_match_the_array_path(frames, n_regions, one_worker,
+                                                              unfiltered, seed):
+    noise = (unfiltered_preset() if unfiltered else filtered_preset())[0]
+    layout = RegionLayout(n_regions=n_regions)
+    all_cpus = photon_stats._cpu_count()
+    with mock.patch.object(photon_stats, "_cpu_count", return_value=1 if one_worker else all_cpus):
+        batch = simulate_frames(frames, noise, seed=seed, layout=layout)
+    with mock.patch.object(photon_stats, "_cpu_count", return_value=all_cpus if one_worker else 1):
+        other = simulate_frames(frames, noise, seed=seed, layout=layout)
+    assert not batch.n_s.flags.writeable and not batch.n_as.flags.writeable
+
+    reads = []
+    real = photon_stats._piece_moments
+
+    def counting(*args):
+        reads.append(args[0].shape)
+        return real(*args)
+
+    with mock.patch.object(photon_stats, "_piece_moments", counting):
+        _or_error(pair_correlation_summary, batch)
+        _or_error(correlation_map, batch)
+        kept = _or_error(summary_and_map, batch)
+        assert reads == []  # the moments simulate_frames kept: no pass over the counts
+        plain = CountsBatch(n_s=np.array(batch.n_s), n_as=np.array(batch.n_as), layout=layout)
+        read = _or_error(summary_and_map, plain)
+        assert reads == [batch.n_s.shape]
+
+    again = _or_error(summary_and_map, other)
+    if isinstance(kept, str) or isinstance(read, str):
+        assert kept == read == again
+        return
+    assert kept[0] == again[0] and kept[1].tobytes() == again[1].tobytes()
+    assert kept[0].keys() == read[0].keys()
+    for key in read[0]:
+        assert kept[0][key] == pytest.approx(read[0][key], rel=1e-10, abs=0.0), key
+    # merged pieces sum the cross moments in another order: ~1e-16 absolute, so
+    # entries near 0 get an absolute tolerance
+    np.testing.assert_allclose(kept[1], read[1], rtol=1e-10, atol=1e-14)
 
 
 def test_jackknife_zero_variance_after_one_deletion_is_error():
