@@ -206,7 +206,8 @@ def cmd_optimize(args) -> int:
         rows = [{**ChainParams.from_array(x).config_units(), "objective": obj}
                 for x, obj in result.trace]
         write_spectrum_csv(trace_path, np.arange(len(result.trace), dtype=float),
-                           {name: np.array([row[name] for row in rows]) for name in rows[0]})
+                           {name: np.array([row[name] for row in rows]) for name in rows[0]},
+                           index_name="evaluation")
         print(trace_path)
     print(path)
     return 0
@@ -238,7 +239,8 @@ def cmd_photon_sim(args) -> int:
     summary["analytic_pair_correlation"] = analytic_pair_correlation(cfg.noise, cfg.layout)
     map_path = _outpath(args, "correlation_map.csv")
     write_spectrum_csv(map_path, np.arange(cmap.shape[0], dtype=float),
-                       {f"region_{j}": cmap[:, j] for j in range(cmap.shape[1])})
+                       {f"region_{j}": cmap[:, j] for j in range(cmap.shape[1])},
+                       index_name="stokes_region")
     payload = {"summary": summary, "correlation_map_csv": os.path.basename(map_path)}
     path = _outpath(args, "photon_summary.json")
     write_json_report(path, payload, cfg.resolved)

@@ -17,10 +17,12 @@ from .errors import DataError
 from .fitting import MeasuredSpectrum
 
 
-def write_spectrum_csv(path: str, detuning_ghz, columns: dict) -> None:
+def write_spectrum_csv(path: str, detuning_ghz, columns: dict, *,
+                       index_name: str = "detuning_ghz") -> None:
     """Write a detuning grid plus named value columns to CSV.
 
-    columns maps header name -> array of same length as detuning_ghz.
+    columns maps header name -> array of same length as detuning_ghz.  The
+    first column is headed index_name, so another index can name itself.
     """
     detuning_ghz = np.asarray(detuning_ghz, dtype=float)
     names = list(columns)
@@ -35,7 +37,7 @@ def write_spectrum_csv(path: str, detuning_ghz, columns: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["detuning_ghz"] + names)
+            writer.writerow([index_name] + names)
             for i in range(detuning_ghz.size):
                 writer.writerow(
                     [f"{detuning_ghz[i]:.16g}"] + [f"{a[i]:.16g}" for a in arrays]

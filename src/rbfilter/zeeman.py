@@ -1,13 +1,18 @@
 """Hyperfine + Zeeman structure of the D1 manifolds in the uncoupled |m_I, m_J> basis.
 
-H = A (I.J) + mu_B B (g_J J_z + g_I I_z), stored in Hz.  The quantization axis is
-along B, so sigma+/sigma-/pi labels below are defined with respect to the field,
-not the light propagation direction; geometry mapping happens in rbfilter.lineshape.
+Each J = 1/2 manifold has H(B) = H0 + B H1 in Hz, with the field-free hyperfine
+part H0 = A (I.J) and the field-linear part H1 = (mu_B / h)(g_J J_z + g_I I_z)
+in Hz/T.  Both matrices are built once per (isotope, manifold); each field then
+costs one sum and one eigh per manifold.  The Breit-Rabi closed form is kept
+out of the package: the tests use it as an independent oracle.  The
+quantization axis is along B, so sigma+/sigma-/pi labels below are defined with
+respect to the field, not the light propagation direction; geometry mapping
+happens in rbfilter.lineshape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -28,13 +33,8 @@ _COMPONENT_NAME = {-1: "sigma-", 0: "pi", +1: "sigma+"}
 
 def _spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray]:
     """(J_z, J_+) for spin j in the basis m = -j ... +j."""
-    dim = int(round(2 * j + 1))
-    m = -j + np.arange(dim)
-    jz = np.diag(m)
-    jplus = np.zeros((dim, dim))
-    for k in range(dim - 1):
-        jplus[k + 1, k] = np.sqrt(j * (j + 1) - m[k] * (m[k] + 1))
-    return jz, jplus
+    m = -j + np.arange(int(round(2 * j + 1)))
+    return np.diag(m), np.diag(np.sqrt(j * (j + 1) - m[:-1] * (m[:-1] + 1)), -1)
 
 
 def hyperfine_zeeman_hamiltonian(
@@ -42,9 +42,8 @@ def hyperfine_zeeman_hamiltonian(
     a_mhz: float,
     g_j: float,
     g_i: float,
-    b_field_t: float,
-) -> tuple[list[tuple[float, float]], np.ndarray]:
-    """Hamiltonian (Hz) of one J = 1/2 manifold; basis is [(m_i, m_j), ...].
+) -> tuple[np.ndarray, np.ndarray]:
+    """(H0 in Hz, H1 in Hz/T) of one J = 1/2 manifold, m_I slot first.
 
     Accepts any non-negative nuclear spin so that test fixtures (e.g. I = 0)
     can exercise the pure-electron Zeeman limit.
@@ -53,54 +52,31 @@ def hyperfine_zeeman_hamiltonian(
         raise ValueError(f"nuclear spin must be a non-negative (half-)integer, got {nuclear_spin}")
     iz, iplus = _spin_matrices(nuclear_spin)
     jz, jplus = _spin_matrices(0.5)
-    di, dj = iz.shape[0], 2
-
-    eye_i = np.eye(di)
-    eye_j = np.eye(dj)
-    # I.J = Iz Jz + (I+ J- + I- J+)/2 on the product space (I slot first)
-    idotj = (
-        np.kron(iz, jz)
-        + 0.5 * (np.kron(iplus, jplus.T) + np.kron(iplus.T, jplus))
-    )
-    h_hz = (a_mhz * 1e6) * idotj + (MU_BOHR * b_field_t / H_PLANCK) * (
-        g_j * np.kron(eye_i, jz) + g_i * np.kron(iz, eye_j)
-    )
-
-    m_i = -nuclear_spin + np.arange(di)
-    basis = [(float(mi), float(mj)) for mi in m_i for mj in (-0.5, 0.5)]
-    return basis, h_hz
+    # I.J = Iz Jz + (I+ J- + I- J+)/2 on the product space
+    idotj = np.kron(iz, jz) + 0.5 * (np.kron(iplus, jplus.T) + np.kron(iplus.T, jplus))
+    zeeman = g_j * np.kron(np.eye(iz.shape[0]), jz) + g_i * np.kron(iz, np.eye(2))
+    return (a_mhz * 1e6) * idotj, (MU_BOHR / H_PLANCK) * zeeman
 
 
-@dataclass
-class ManifoldHamiltonian:
-    isotope: IsotopeSpec
-    manifold: str
-    b_field_t: float
-    basis: list[tuple[float, float]]
-    matrix_hz: np.ndarray
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
-
-    def eigensystem(self) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending eigenvalues (Hz) and eigenvector columns."""
-        if self._eig is None:
-            vals, vecs = np.linalg.eigh(self.matrix_hz)
-            self._eig = (vals, vecs)
-        return self._eig
-
-    @property
-    def dim(self) -> int:
-        return self.matrix_hz.shape[0]
-
-
-def build_hamiltonian(isotope: IsotopeSpec, manifold: str, b_field_t: float) -> ManifoldHamiltonian:
-    if manifold not in (GROUND, EXCITED):
-        raise ValueError(f"manifold must be '{GROUND}' or '{EXCITED}', got {manifold!r}")
+@lru_cache(maxsize=16)
+def _manifold_matrices(isotope: IsotopeSpec, manifold: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (H0, H1) of one manifold, built once per (isotope, manifold)."""
     if manifold == GROUND:
         a_mhz, g_j = isotope.a_ground_mhz, G_J_GROUND
-    else:
+    elif manifold == EXCITED:
         a_mhz, g_j = isotope.a_excited_mhz, G_J_EXCITED
-    basis, h = hyperfine_zeeman_hamiltonian(isotope.nuclear_spin, a_mhz, g_j, isotope.g_i, b_field_t)
-    return ManifoldHamiltonian(isotope, manifold, b_field_t, basis, h)
+    else:
+        raise ValueError(f"manifold must be '{GROUND}' or '{EXCITED}', got {manifold!r}")
+    matrices = hyperfine_zeeman_hamiltonian(isotope.nuclear_spin, a_mhz, g_j, isotope.g_i)
+    for m in matrices:
+        m.flags.writeable = False
+    return matrices
+
+
+def build_hamiltonian(isotope: IsotopeSpec, manifold: str, b_field_t: float) -> np.ndarray:
+    """H0 + B H1 (Hz) of the ground or excited manifold at field B (T)."""
+    h0, h1 = _manifold_matrices(isotope, manifold)
+    return h0 + b_field_t * h1
 
 
 @lru_cache(maxsize=16)
@@ -165,44 +141,30 @@ class LineTable:
             yield (float(self.offset_ghz[k]), str(self.component[k]), float(self.strength[k]))
 
 
-def eigenlines(
-    ground: ManifoldHamiltonian,
-    excited: ManifoldHamiltonian,
-    geometry: str = "longitudinal",
-) -> LineTable:
-    """Dipole lines between field-dressed eigenstates, equal ground-state populations."""
-    if ground.isotope.name != excited.isotope.name:
-        raise ValueError("ground and excited manifolds belong to different isotopes")
-    if ground.b_field_t != excited.b_field_t:
-        raise ValueError("ground and excited manifolds evaluated at different fields")
-    eg, vg = ground.eigensystem()
-    ee, ve = excited.eigensystem()
-    projectors = _dipole_projectors(int(round(2 * ground.isotope.nuclear_spin)))
-    pop = 1.0 / ground.dim
+@lru_cache(maxsize=512)
+def zeeman_lines(isotope_name: str, b_field_t: float, geometry: str = "longitudinal") -> LineTable:
+    """Dipole lines between field-dressed eigenstates, equal ground-state populations.
+
+    Cached per (isotope, field, geometry), which makes optimizer scoring cheap.
+    """
+    isotope = ISOTOPES[isotope_name]
+    eg, vg = np.linalg.eigh(build_hamiltonian(isotope, GROUND, b_field_t))
+    ee, ve = np.linalg.eigh(build_hamiltonian(isotope, EXCITED, b_field_t))
+    pop = 1.0 / eg.size
 
     offsets, comps, strengths = [], [], []
-    for q, p in projectors.items():
+    for q, p in _dipole_projectors(int(round(2 * isotope.nuclear_spin))).items():
         # amplitude matrix M[e, g] = <e| T_q |g> between dressed states
-        amp = ve.conj().T @ p @ vg
-        s = pop * np.abs(amp) ** 2
+        s = pop * np.abs(ve.T @ p @ vg) ** 2
         idx_e, idx_g = np.nonzero(s > 1e-12)
         offsets.append((ee[idx_e] - eg[idx_g]) * 1e-9)
         comps.append(np.full(idx_e.shape, _COMPONENT_NAME[q]))
         strengths.append(s[idx_e, idx_g])
     return LineTable(
-        isotope=ground.isotope.name,
-        b_field_t=ground.b_field_t,
+        isotope=isotope_name,
+        b_field_t=b_field_t,
         geometry=geometry,
         offset_ghz=np.concatenate(offsets),
         component=np.concatenate(comps),
         strength=np.concatenate(strengths),
     )
-
-
-@lru_cache(maxsize=512)
-def zeeman_lines(isotope_name: str, b_field_t: float, geometry: str = "longitudinal") -> LineTable:
-    """Cached line table for one isotope; cache makes optimizer scoring cheap."""
-    isotope = ISOTOPES[isotope_name]
-    g = build_hamiltonian(isotope, GROUND, b_field_t)
-    e = build_hamiltonian(isotope, EXCITED, b_field_t)
-    return eigenlines(g, e, geometry=geometry)

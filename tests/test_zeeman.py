@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import block_diag
 
 from rbfilter.constants import G_J_EXCITED, G_J_GROUND, ISOTOPES, RB85, RB87
+from rbfilter.lineshape import CELL_KEYS
 from rbfilter.zeeman import (
     _dipole_projectors,
+    _manifold_matrices,
     build_hamiltonian,
     hyperfine_zeeman_hamiltonian,
     zeeman_lines,
@@ -20,8 +23,7 @@ FIELDS_T = (1e-4, 1e-3, 1e-2, 1e-1)
 @pytest.mark.parametrize("isotope", [RB85, RB87], ids=lambda i: i.name)
 @pytest.mark.parametrize("b_field", FIELDS_T)
 def test_ground_manifold_matches_closed_form(isotope, b_field):
-    ham = build_hamiltonian(isotope, "ground", b_field)
-    got = np.sort(ham.eigensystem()[0])
+    got = np.sort(np.linalg.eigvalsh(build_hamiltonian(isotope, "ground", b_field)))
     want = breit_rabi_energies_hz(
         isotope.nuclear_spin, isotope.a_ground_mhz, G_J_GROUND, isotope.g_i, b_field
     )
@@ -32,8 +34,7 @@ def test_ground_manifold_matches_closed_form(isotope, b_field):
 @pytest.mark.parametrize("isotope", [RB85, RB87], ids=lambda i: i.name)
 def test_zero_field_hyperfine_splitting(isotope):
     """At B=0 the manifold collapses to two F levels split by A(I+1/2)."""
-    ham = build_hamiltonian(isotope, "ground", 0.0)
-    vals = np.sort(ham.eigensystem()[0])
+    vals = np.sort(np.linalg.eigvalsh(build_hamiltonian(isotope, "ground", 0.0)))
     gaps = np.diff(vals)
     boundary = int(np.argmax(gaps)) + 1
     low, high = vals[:boundary], vals[boundary:]
@@ -47,8 +48,8 @@ def test_zero_field_hyperfine_splitting(isotope):
 
 
 def test_spin_zero_reduces_to_electron_zeeman():
-    basis, h = hyperfine_zeeman_hamiltonian(0.0, 123.0, G_J_GROUND, 0.0, 0.5)
-    vals = np.sort(np.linalg.eigvalsh(h))
+    h0, h1 = hyperfine_zeeman_hamiltonian(0.0, 123.0, G_J_GROUND, 0.0)
+    vals = np.sort(np.linalg.eigvalsh(h0 + 0.5 * h1))
     from oracles import H_PLANCK, MU_BOHR
 
     mu = MU_BOHR * 0.5 / H_PLANCK
@@ -58,10 +59,10 @@ def test_spin_zero_reduces_to_electron_zeeman():
 @pytest.mark.parametrize("isotope", [RB85, RB87], ids=lambda i: i.name)
 @pytest.mark.parametrize("manifold", ["ground", "excited"])
 def test_trace_equals_eigenvalue_sum(isotope, manifold):
-    ham = build_hamiltonian(isotope, manifold, 3e-2)
-    vals = ham.eigensystem()[0]
+    h = build_hamiltonian(isotope, manifold, 3e-2)
+    vals = np.linalg.eigvalsh(h)
     scale = np.max(np.abs(vals))
-    assert np.trace(ham.matrix_hz) == pytest.approx(vals.sum(), abs=1e-12 * scale * vals.size)
+    assert np.trace(h) == pytest.approx(vals.sum(), abs=1e-12 * scale * vals.size)
 
 
 @pytest.mark.parametrize("two_i", [3, 5])
@@ -123,6 +124,45 @@ def test_zero_field_lines_match_hyperfine_transitions():
     span = table.offset_ghz.max() - table.offset_ghz.min()
     want = (RB87.a_ground_mhz * 2 + RB87.a_excited_mhz * 2) * 1e-3
     assert span == pytest.approx(want, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(isotope_name=st.sampled_from(sorted(ISOTOPES)),
+       b_field=st.floats(*CELL_KEYS["b_field_mt"].field_range()))
+def test_zeeman_physics_over_valid_field_range(isotope_name, b_field):
+    """Both manifolds follow Breit-Rabi and the sum rule holds at any accepted field."""
+    isotope = ISOTOPES[isotope_name]
+    for manifold, a_mhz, g_j in (("ground", isotope.a_ground_mhz, G_J_GROUND),
+                                 ("excited", isotope.a_excited_mhz, G_J_EXCITED)):
+        got = np.sort(np.linalg.eigvalsh(build_hamiltonian(isotope, manifold, b_field)))
+        want = breit_rabi_energies_hz(isotope.nuclear_spin, a_mhz, g_j, isotope.g_i, b_field)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), manifold
+    table = zeeman_lines(isotope_name, b_field)
+    assert np.all(np.isfinite(table.offset_ghz))
+    for comp in ("pi", "sigma+", "sigma-"):
+        assert table.strength_sum(comp) == pytest.approx(1 / 6, abs=1e-12)
+    assert float(table.strength.sum()) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_zeeman_lines_cache_counts_a_repeat_as_a_hit():
+    """The benchmark reads misses and hits from zeeman_lines' own lru_cache."""
+    zeeman_lines.cache_clear()
+    first = zeeman_lines("Rb87", 1e-2, "longitudinal")
+    assert zeeman_lines("Rb87", 1e-2, "longitudinal") is first
+    info = zeeman_lines.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_field_matrices_are_built_once_and_read_only():
+    h0, h1 = _manifold_matrices(RB87, "excited")
+    assert _manifold_matrices(RB87, "excited")[0] is h0
+    assert not h0.flags.writeable and not h1.flags.writeable
+    assert np.array_equal(build_hamiltonian(RB87, "excited", 0.0), h0)
+
+
+def test_unknown_manifold_rejected():
+    with pytest.raises(ValueError, match="manifold"):
+        build_hamiltonian(RB87, "middle", 1e-2)
 
 
 def test_unknown_isotope_rejected():
