@@ -138,8 +138,8 @@ def cmd_spectrum(args) -> int:
         t = absorption_transmission(cell, grid)
     else:
         spectrum = susceptibility(cell, grid)
-        t = faraday_transmission(cell, grid, output="crossed",
-                                 extinction=cfg.wollaston_extinction, spectrum=spectrum)
+        t = faraday_transmission(cell, grid, extinction=cfg.wollaston_extinction,
+                                 spectrum=spectrum)
         theta, t_rot = faraday_rotation(cell, grid, spectrum=spectrum)
         columns["rotation_rad"] = theta
         columns["rotation_transmission"] = t_rot

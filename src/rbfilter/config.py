@@ -12,12 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, DataError
 from .lineshape import CELL_KEYS, CellConfig
 from .optimize import PAPER_OPTIMUM, WOLLASTON_EXTINCTION, FomSpec, ParamBox, build_cells
-from .photon_stats import NoiseModel, RegionLayout
+from .photon_stats import NoiseModel, RegionLayout, filtered_preset, unfiltered_preset
 
 # frames x n_regions bound: two int64 count arrays of 1e8 entries take 1.6 GB
 MAX_COUNTS_PER_ARM = 10**8
@@ -238,18 +238,9 @@ def validate_config(data: dict) -> RunConfig:
     if v.errors:
         raise ConfigError(v.errors)
 
-    from .photon_stats import filtered_preset, unfiltered_preset
-
-    if noise_preset == "filtered":
-        noise_model, _ = filtered_preset()
-    elif noise_preset == "unfiltered":
-        noise_model, _ = unfiltered_preset()
-    else:
-        noise_model = NoiseModel(**custom_fields)
-    if noise_preset != "custom" and custom_fields:
-        import dataclasses
-
-        noise_model = dataclasses.replace(noise_model, **custom_fields)
+    presets = {"filtered": filtered_preset, "unfiltered": unfiltered_preset}
+    base = presets[noise_preset]()[0] if noise_preset in presets else NoiseModel()
+    noise_model = replace(base, **custom_fields)
     layout = RegionLayout(n_regions=n_regions)
 
     fom = FomSpec(

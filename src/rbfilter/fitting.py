@@ -78,7 +78,7 @@ def model_transmission(cell: CellConfig, grid_ghz) -> np.ndarray:
     """The observable the fit matches: the cell's own filter transmission."""
     if cell.geometry == TRANSVERSE:
         return absorption_transmission(cell, grid_ghz)
-    return faraday_transmission(cell, grid_ghz, "crossed")
+    return faraday_transmission(cell, grid_ghz)
 
 
 def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],

@@ -16,17 +16,18 @@ every Monte Carlo run:
 where b_S, b_AS are the total per-region Poisson background means (a thinned
 thermal variable keeps thermal statistics, so its variance is n'(1+n')).
 
-The correlation map and the delete-one-block jackknife come from block
-moments: per row block the frame count, the column means and the centred
-second moments.  simulate_frames computes them in the worker that draws each
-chunk, while its rows are in cache: the chunk is cut at the block edges
-(``_piece_moments``) and the pieces merge into blocks (``_merge_pieces``).  A
-batch built from plain arrays, and correlation_standard_error, read the counts
-once through the same two functions, one piece per block.  Pieces and blocks
-merge by the pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242
-(1983)); the map merges all blocks, and each jackknife estimate all but one.
-The moments need only chunk-sized float temporaries; the full count arrays
-are kept for callers and the CLI's per-frame export.
+The correlation map and the delete-one-block jackknife come from piece
+moments: per run of rows inside one jackknife block, the frame count, the
+column means and the centred second moments, plus the block it lies in.
+simulate_frames computes them in the worker that draws each chunk, while its
+rows are in cache: the chunk is cut at the block edges (``_piece_moments``),
+so a block spanning two chunks is two pieces.  A batch built from plain
+arrays, and correlation_standard_error, read the counts once through the same
+function, one piece per block.  Pieces merge by the pairwise update of Chan,
+Golub & LeVeque (Am. Stat. 37, 242 (1983)); the map merges all pieces, and
+each jackknife estimate all pieces outside one block.  The moments need only
+chunk-sized float temporaries; the full count arrays are kept for callers and
+the CLI's per-frame export.
 """
 
 from __future__ import annotations
@@ -145,8 +146,8 @@ class CountsBatch:
     n_s: np.ndarray   # (frames, regions) int64, Stokes arm
     n_as: np.ndarray  # (frames, regions) int64, anti-Stokes arm
     layout: RegionLayout
-    # block moments kept by simulate_frames, whose count arrays are read-only
-    _moments: _BlockMoments | None = field(default=None, init=False, repr=False, compare=False)
+    # piece moments kept by simulate_frames, whose count arrays are read-only
+    _moments: _PieceMoments | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_s.shape != self.n_as.shape or self.n_s.ndim != 2:
@@ -197,7 +198,7 @@ def _draw_chunk(rng: np.random.Generator, noise: NoiseModel, b: float,
 
 def _draw_and_reduce(rng: np.random.Generator, noise: NoiseModel, b: float,
                      n_s: np.ndarray, n_as: np.ndarray, pair: np.ndarray,
-                     edges: np.ndarray, lo: int) -> _BlockMoments:
+                     edges: np.ndarray, lo: int) -> _PieceMoments:
     """Draw one chunk (rows lo.. of the stream) and reduce it to the moments of
     its pieces while its rows are still in cache."""
     _draw_chunk(rng, noise, b, n_s, n_as)
@@ -212,9 +213,10 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
     from SeedSequence(seed).spawn(n_chunks)[i] and writes its own rows, so the
     chunks run on a thread per available CPU (NumPy's samplers release the
     GIL) and the stream depends only on the arguments, not on the CPU count.
-    The worker that draws a chunk also reduces it to block moments, cut at the
-    jackknife's block edges; the batch keeps the merged moments and its count
-    arrays are read-only, so the correlation functions read no counts again.
+    The worker that draws a chunk also reduces it to piece moments, cut at the
+    jackknife's block edges; the batch keeps every worker's pieces in row order
+    and its count arrays are read-only, so the correlation functions read no
+    counts again.
     Memory is the two count arrays plus chunk-sized temporaries.
     """
     if frames < 1:
@@ -238,7 +240,9 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
             jobs.append(pool.submit(contextvars.copy_context().run, _draw_and_reduce,
                                     np.random.default_rng(seed_seq), noise, b,
                                     n_s[rows], n_as[rows], pair, edges, lo))
-    moments = _merge_pieces([job.result() for job in jobs], edges, pair)
+    parts = [job.result() for job in jobs]
+    moments = _PieceMoments(*(np.concatenate(f) for f in zip(*(part[:-1] for part in parts))),
+                            sum(part.sxy_within for part in parts))
     n_s.flags.writeable = False
     n_as.flags.writeable = False
     batch = CountsBatch(n_s=n_s, n_as=n_as, layout=layout)
@@ -259,28 +263,31 @@ def correlation_coefficient(x, y) -> float:
     return float(((x - x.mean()) * (y - y.mean())).mean() / math.sqrt(vx * vy))
 
 
-class _BlockMoments(NamedTuple):
+class _PieceMoments(NamedTuple):
     """Moments of two (frames, columns) count arrays x and y over consecutive
-    row blocks, or over the pieces the blocks are merged from."""
+    runs of rows (pieces), none of which crosses a jackknife block edge."""
 
-    count: np.ndarray      # (B,) frames per block
-    mean_x: np.ndarray     # (B, m) block means
-    mean_y: np.ndarray     # (B, m)
-    sxx: np.ndarray        # (B, m) sums of squared deviations from the block means
-    syy: np.ndarray        # (B, m)
-    sxy_pair: np.ndarray   # (B, m) centred cross moment of x[:, i] with y[:, pair[i]]
-    sxy_within: np.ndarray  # (m, m) centred cross moments of x with y, summed over blocks
+    count: np.ndarray      # (P,) frames per piece
+    block: np.ndarray      # (P,) jackknife block each piece lies in
+    mean_x: np.ndarray     # (P, m) piece means
+    mean_y: np.ndarray     # (P, m)
+    sxx: np.ndarray        # (P, m) sums of squared deviations from the piece means
+    syy: np.ndarray        # (P, m)
+    sxy_pair: np.ndarray   # (P, m) centred cross moment of x[:, i] with y[:, pair[i]]
+    sxy_within: np.ndarray  # (m, m) centred cross moments of x with y, summed over pieces
 
 
-def _block_edges(n: int, n_batches: int = 50) -> np.ndarray:
+JACKKNIFE_BLOCKS = 50
+
+
+def _block_edges(n: int) -> np.ndarray:
     """Row edges of the jackknife's blocks of an n-frame stream."""
-    if n < 2 * n_batches:
-        n_batches = max(2, n // 2)
-    return np.linspace(0, n, n_batches + 1, dtype=int)
+    n_blocks = JACKKNIFE_BLOCKS if n >= 2 * JACKKNIFE_BLOCKS else max(2, n // 2)
+    return np.linspace(0, n, n_blocks + 1, dtype=int)
 
 
 def _piece_moments(x: np.ndarray, y: np.ndarray, pair: np.ndarray, edges: np.ndarray,
-                   lo: int = 0) -> _BlockMoments:
+                   lo: int = 0) -> _PieceMoments:
     """One pass over x and y, rows lo.. of a stream, cut into pieces at the
     block edges that fall inside them.
 
@@ -310,59 +317,16 @@ def _piece_moments(x: np.ndarray, y: np.ndarray, pair: np.ndarray, edges: np.nda
         sxy_pair[k] = cross[rows, pair]
         sxx[k] = np.einsum("ij,ij->j", xb, xb)
         syy[k] = np.einsum("ij,ij->j", yb, yb)
-    return _BlockMoments(np.diff(cuts).astype(float), mean_x, mean_y, sxx, syy, sxy_pair,
-                         sxy_within)
-
-
-def _merge_pieces(parts: list[_BlockMoments], edges: np.ndarray,
-                  pair: np.ndarray) -> _BlockMoments:
-    """Block moments from the piece moments of consecutive runs of rows, given
-    in row order.
-
-    A block of one piece keeps that piece's moments unchanged, so moments taken
-    over whole blocks pass through bit for bit; the pieces of a longer block
-    merge by _merge.  A block with no piece (only in a one-frame stream) keeps
-    count 0 and zero moments.
-    """
-    count, mean_x, mean_y, sxx, syy, sxy_pair = (
-        np.concatenate(f) for f in zip(*(part[:6] for part in parts)))
-    block = np.searchsorted(edges, np.cumsum(count) - count, side="right") - 1
-    keep = (np.arange(edges.size - 1)[:, None] == block).astype(float)  # (blocks, pieces)
-    block_mean_x, block_mean_y, block_sxx, block_syy, block_sxy = (
-        np.zeros((keep.shape[0], mean_x.shape[1])) for _ in range(5))
-    pieces = keep.sum(axis=1)
-    sole = pieces == 1
-    first = keep[sole].argmax(axis=1)
-    block_mean_x[sole], block_mean_y[sole] = mean_x[first], mean_y[first]
-    block_sxx[sole], block_syy[sole], block_sxy[sole] = sxx[first], syy[first], sxy_pair[first]
-    many = pieces > 1
-    k = keep[many]
-    weight = k * count
-    block_mean_x[many] = weight @ mean_x / weight.sum(axis=1)[:, None]
-    block_mean_y[many] = weight @ mean_y / weight.sum(axis=1)[:, None]
-    block_sxx[many] = _merge(k, count, mean_x, mean_x, sxx)
-    block_syy[many] = _merge(k, count, mean_y, mean_y, syy)
-    block_sxy[many] = _merge(k, count, mean_x, mean_y[:, pair], sxy_pair)
-    # the within-block cross moment gains each piece's offset from its block's means
-    dx = mean_x - block_mean_x[block]
-    dy = mean_y - block_mean_y[block]
-    sxy_within = sum(part.sxy_within for part in parts) + (count[:, None] * dx).T @ dy
-    return _BlockMoments(keep @ count, block_mean_x, block_mean_y, block_sxx, block_syy,
-                         block_sxy, sxy_within)
-
-
-def _block_moments(x: np.ndarray, y: np.ndarray, pair: np.ndarray,
-                   n_batches: int = 50) -> _BlockMoments:
-    """Block moments of x and y, read in one pass: one piece per block."""
-    edges = _block_edges(x.shape[0], n_batches)
-    return _merge_pieces([_piece_moments(x, y, pair, edges)], edges, pair)
+    block = np.searchsorted(edges, lo + cuts[:-1], side="right") - 1
+    return _PieceMoments(np.diff(cuts).astype(float), block, mean_x, mean_y, sxx, syy,
+                         sxy_pair, sxy_within)
 
 
 def _merge(keep: np.ndarray, count: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray,
            s_ab: np.ndarray) -> np.ndarray:
-    """Centred co-moments over the blocks that each row of the 0/1 matrix keep selects.
+    """Centred co-moments over the pieces that each row of the 0/1 matrix keep selects.
 
-    Chan et al.: the within-block moments add, plus each block's count times the
+    Chan et al.: the within-piece moments add, plus each piece's count times the
     product of its mean offsets from the merged means.
     """
     weight = keep * count
@@ -378,8 +342,8 @@ def _pearson(sxy: np.ndarray, sxx: np.ndarray, syy: np.ndarray) -> np.ndarray:
     return sxy / np.sqrt(sxx * syy)
 
 
-def _moment_map(mom: _BlockMoments) -> np.ndarray:
-    """C_ij over all frames from the block moments."""
+def _moment_map(mom: _PieceMoments) -> np.ndarray:
+    """C_ij over all frames from the piece moments."""
     n = mom.count
     dx = mom.mean_x - n @ mom.mean_x / n.sum()
     dy = mom.mean_y - n @ mom.mean_y / n.sum()
@@ -389,22 +353,25 @@ def _moment_map(mom: _BlockMoments) -> np.ndarray:
     return _pearson(sxy, sxx[:, None], syy[None, :])
 
 
-def _jackknife_se(mom: _BlockMoments, pair: np.ndarray) -> np.ndarray:
+def _jackknife_se(mom: _PieceMoments, pair: np.ndarray) -> np.ndarray:
     """Delete-one-block jackknife standard error of r(x[:, i], y[:, pair[i]])."""
-    n_batches = mom.count.size
-    if mom.count.sum() - mom.count.max() < 2:
+    n_blocks = _block_edges(int(mom.count.sum())).size - 1
+    # row k keeps every piece outside block k
+    keep = (mom.block != np.arange(n_blocks)[:, None]).astype(float)
+    if (keep @ mom.count).min() < 2:
         raise DataError("correlation undefined: a deleted block leaves fewer than 2 frames")
-    keep = 1.0 - np.eye(n_batches)  # row k: every block but block k
     mean_y = mom.mean_y[:, pair]
     stats = _pearson(_merge(keep, mom.count, mom.mean_x, mean_y, mom.sxy_pair),
                      _merge(keep, mom.count, mom.mean_x, mom.mean_x, mom.sxx),
                      _merge(keep, mom.count, mean_y, mean_y, mom.syy[:, pair]))
     spread = ((stats - stats.mean(axis=0)) ** 2).sum(axis=0)
-    return np.sqrt((n_batches - 1) / n_batches * spread)
+    return np.sqrt((n_blocks - 1) / n_blocks * spread)
 
 
-def correlation_standard_error(x, y, n_batches: int = 50):
-    """Delete-one-batch jackknife standard error of the Pearson coefficient.
+def correlation_standard_error(x, y):
+    """Delete-one-block jackknife standard error of the Pearson coefficient,
+    over JACKKNIFE_BLOCKS contiguous row blocks (n // 2 when fewer than two
+    frames per block, at least 2).
 
     x and y are two 1-D count streams (returns a float) or (frames, k) arrays of
     k paired columns, x[:, i] with y[:, i] (returns k values).
@@ -415,7 +382,8 @@ def correlation_standard_error(x, y, n_batches: int = 50):
         raise DataError("jackknife needs two equal-shape (frames,) or (frames, k) count streams")
     n = x.shape[0]
     pair = np.arange(x.size // n)
-    se = _jackknife_se(_block_moments(x.reshape(n, -1), y.reshape(n, -1), pair, n_batches), pair)
+    se = _jackknife_se(_piece_moments(x.reshape(n, -1), y.reshape(n, -1), pair,
+                                      _block_edges(n)), pair)
     return float(se[0]) if x.ndim == 1 else se
 
 
@@ -423,11 +391,12 @@ def _partners(layout: RegionLayout) -> np.ndarray:
     return np.array([j for _, j in layout.pairs()])
 
 
-def _batch_moments(batch: CountsBatch) -> _BlockMoments:
-    """The block moments simulate_frames kept, else one pass over the counts."""
+def _batch_moments(batch: CountsBatch) -> _PieceMoments:
+    """The piece moments simulate_frames kept, else one pass over the counts."""
     if batch._moments is not None:
         return batch._moments
-    return _block_moments(batch.n_s, batch.n_as, _partners(batch.layout))
+    return _piece_moments(batch.n_s, batch.n_as, _partners(batch.layout),
+                          _block_edges(batch.n_frames))
 
 
 def correlation_map(batch: CountsBatch) -> np.ndarray:
@@ -455,7 +424,7 @@ def pair_correlation_summary(batch: CountsBatch) -> dict:
 
 def summary_and_map(batch: CountsBatch) -> tuple[dict, np.ndarray]:
     """pair_correlation_summary(batch) and correlation_map(batch) from one set
-    of block moments."""
+    of piece moments."""
     partner = _partners(batch.layout)
     mom = _batch_moments(batch)
     cmap = _moment_map(mom)

@@ -132,24 +132,16 @@ def jones_transfer(cell: CellConfig, grid_ghz, spectrum: ComplexSpectrum | None 
     return JonesTransfer(grid_ghz=spec.grid_ghz, matrices=mats)
 
 
-def faraday_transmission(cell: CellConfig, grid_ghz, output: str = "crossed",
-                         extinction: float = 0.0,
+def faraday_transmission(cell: CellConfig, grid_ghz, extinction: float = 0.0,
                          spectrum: ComplexSpectrum | None = None) -> np.ndarray:
-    """Transmission through polarizer / rotator cell / analyzer.
+    """Transmission through polarizer / rotator cell / crossed analyzer.
 
-    output 'crossed' puts the analyzer at 90 degrees to the input polarizer,
-    'parallel' aligns them.  extinction adds the analyzer's leak of the
-    rejected component.
+    extinction adds the analyzer's leak of the rejected (parallel) component.
     """
-    if output not in ("crossed", "parallel"):
-        raise ConfigError([f"output must be 'crossed' or 'parallel', got {output!r}"])
     if not 0.0 <= extinction < 1.0:
         raise ConfigError([f"extinction must lie in [0, 1), got {extinction}"])
     jt = jones_transfer(cell, grid_ghz, spectrum=spectrum)
-    tc, tp = jt.crossed(), jt.parallel()
-    if output == "crossed":
-        return tc + extinction * tp
-    return tp + extinction * tc
+    return jt.crossed() + extinction * jt.parallel()
 
 
 # ---------------------------------------------------------------------------

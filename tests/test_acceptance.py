@@ -165,7 +165,7 @@ def test_criterion_06_transmission_maxima_at_half_turn_rotations():
     counts = []
     for b in (0.04, 0.06, 0.08, 0.10, 0.12):
         cell = _faraday_cell(341.15, b)
-        t = faraday_transmission(cell, grid, "crossed")
+        t = faraday_transmission(cell, grid)
         theta, t_rot = faraday_rotation(cell, grid)
         selected = [i for i in argrelmax(t, order=2)[0]
                     if t[i] > 0.5 and t_rot[i] > 0.5]

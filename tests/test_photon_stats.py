@@ -310,6 +310,72 @@ def test_jackknife_zero_variance_after_one_deletion_is_error():
         correlation_standard_error(np.ones(5), np.ones(6))
 
 
+def _cut_and_join(x, y, pair, bounds):
+    """Piece moments of x and y cut at the given row bounds, joined in row order
+    as simulate_frames joins its workers' pieces."""
+    edges = photon_stats._block_edges(x.shape[0])
+    parts = [photon_stats._piece_moments(x[a:b], y[a:b], pair, edges, a)
+             for a, b in zip(bounds, bounds[1:])]
+    return photon_stats._PieceMoments(
+        *(np.concatenate(f) for f in zip(*(part[:-1] for part in parts))),
+        sum(part.sxy_within for part in parts))
+
+
+def _map_and_se(mom, pair):
+    try:
+        return photon_stats._moment_map(mom), photon_stats._jackknife_se(mom, pair)
+    except DataError as exc:
+        return str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(frames=st.integers(2, 3000), n_regions=st.integers(1, 6), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_pieces_cut_anywhere_match_one_piece_per_block(frames, n_regions, seed, data):
+    rng = np.random.default_rng(seed)
+    x = rng.poisson(2.0, (frames, n_regions))
+    y = x[:, ::-1] // 2 + rng.poisson(1.0, (frames, n_regions))
+    pair = photon_stats._partners(RegionLayout(n_regions=n_regions))
+    cuts = data.draw(st.sets(st.integers(1, frames - 1), max_size=12))
+    bounds = [0, *sorted(cuts), frames]
+    pieces = _cut_and_join(x, y, pair, bounds)
+
+    # every piece lies inside the block of its first row
+    edges = photon_stats._block_edges(frames)
+    first = np.cumsum(pieces.count) - pieces.count
+    assert pieces.count.sum() == frames and (pieces.count > 0).all()
+    assert (edges[pieces.block] <= first).all()
+    assert (first + pieces.count <= edges[pieces.block + 1]).all()
+
+    blocks = _map_and_se(photon_stats._piece_moments(x, y, pair, edges), pair)
+    joined = _map_and_se(pieces, pair)
+    if isinstance(blocks, str) or isinstance(joined, str):
+        assert joined == blocks
+        return
+    # the pieces of a block sum their cross moments in another order: ~1e-18
+    # absolute, so map entries near 0 get an absolute tolerance
+    np.testing.assert_allclose(joined[0], blocks[0], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(joined[1], blocks[1], rtol=1e-12, atol=0.0)
+
+
+def test_jackknife_zero_variance_survives_a_block_cut_into_pieces():
+    # the stream of test_jackknife_zero_variance_after_one_deletion_is_error: its
+    # varying block 5 (rows 100..119) cut into three pieces, as chunk edges would
+    rng = np.random.default_rng(3)
+    x = np.full(1000, 7, dtype=np.int64)
+    x[100:120] = rng.poisson(2.0, 20) + 1
+    y = rng.poisson(3.0, 1000)
+    pair = np.arange(1)
+    pieces = _cut_and_join(x[:, None], y[:, None], pair, [0, 105, 113, 1000])
+    assert list(pieces.block[4:9]) == [4, 5, 5, 5, 6]
+    assert np.isfinite(photon_stats._moment_map(pieces)).all()
+    with pytest.raises(DataError):
+        photon_stats._jackknife_se(pieces, pair)
+    with pytest.raises(DataError):
+        photon_stats._jackknife_se(_cut_and_join(y[:, None], x[:, None], pair,
+                                                 [0, 105, 113, 1000]), pair)
+
+
 def test_moments_stay_exact_in_the_validator_range():
     """The validator accepts 1e8 frames and the high-count corner with 1e3
     fluorescence and leakage per region; magnitudes are computed, not run."""

@@ -2,12 +2,16 @@
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import hilbert
 
 from rbfilter.errors import ConfigError, DataError
-from rbfilter.lineshape import CellConfig, default_grid, susceptibility
+from rbfilter.lineshape import CELL_KEYS, CellConfig, default_grid, susceptibility
+from rbfilter.optimize import ChainParams, build_cells
 from rbfilter.propagation import (
     AbsorptionCellElement,
     Polarizer,
@@ -102,12 +106,12 @@ def test_zero_density_chain_is_transparent():
 
 def test_faraday_transmission_extinction_floor():
     cell = _faraday_cell()
-    t0 = faraday_transmission(cell, GRID, output="crossed", extinction=0.0)
-    t5 = faraday_transmission(cell, GRID, output="crossed", extinction=1e-5)
+    t0 = faraday_transmission(cell, GRID, extinction=0.0)
+    t5 = faraday_transmission(cell, GRID, extinction=1e-5)
     assert np.all(t5 >= t0)
     assert np.max(t5 - t0) <= 1e-5 + 1e-12
     with pytest.raises(ConfigError):
-        faraday_transmission(cell, GRID, output="diagonal")
+        faraday_transmission(cell, GRID, extinction=1.0)
 
 
 def test_absorption_transmission_polarization_mix():
@@ -153,7 +157,7 @@ def test_cascade_rotator_between_crossed_polarizers_matches_jones():
     chain = [Polarizer(0.0, extinction=0.0), RotatorCellElement(cell),
              Polarizer(math.pi / 2.0, extinction=0.0)]
     t_chain = cascade(chain, GRID)
-    t_direct = faraday_transmission(cell, GRID, output="crossed", extinction=0.0)
+    t_direct = faraday_transmission(cell, GRID, extinction=0.0)
     assert np.allclose(t_chain, t_direct, rtol=0, atol=1e-14)
 
 
@@ -191,6 +195,27 @@ def test_dual_filter_composes_both_cells():
     assert dual_filter(absorption, far, spectra=spectra).transmission(GRID).tobytes() == t.tobytes()
     with pytest.raises(DataError, match="another detuning grid"):
         dual_filter(absorption, far, spectra=spectra).transmission(GRID[::2])
+
+
+_TEMPERATURE_C = st.floats(CELL_KEYS["temperature_c"].lo, CELL_KEYS["temperature_c"].hi)
+_FIELD_T = st.floats(*CELL_KEYS["b_field_mt"].field_range())
+
+
+@settings(max_examples=25, deadline=None)
+@given(t_abs_c=_TEMPERATURE_C, t_far_c=_TEMPERATURE_C, b_abs_t=_FIELD_T, b_far_t=_FIELD_T,
+       angle_rad=st.floats(*CELL_KEYS["polarization_angle_deg"].field_range()),
+       extinction=st.floats(1e-7, 1e-2))
+def test_dual_filter_is_light_direction_insensitive(t_abs_c, t_far_c, b_abs_t, b_far_t,
+                                                    angle_rad, extinction):
+    """The paper's dual filter passes the same T whichever way the light runs:
+    the reversed chain, entered along its first polarizer, matches the forward one."""
+    grid = default_grid(801, -12.0, 12.0)
+    absorption, far = build_cells(ChainParams(t_abs_c, t_far_c, b_abs_t, b_far_t))
+    chain = dual_filter(replace(absorption, polarization_angle_rad=angle_rad), far,
+                        extinction=extinction)
+    forward = chain.transmission(grid)
+    backward = cascade(chain.elements[::-1], grid, input_angle_rad=math.pi / 2.0)
+    np.testing.assert_allclose(backward, forward, rtol=0.0, atol=1e-12)
 
 
 def test_transmission_db_floor():
