@@ -138,9 +138,8 @@ def cmd_spectrum(args) -> int:
         t = absorption_transmission(cell, grid)
     else:
         spectrum = susceptibility(cell, grid)
-        t = faraday_transmission(cell, grid, extinction=cfg.wollaston_extinction,
-                                 spectrum=spectrum)
-        theta, t_rot = faraday_rotation(cell, grid, spectrum=spectrum)
+        t = faraday_transmission(spectrum, grid, extinction=cfg.wollaston_extinction)
+        theta, t_rot = faraday_rotation(spectrum, grid)
         columns["rotation_rad"] = theta
         columns["rotation_transmission"] = t_rot
     out = {"transmission": t, "transmission_db": transmission_db(t)}
@@ -158,13 +157,13 @@ def cmd_cascade(args) -> int:
     faraday = cfg.cells["faraday"]
     if args.psi_sweep:
         # the angle moves no line, so both susceptibilities serve every column
-        spectra = (susceptibility(absorption, grid), susceptibility(faraday, grid))
+        abs_spec, far_spec = susceptibility(absorption, grid), susceptibility(faraday, grid)
         to_rad = CELL_KEYS["polarization_angle_deg"].to_field
         columns = {}
         for deg in PSI_SWEEP_DEG:
             cell = dataclasses.replace(absorption, polarization_angle_rad=to_rad(deg))
-            chain = dual_filter(cell, faraday, extinction=cfg.wollaston_extinction,
-                                spectra=spectra)
+            chain = dual_filter(dataclasses.replace(abs_spec, cell=cell), far_spec,
+                                extinction=cfg.wollaston_extinction)
             columns[f"transmission_psi_{deg:g}_deg"] = chain.transmission(grid)
         path = _outpath(args, "cascade_psi_sweep.csv")
         write_spectrum_csv(path, grid, columns)

@@ -16,8 +16,9 @@ from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError, DataError
 from .lineshape import CELL_KEYS, CellConfig
-from .optimize import PAPER_OPTIMUM, WOLLASTON_EXTINCTION, FomSpec, ParamBox, build_cells
+from .optimize import PAPER_OPTIMUM, FomSpec, ParamBox, build_cells
 from .photon_stats import NoiseModel, RegionLayout, filtered_preset, unfiltered_preset
+from .propagation import WOLLASTON_EXTINCTION
 
 # frames x n_regions bound: two int64 count arrays of 1e8 entries take 1.6 GB
 MAX_COUNTS_PER_ARM = 10**8

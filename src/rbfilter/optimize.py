@@ -24,9 +24,8 @@ import numpy as np
 from .constants import DEFAULT_DETUNINGS
 from .errors import ConfigError, NumericalError
 from .lineshape import CELL_KEYS, CellConfig, LONGITUDINAL, TRANSVERSE
-from .propagation import dual_filter
+from .propagation import WOLLASTON_EXTINCTION, dual_filter
 
-WOLLASTON_EXTINCTION = 1.0e-5
 _T_FLOOR = 1.0e-15
 _TEMPERATURE, _FIELD = CELL_KEYS["temperature_c"], CELL_KEYS["b_field_mt"]
 

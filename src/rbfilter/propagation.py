@@ -4,15 +4,17 @@ Longitudinal cells are treated coherently in the circular basis with amplitude
 transmissions t_pm = exp(i (omega L / 2c) chi_pm); the common vacuum phase is
 dropped.  Transverse cells act as pure absorbers for the two linear components
 (pi along B, sigma perpendicular), combined incoherently by the beam's angle to
-the field.  Chains of polarizers and cells are evaluated left to right; a
-rotator cell's coherent output must be resolved by a polarizer (or the chain
-end, which measures total intensity).
+the field.  Every function and chain takes each cell as a CellConfig or as its
+precomputed ComplexSpectrum (which carries the cell), so chains that differ
+only in angles compute each susceptibility once.  Chains of polarizers and cells
+are evaluated left to right; a rotator cell's coherent output must be resolved
+by a polarizer (or the chain end, which measures total intensity).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,6 +30,9 @@ from .lineshape import (
 )
 
 MIN_DB = -150.0
+# extinction of the Wollaston polarizers of the paper's chain
+WOLLASTON_EXTINCTION = 1.0e-5
+CellOrSpectrum = CellConfig | ComplexSpectrum
 
 
 def transmission_db(t, floor_db: float = MIN_DB) -> np.ndarray:
@@ -37,15 +42,19 @@ def transmission_db(t, floor_db: float = MIN_DB) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(t, floor))
 
 
+def _spectrum(source: CellOrSpectrum, grid_ghz) -> ComplexSpectrum:
+    """The susceptibility of a cell on grid_ghz: source itself when it is one
+    already (it must be on that grid), else computed."""
+    if not isinstance(source, ComplexSpectrum):
+        return susceptibility(source, grid_ghz)
+    if not np.array_equal(source.grid_ghz, grid_ghz):
+        raise DataError(f"precomputed spectrum of {source.cell.name} is on another detuning grid")
+    return source
+
+
 def _require_geometry(cell: CellConfig, geometry: str, what: str):
     if cell.geometry != geometry:
         raise ConfigError([f"{what} needs a {geometry} cell, got {cell.geometry!r} ({cell.name})"])
-
-
-def _amplitudes(spec: ComplexSpectrum, length_m: float) -> dict[str, np.ndarray]:
-    om = REFERENCE.detuning_to_omega(spec.grid_ghz)
-    k = om * length_m / (2.0 * C_LIGHT)
-    return {m: np.exp(1j * k * spec.chi[m]) for m in spec.chi}
 
 
 def absorption_coefficients(spec: ComplexSpectrum) -> dict[str, np.ndarray]:
@@ -54,17 +63,18 @@ def absorption_coefficients(spec: ComplexSpectrum) -> dict[str, np.ndarray]:
     return {m: om / C_LIGHT * np.imag(spec.chi[m]) for m in spec.chi}
 
 
-def absorption_transmission(cell: CellConfig, grid_ghz, psi_rad: float | None = None,
-                            spectrum: ComplexSpectrum | None = None) -> np.ndarray:
-    """Intensity transmission of a transverse-field absorption cell.
+def absorption_transmission(cell: CellOrSpectrum, grid_ghz,
+                            psi_rad: float | None = None) -> np.ndarray:
+    """Intensity transmission of a transverse-field absorption cell (or its spectrum).
 
     psi_rad is the angle between the beam polarization and the field; the two
     linear components attenuate independently:
         T = cos^2(psi) exp(-alpha_pi L) + sin^2(psi) exp(-alpha_sigma L)
     Defaults to the cell's configured polarization angle (pi/2: pure sigma).
     """
+    spec = _spectrum(cell, grid_ghz)
+    cell = spec.cell
     _require_geometry(cell, TRANSVERSE, "absorption_transmission")
-    spec = spectrum if spectrum is not None else susceptibility(cell, grid_ghz)
     psi = cell.polarization_angle_rad if psi_rad is None else psi_rad
     alpha = absorption_coefficients(spec)
     t_pi = np.exp(-alpha["pi"] * cell.length_m)
@@ -72,16 +82,18 @@ def absorption_transmission(cell: CellConfig, grid_ghz, psi_rad: float | None = 
     return math.cos(psi) ** 2 * t_pi + math.sin(psi) ** 2 * t_sg
 
 
-def faraday_rotation(cell: CellConfig, grid_ghz, spectrum: ComplexSpectrum | None = None):
-    """Rotation angle theta(Delta) in rad and the mean-absorption envelope.
+def faraday_rotation(cell: CellOrSpectrum, grid_ghz):
+    """Rotation angle theta(Delta) in rad and the mean-absorption envelope of a
+    longitudinal cell (or its spectrum).
 
     theta is the polarization rotation (half the phase difference between the
     circular components); the returned envelope t_rot = exp(-(alpha_+ +
     alpha_-) L / 2) makes T_crossed = t_rot sin^2(theta) exact wherever the two
     circular absorptions coincide.
     """
+    spec = _spectrum(cell, grid_ghz)
+    cell = spec.cell
     _require_geometry(cell, LONGITUDINAL, "faraday_rotation")
-    spec = spectrum if spectrum is not None else susceptibility(cell, grid_ghz)
     om = REFERENCE.detuning_to_omega(spec.grid_ghz)
     theta = om * cell.length_m / (4.0 * C_LIGHT) * (
         np.real(spec.chi["sigma+"]) - np.real(spec.chi["sigma-"])
@@ -91,37 +103,15 @@ def faraday_rotation(cell: CellConfig, grid_ghz, spectrum: ComplexSpectrum | Non
     return theta, t_rot
 
 
-@dataclass
-class JonesTransfer:
-    """2x2 complex transfer matrices of a longitudinal cell, lab x/y basis."""
-
-    grid_ghz: np.ndarray
-    matrices: np.ndarray  # shape (n, 2, 2)
-
-    def apply(self, amplitude: np.ndarray) -> np.ndarray:
-        """amplitude: (2,) launch vector or (n, 2) field; returns (n, 2)."""
-        a = np.asarray(amplitude, dtype=complex)
-        if a.ndim == 1:
-            a = np.broadcast_to(a, (self.matrices.shape[0], 2))
-        return np.einsum("nij,nj->ni", self.matrices, a)
-
-    def crossed(self) -> np.ndarray:
-        out = self.apply(np.array([1.0, 0.0]))
-        return np.abs(out[:, 1]) ** 2
-
-    def parallel(self) -> np.ndarray:
-        out = self.apply(np.array([1.0, 0.0]))
-        return np.abs(out[:, 0]) ** 2
-
-    def max_singular_value(self) -> float:
-        return float(np.linalg.svd(self.matrices, compute_uv=False).max())
-
-
-def jones_transfer(cell: CellConfig, grid_ghz, spectrum: ComplexSpectrum | None = None) -> JonesTransfer:
+def jones_transfer(cell: CellOrSpectrum, grid_ghz) -> np.ndarray:
+    """2x2 complex transfer matrices, shape (n, 2, 2) in the lab x/y basis, of a
+    longitudinal cell (or its spectrum)."""
+    spec = _spectrum(cell, grid_ghz)
+    cell = spec.cell
     _require_geometry(cell, LONGITUDINAL, "jones_transfer")
-    spec = spectrum if spectrum is not None else susceptibility(cell, grid_ghz)
-    amp = _amplitudes(spec, cell.length_m)
-    tp, tm = amp["sigma+"], amp["sigma-"]
+    k = REFERENCE.detuning_to_omega(spec.grid_ghz) * cell.length_m / (2.0 * C_LIGHT)
+    tp = np.exp(1j * k * spec.chi["sigma+"])
+    tm = np.exp(1j * k * spec.chi["sigma-"])
     s = 0.5 * (tp + tm)
     d = 0.5j * (tp - tm)
     mats = np.empty((spec.grid_ghz.size, 2, 2), dtype=complex)
@@ -129,19 +119,18 @@ def jones_transfer(cell: CellConfig, grid_ghz, spectrum: ComplexSpectrum | None 
     mats[:, 0, 1] = -d
     mats[:, 1, 0] = d
     mats[:, 1, 1] = s
-    return JonesTransfer(grid_ghz=spec.grid_ghz, matrices=mats)
+    return mats
 
 
-def faraday_transmission(cell: CellConfig, grid_ghz, extinction: float = 0.0,
-                         spectrum: ComplexSpectrum | None = None) -> np.ndarray:
-    """Transmission through polarizer / rotator cell / crossed analyzer.
+def faraday_transmission(cell: CellOrSpectrum, grid_ghz, extinction: float = 0.0) -> np.ndarray:
+    """Transmission through polarizer / rotator cell (or its spectrum) / crossed analyzer.
 
     extinction adds the analyzer's leak of the rejected (parallel) component.
     """
     if not 0.0 <= extinction < 1.0:
         raise ConfigError([f"extinction must lie in [0, 1), got {extinction}"])
-    jt = jones_transfer(cell, grid_ghz, spectrum=spectrum)
-    return jt.crossed() + extinction * jt.parallel()
+    out = jones_transfer(cell, grid_ghz)[:, :, 0]  # the cell's output for x-polarized input
+    return np.abs(out[:, 1]) ** 2 + extinction * np.abs(out[:, 0]) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -151,50 +140,23 @@ def faraday_transmission(cell: CellConfig, grid_ghz, extinction: float = 0.0,
 @dataclass(frozen=True)
 class Polarizer:
     axis_angle_rad: float = 0.0
-    extinction: float = 1.0e-5
+    extinction: float = WOLLASTON_EXTINCTION
 
     def __post_init__(self):
         if not 0.0 <= self.extinction < 1.0:
             raise ConfigError([f"polarizer extinction must lie in [0, 1), got {self.extinction}"])
 
 
-@dataclass(frozen=True)
-class AbsorptionCellElement:
-    """Transverse-field cell; attenuates pi/sigma components incoherently.
-
-    spectrum, when given, is the cell's susceptibility on the cascade grid,
-    computed once for chains that differ only in angles.
-    """
-
-    cell: CellConfig
-    field_angle_rad: float = 0.0
-    spectrum: ComplexSpectrum | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        _require_geometry(self.cell, TRANSVERSE, "AbsorptionCellElement")
-
-
-@dataclass(frozen=True)
-class RotatorCellElement:
-    """Longitudinal-field cell; coherent circular birefringence and dichroism.
-
-    spectrum as for AbsorptionCellElement.
-    """
-
-    cell: CellConfig
-    spectrum: ComplexSpectrum | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        _require_geometry(self.cell, LONGITUDINAL, "RotatorCellElement")
-
-
 def cascade(elements, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
-    """Intensity transmission of a chain of polarizers and cells.
+    """Intensity transmission of a chain of Polarizers and cells, each cell a
+    CellConfig or its ComplexSpectrum on grid_ghz.
 
     The beam enters linearly polarized at input_angle_rad (lab frame).  The
-    walk keeps an intensity factor and the current polarization angle; a
-    rotator cell switches to a coherent amplitude pair until the next polarizer
-    projects it back (chain may also end there, measuring total intensity).
+    walk keeps an intensity factor and the current polarization angle.  A
+    transverse cell absorbs at the beam's angle to its field, whose angle is
+    the cell's polarization_angle_rad.  A longitudinal cell switches to a
+    coherent amplitude pair until the next polarizer projects it back (chain
+    may also end there, measuring total intensity).
     """
     grid = _validate_grid(grid_ghz)
     elements = list(elements)
@@ -206,9 +168,6 @@ def cascade(elements, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
     amp: np.ndarray | None = None  # (n, 2) complex while inside a coherent segment
 
     for el in elements:
-        spectrum = getattr(el, "spectrum", None)
-        if spectrum is not None and not np.array_equal(spectrum.grid_ghz, grid):
-            raise DataError(f"precomputed spectrum of {el.cell.name} is on another detuning grid")
         if isinstance(el, Polarizer):
             ax = np.array([math.cos(el.axis_angle_rad), math.sin(el.axis_angle_rad)])
             perp = np.array([-ax[1], ax[0]])
@@ -221,22 +180,22 @@ def cascade(elements, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
                 t_total = t_total * (np.abs(along) ** 2 + el.extinction * np.abs(leak) ** 2)
                 amp = None
             angle = el.axis_angle_rad
-        elif isinstance(el, AbsorptionCellElement):
+            continue
+        if not isinstance(el, CellOrSpectrum):
+            raise ConfigError([f"unknown chain element {type(el).__name__}"])
+        spec = _spectrum(el, grid)
+        if spec.cell.geometry == TRANSVERSE:
             if amp is not None:
                 raise ConfigError(
                     ["rotator cell output must pass a polarizer before an absorption cell"]
                 )
-            psi = angle - el.field_angle_rad
-            t_total = t_total * absorption_transmission(el.cell, grid, psi_rad=psi,
-                                                        spectrum=spectrum)
-        elif isinstance(el, RotatorCellElement):
-            jt = jones_transfer(el.cell, grid, spectrum=spectrum)
-            if amp is None:
-                amp = jt.apply(np.array([math.cos(angle), math.sin(angle)]))
-            else:
-                amp = jt.apply(amp)
+            psi = angle - spec.cell.polarization_angle_rad
+            t_total = t_total * absorption_transmission(spec, grid, psi_rad=psi)
         else:
-            raise ConfigError([f"unknown chain element {type(el).__name__}"])
+            if amp is None:
+                amp = np.broadcast_to(np.array([math.cos(angle), math.sin(angle)], dtype=complex),
+                                      (grid.size, 2))
+            amp = np.einsum("nij,nj->ni", jones_transfer(spec, grid), amp)
 
     if amp is not None:
         t_total = t_total * (np.abs(amp) ** 2).sum(axis=1)
@@ -245,38 +204,30 @@ def cascade(elements, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
 
 @dataclass
 class FilterChain:
-    """Named element chain with per-port transmission helpers."""
+    """Element chain; transmission(grid) is its cascade with the beam entering at angle 0."""
 
     elements: list
-    name: str = "chain"
 
-    def transmission(self, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
-        return cascade(self.elements, grid_ghz, input_angle_rad=input_angle_rad)
+    def transmission(self, grid_ghz) -> np.ndarray:
+        return cascade(self.elements, grid_ghz)
 
 
-def dual_filter(absorption_cell: CellConfig, faraday_cell: CellConfig,
-                extinction: float = 1.0e-5, name: str = "dual",
-                spectra: tuple[ComplexSpectrum, ComplexSpectrum] | None = None) -> FilterChain:
-    """Absorption cell followed by a crossed Faraday filter.
+def dual_filter(absorption: CellOrSpectrum, faraday: CellOrSpectrum,
+                extinction: float = WOLLASTON_EXTINCTION) -> FilterChain:
+    """Absorption cell followed by a crossed Faraday filter; each cell may be
+    given as its precomputed spectrum.
 
     The absorption cell's field is perpendicular to the beam polarization of
     the signal path (its configured polarization angle measures the field
-    angle from the input polarizer axis).  spectra, when given, are the two
-    cells' precomputed susceptibilities (absorption, Faraday).
+    angle from the input polarizer axis).
     """
-    abs_spec, far_spec = spectra or (None, None)
-    return FilterChain(
-        elements=[
-            Polarizer(0.0, extinction),
-            AbsorptionCellElement(absorption_cell,
-                                  field_angle_rad=absorption_cell.polarization_angle_rad,
-                                  spectrum=abs_spec),
-            Polarizer(0.0, extinction),
-            RotatorCellElement(faraday_cell, spectrum=far_spec),
-            Polarizer(math.pi / 2.0, extinction),
-        ],
-        name=name,
-    )
+    return FilterChain([
+        Polarizer(0.0, extinction),
+        absorption,
+        Polarizer(0.0, extinction),
+        faraday,
+        Polarizer(math.pi / 2.0, extinction),
+    ])
 
 
 def opaque_region_width(grid_ghz, transmission, level: float = 0.5) -> float:

@@ -85,6 +85,22 @@ def test_cascade_psi_sweep(tmp_path):
         assert np.all((arr >= 0) & (arr <= 1 + 1e-9))
 
 
+def test_cascade_psi_sweep_columns_match_cascade_at_each_angle(tmp_path):
+    """Each sweep column, computed from the shared spectra, is the CSV text that
+    cascade writes with the absorption cell at that angle."""
+    assert run("cascade", "--out", str(tmp_path), "--grid-points", "51", "--psi-sweep") == 0
+    header, *rows = _csv_rows(tmp_path / "cascade_psi_sweep.csv")
+    for deg in cli.PSI_SWEEP_DEG:
+        cfg = tmp_path / f"psi_{deg:g}.json"
+        cfg.write_text(json.dumps({"cells": {"absorption": {"polarization_angle_deg": deg}}}))
+        out = tmp_path / f"psi_{deg:g}"
+        assert run("cascade", "--out", str(out), "--config", str(cfg), "--grid-points", "51") == 0
+        one_header, *one_rows = _csv_rows(out / "cascade.csv")
+        col = header.index(f"transmission_psi_{deg:g}_deg")
+        one_col = one_header.index("transmission")
+        assert [r[col] for r in rows] == [r[one_col] for r in one_rows]
+
+
 def test_cascade_psi_sweep_computes_each_susceptibility_once(tmp_path, monkeypatch):
     cells = []
     real = propagation.susceptibility

@@ -13,9 +13,7 @@ from rbfilter.errors import ConfigError, DataError
 from rbfilter.lineshape import CELL_KEYS, CellConfig, default_grid, susceptibility
 from rbfilter.optimize import ChainParams, build_cells
 from rbfilter.propagation import (
-    AbsorptionCellElement,
     Polarizer,
-    RotatorCellElement,
     absorption_transmission,
     cascade,
     dual_filter,
@@ -49,9 +47,9 @@ def test_jones_transmission_identity_random_settings():
     """T_crossed + T_parallel equals the mean circular intensity transmission."""
     for cell in _random_cells(20, seed=5):
         spec = susceptibility(cell, GRID)
-        jt = jones_transfer(cell, GRID, spectrum=spec)
-        t_cross = jt.crossed()
-        t_par = jt.parallel()
+        m = jones_transfer(spec, GRID)
+        t_cross = np.abs(m[:, 1, 0]) ** 2
+        t_par = np.abs(m[:, 0, 0]) ** 2
         om = 2.0 * math.pi * (3.7710520580402096e14 + GRID * 1e9)
         from rbfilter.propagation import absorption_coefficients
 
@@ -70,9 +68,8 @@ def test_equal_absorption_limit_reproduces_rotation_formula():
     mean_im = 0.5 * (spec.chi["sigma+"].imag + spec.chi["sigma-"].imag)
     spec.chi["sigma+"] = spec.chi["sigma+"].real + 1j * mean_im
     spec.chi["sigma-"] = spec.chi["sigma-"].real + 1j * mean_im
-    jt = jones_transfer(cell, GRID, spectrum=spec)
-    theta, t_rot = faraday_rotation(cell, GRID, spectrum=spec)
-    got = jt.crossed()
+    theta, t_rot = faraday_rotation(spec, GRID)
+    got = np.abs(jones_transfer(spec, GRID)[:, 1, 0]) ** 2
     want = t_rot * np.sin(theta) ** 2
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -91,17 +88,39 @@ def test_rotation_vanishes_at_zero_field():
     assert np.all((0.0 <= t_rot) & (t_rot <= 1.0))
 
 
-def test_jones_matrices_passive():
-    for cell in _random_cells(5, seed=9):
-        jt = jones_transfer(cell, GRID)
-        assert jt.max_singular_value() <= 1.0 + 1e-9
+@st.composite
+def _cells(draw, geometry):
+    """A cell of the given geometry with every CELL_KEYS value drawn from its range."""
+    values = {name: draw(st.floats(key.lo, key.hi)) for name, key in CELL_KEYS.items()
+              if not key.choices and name != "rb87_fraction"}
+    values["rb87_fraction"] = draw(st.floats(0.0, 1.0 - values["rb85_fraction"]))
+    return CellConfig(geometry=geometry,
+                      **{CELL_KEYS[name].field: CELL_KEYS[name].to_field(x)
+                         for name, x in values.items()})
+
+
+@settings(max_examples=50, deadline=None)
+@given(absorption=_cells("transverse"), far=_cells("longitudinal"),
+       extinction=st.floats(0.0, 0.999))
+def test_jones_matrices_passive(absorption, far, extinction):
+    """Over the whole valid config space the Faraday cell's Jones matrices are
+    passive and every transmission lies in [0, 1]."""
+    with np.errstate(all="raise", under="ignore"):
+        abs_spec, far_spec = susceptibility(absorption, GRID), susceptibility(far, GRID)
+        s_max = np.linalg.svd(jones_transfer(far_spec, GRID), compute_uv=False).max()
+        transmissions = (absorption_transmission(abs_spec, GRID),
+                         faraday_transmission(far_spec, GRID, extinction=extinction),
+                         dual_filter(abs_spec, far_spec, extinction=extinction).transmission(GRID))
+    assert s_max <= 1.0 + 1e-12
+    for t in transmissions:
+        assert np.all((t >= 0.0) & (t <= 1.0 + 1e-12))
 
 
 def test_zero_density_chain_is_transparent():
     cell = CellConfig(rb85_fraction=0.0, rb87_fraction=0.0, geometry="longitudinal")
-    jt = jones_transfer(cell, GRID)
-    assert np.max(np.abs(jt.parallel() - 1.0)) < 1e-12
-    assert np.max(np.abs(jt.crossed())) < 1e-12
+    m = jones_transfer(cell, GRID)
+    assert np.max(np.abs(np.abs(m[:, 0, 0]) ** 2 - 1.0)) < 1e-12
+    assert np.max(np.abs(m[:, 1, 0]) ** 2) < 1e-12
 
 
 def test_faraday_transmission_extinction_floor():
@@ -131,9 +150,7 @@ def test_geometry_mismatch_raises():
     with pytest.raises(ConfigError):
         absorption_transmission(longitudinal, GRID)
     with pytest.raises(ConfigError):
-        AbsorptionCellElement(longitudinal)
-    with pytest.raises(ConfigError):
-        RotatorCellElement(transverse)
+        jones_transfer(susceptibility(transverse, GRID), GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -154,29 +171,31 @@ def test_cascade_malus_law():
 
 def test_cascade_rotator_between_crossed_polarizers_matches_jones():
     cell = _faraday_cell()
-    chain = [Polarizer(0.0, extinction=0.0), RotatorCellElement(cell),
-             Polarizer(math.pi / 2.0, extinction=0.0)]
+    chain = [Polarizer(0.0, extinction=0.0), cell, Polarizer(math.pi / 2.0, extinction=0.0)]
     t_chain = cascade(chain, GRID)
     t_direct = faraday_transmission(cell, GRID, extinction=0.0)
     assert np.allclose(t_chain, t_direct, rtol=0, atol=1e-14)
 
 
 def test_cascade_rejects_unpolarized_rotator_output_into_absorber():
-    rot = RotatorCellElement(_faraday_cell())
-    absorber = AbsorptionCellElement(CellConfig(geometry="transverse"))
     with pytest.raises(ConfigError):
-        cascade([Polarizer(0.0), rot, absorber], GRID)
+        cascade([Polarizer(0.0), _faraday_cell(), CellConfig(geometry="transverse")], GRID)
 
 
 def test_cascade_open_ended_rotator_conserves_intensity():
     cell = CellConfig(rb85_fraction=0.0, rb87_fraction=0.0, geometry="longitudinal")
-    t = cascade([Polarizer(0.0, extinction=0.0), RotatorCellElement(cell)], GRID)
+    t = cascade([Polarizer(0.0, extinction=0.0), cell], GRID)
     assert np.allclose(t, 1.0, rtol=0, atol=1e-12)
 
 
 def test_cascade_empty_chain_rejected():
     with pytest.raises(ConfigError):
         cascade([], GRID)
+
+
+def test_cascade_rejects_unknown_element():
+    with pytest.raises(ConfigError, match="unknown chain element"):
+        cascade([Polarizer(0.0), "faraday"], GRID)
 
 
 def test_dual_filter_composes_both_cells():
@@ -191,10 +210,20 @@ def test_dual_filter_composes_both_cells():
     t_far = faraday_transmission(far, GRID, extinction=1e-5)
     assert np.all(t <= t_far + 1e-9)
     # precomputed spectra give the same bytes; a spectrum on another grid is refused
-    spectra = (susceptibility(absorption, GRID), susceptibility(far, GRID))
-    assert dual_filter(absorption, far, spectra=spectra).transmission(GRID).tobytes() == t.tobytes()
-    with pytest.raises(DataError, match="another detuning grid"):
-        dual_filter(absorption, far, spectra=spectra).transmission(GRID[::2])
+    abs_spec, far_spec = susceptibility(absorption, GRID), susceptibility(far, GRID)
+    assert dual_filter(abs_spec, far_spec).transmission(GRID).tobytes() == t.tobytes()
+    assert absorption_transmission(abs_spec, GRID).tobytes() == \
+        absorption_transmission(absorption, GRID).tobytes()
+    assert faraday_transmission(far_spec, GRID).tobytes() == \
+        faraday_transmission(far, GRID).tobytes()
+    uses = (lambda g: dual_filter(abs_spec, far_spec).transmission(g),
+            lambda g: absorption_transmission(abs_spec, g),
+            lambda g: faraday_rotation(far_spec, g),
+            lambda g: jones_transfer(far_spec, g),
+            lambda g: faraday_transmission(far_spec, g))
+    for use in uses:
+        with pytest.raises(DataError, match="another detuning grid"):
+            use(GRID[::2])
 
 
 _TEMPERATURE_C = st.floats(CELL_KEYS["temperature_c"].lo, CELL_KEYS["temperature_c"].hi)
@@ -216,6 +245,7 @@ def test_dual_filter_is_light_direction_insensitive(t_abs_c, t_far_c, b_abs_t, b
     forward = chain.transmission(grid)
     backward = cascade(chain.elements[::-1], grid, input_angle_rad=math.pi / 2.0)
     np.testing.assert_allclose(backward, forward, rtol=0.0, atol=1e-12)
+    assert np.all((forward >= 0.0) & (forward <= 1.0 + 1e-12))
 
 
 def test_transmission_db_floor():
