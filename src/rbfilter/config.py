@@ -20,7 +20,7 @@ from .optimize import PAPER_OPTIMUM, FomSpec, ParamBox, build_cells
 from .photon_stats import NoiseModel, RegionLayout, filtered_preset, unfiltered_preset
 from .propagation import WOLLASTON_EXTINCTION
 
-# frames x n_regions bound: two int64 count arrays of 1e8 entries take 1.6 GB
+# frames x n_regions bound: two int16 count arrays of 1e8 entries take 400 MB
 MAX_COUNTS_PER_ARM = 10**8
 
 _TEMPERATURE, _FIELD = CELL_KEYS["temperature_c"], CELL_KEYS["b_field_mt"]

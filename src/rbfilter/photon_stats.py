@@ -26,8 +26,8 @@ arrays, and correlation_standard_error, read the counts once through the same
 function, one piece per block.  Pieces merge by the pairwise update of Chan,
 Golub & LeVeque (Am. Stat. 37, 242 (1983)); the map merges all pieces, and
 each jackknife estimate all pieces outside one block.  The moments need only
-chunk-sized float temporaries; the full count arrays are kept for callers and
-the CLI's per-frame export.
+chunk-sized float temporaries; the full count arrays, int16, are kept for
+callers and the CLI's per-frame export.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from .errors import ConfigError, DataError
 REGION_AREA_MRAD2 = 0.02
 # frames per seeded chunk of simulate_frames; part of the stream's definition
 CHUNK_FRAMES = 1 << 15
+# counts are stored as int16: a region's count per frame is a handful of photons
+COUNT_MAX = int(np.iinfo(np.int16).max)
 
 
 @dataclass(frozen=True)
@@ -117,10 +119,12 @@ class NoiseModel:
 def filtered_preset() -> tuple[NoiseModel, RegionLayout]:
     """Dual-filter operating conditions.
 
-    Efficiencies are cascade transmissions (0.65 Stokes / 0.40 anti-Stokes)
-    times camera efficiency 0.8; fluorescence, leakage and the four-wave-mixing
-    background are blocked, leaving only the intensifier term.  Analytic
-    C = 0.385.
+    Efficiencies are the paper's quoted filter transmissions (0.65 Stokes /
+    0.40 anti-Stokes, criterion 05's targets) times camera efficiency 0.8; the
+    cascade at PAPER_OPTIMUM transmits 0.669 (-2.3 GHz) and 0.278 (+7.8 GHz)
+    instead.  Fluorescence, leakage and the four-wave-mixing background are
+    blocked, leaving only the intensifier term.  Analytic C = 0.385, from the
+    quoted values.
     """
     return NoiseModel(n_sig=0.5, eta_s=0.52, eta_as=0.32,
                       b_fluorescence=0.0, b_leakage=0.0,
@@ -143,13 +147,17 @@ def unfiltered_preset() -> tuple[NoiseModel, RegionLayout]:
 class CountsBatch:
     """Per-frame, per-region photon counts for both arms."""
 
-    n_s: np.ndarray   # (frames, regions) int64, Stokes arm
-    n_as: np.ndarray  # (frames, regions) int64, anti-Stokes arm
+    n_s: np.ndarray   # (frames, regions) integer counts, Stokes arm (int16 when simulated)
+    n_as: np.ndarray  # (frames, regions) integer counts, anti-Stokes arm
     layout: RegionLayout
     # piece moments kept by simulate_frames, whose count arrays are read-only
     _moments: _PieceMoments | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for counts in (self.n_s, self.n_as):
+            if not (isinstance(counts, np.ndarray) and np.issubdtype(counts.dtype, np.integer)):
+                raise DataError("photon counts must be an integer array, got "
+                                f"{getattr(counts, 'dtype', type(counts).__name__)}")
         if self.n_s.shape != self.n_as.shape or self.n_s.ndim != 2:
             raise DataError("count arrays must share shape (frames, regions)")
         if self.n_s.shape[1] != self.layout.n_regions:
@@ -183,17 +191,33 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _check_fits(bound: int, noise: NoiseModel) -> None:
+    """Raise unless a count bound fits the int16 count arrays."""
+    if bound > COUNT_MAX:
+        raise DataError(f"a region's photon count can reach {bound}, past the int16 "
+                        f"count limit {COUNT_MAX}: {noise!r}")
+
+
 def _draw_chunk(rng: np.random.Generator, noise: NoiseModel, b: float,
                 n_s: np.ndarray, n_as: np.ndarray) -> None:
-    """Fill one chunk's (frames, regions) slices of both count arrays."""
+    """Fill one chunk's (frames, regions) slices of both count arrays.
+
+    Each int64 draw is checked before it is cast into the int16 arrays: a
+    binomial count is at most the pair number, so the largest pair number plus
+    the largest Poisson background bounds every count of an arm.
+    """
     n_pair = sample_thermal(rng, noise.n_sig, n_s.shape)
+    pair_max = int(n_pair.max())
+    _check_fits(pair_max, noise)
     n_s[:] = rng.binomial(n_pair, noise.eta_s)
     # mirror pairing: signal drawn for Stokes region i lands in AS region m-1-i
     n_as[:] = rng.binomial(n_pair, noise.eta_as)[:, ::-1]
     del n_pair
     if b > 0:
-        n_s += rng.poisson(b, size=n_s.shape)
-        n_as += rng.poisson(b, size=n_as.shape)
+        for counts in (n_s, n_as):
+            background = rng.poisson(b, size=counts.shape)
+            _check_fits(pair_max + int(background.max()), noise)
+            counts += background
 
 
 def _draw_and_reduce(rng: np.random.Generator, noise: NoiseModel, b: float,
@@ -217,12 +241,14 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
     jackknife's block edges; the batch keeps every worker's pieces in row order
     and its count arrays are read-only, so the correlation functions read no
     counts again.
-    Memory is the two count arrays plus chunk-sized temporaries.
+    Counts are int16, 2 bytes each; a model whose counts could pass 32767
+    raises DataError rather than wrap.  Memory is the two count arrays plus
+    chunk-sized temporaries.
     """
     if frames < 1:
         raise ConfigError([f"need at least one frame, got {frames}"])
     layout = layout or RegionLayout()
-    n_s = np.empty((frames, layout.n_regions), dtype=np.int64)
+    n_s = np.empty((frames, layout.n_regions), dtype=np.int16)
     n_as = np.empty_like(n_s)
     b = noise.background_per_region(layout)
     pair = _partners(layout)

@@ -146,7 +146,7 @@ def test_frame_arrays_up_to_the_count_bound_are_accepted(frames, n_regions):
 
 @pytest.mark.parametrize("frames, n_regions", [(10**8, 1000), (10**8, 2), (10**5 + 1, 1000)])
 def test_frame_arrays_past_the_count_bound_are_rejected(frames, n_regions):
-    """Each int64 count array would hold frames x n_regions entries (computed, not run)."""
+    """Each int16 count array would hold frames x n_regions entries (computed, not run)."""
     with pytest.raises(ConfigError, match=r"noise\.frames: frames x n_regions"):
         validate_config({"noise": {"frames": frames, "n_regions": n_regions}})
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import jackknife_se_loop, pearson_map_direct, simulate_frames_serial
 
 from rbfilter import photon_stats
+from rbfilter.config import MAX_COUNTS_PER_ARM
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.photon_stats import (
     CHUNK_FRAMES,
@@ -88,9 +89,10 @@ def test_simulate_frames_deterministic_and_seed_sensitive():
     assert not np.array_equal(a.n_s, c.n_s)
 
 
-# SHA-256 of n_s.tobytes() + n_as.tobytes(), seed 11, recorded from the chunked
-# sampler (CHUNK_FRAMES frames per SeedSequence.spawn child); the last case is
-# two chunks, the second one frame long.
+# SHA-256 of the int64 bytes of n_s then n_as, seed 11, recorded from the
+# chunked sampler (CHUNK_FRAMES frames per SeedSequence.spawn child) when the
+# counts were stored as int64; the last case is two chunks, the second one
+# frame long.
 @pytest.mark.parametrize("noise, layout, frames, digest", [
     (*filtered_preset(), 3001,
      "198dd8df99308214b9938e58f765ade195a0f1db33b42acf541f222733c2a561"),
@@ -104,9 +106,11 @@ def test_simulate_frames_deterministic_and_seed_sensitive():
 ], ids=["filtered", "unfiltered", "no-background", "two-chunks"])
 def test_simulate_frames_stream_is_pinned(noise, layout, frames, digest):
     batch = simulate_frames(frames, noise, seed=11, layout=layout)
-    assert batch.n_s.dtype == np.int64 and batch.n_as.dtype == np.int64
+    assert batch.n_s.dtype == np.int16 and batch.n_as.dtype == np.int16
+    assert batch.n_s.nbytes == batch.n_as.nbytes == 2 * frames * layout.n_regions
     assert batch.n_s.flags.c_contiguous and batch.n_as.flags.c_contiguous
-    assert hashlib.sha256(batch.n_s.tobytes() + batch.n_as.tobytes()).hexdigest() == digest
+    stream = batch.n_s.astype(np.int64).tobytes() + batch.n_as.astype(np.int64).tobytes()
+    assert hashlib.sha256(stream).hexdigest() == digest
 
 
 @pytest.mark.parametrize("one_worker", [False, True], ids=["all-cpus", "one-worker"])
@@ -119,8 +123,24 @@ def test_simulate_frames_matches_serial_oracle(monkeypatch, frames, one_worker):
     noise, layout = filtered_preset()
     batch = simulate_frames(frames, noise, seed=19, layout=layout)
     n_s, n_as = simulate_frames_serial(frames, noise, 19, layout.n_regions, CHUNK_FRAMES)
-    assert batch.n_s.tobytes() == n_s.tobytes()
-    assert batch.n_as.tobytes() == n_as.tobytes()
+    assert batch.n_s.dtype == np.int16 and batch.n_as.dtype == np.int16
+    assert np.array_equal(batch.n_s, n_s) and np.array_equal(batch.n_as, n_as)
+
+
+@pytest.mark.parametrize("one_worker", [False, True], ids=["all-cpus", "one-worker"])
+def test_counts_past_int16_raise_rather_than_wrap(monkeypatch, one_worker):
+    """A library model past the validator's ranges: Poisson(5e4) counts."""
+    if one_worker:
+        monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 1)
+    noise = NoiseModel(n_sig=0.0, b_fluorescence=5e4, b_leakage=0.0, intensifier_per_frame=0.0)
+    with pytest.raises(DataError, match="int16 count limit 32767: NoiseModel"):
+        simulate_frames(CHUNK_FRAMES + 1, noise, seed=3, layout=RegionLayout(n_regions=1))
+
+
+def test_thermal_pairs_past_int16_raise_rather_than_wrap():
+    noise = NoiseModel(n_sig=1e5, eta_s=1.0, eta_as=1.0, intensifier_per_frame=0.0)
+    with pytest.raises(DataError, match="int16 count limit"):
+        simulate_frames(100, noise, seed=3, layout=RegionLayout(n_regions=1))
 
 
 def test_simulate_frames_workers_see_the_callers_errstate(monkeypatch):
@@ -154,6 +174,20 @@ def test_counts_batch_validation():
     with pytest.raises(DataError):
         CountsBatch(n_s=np.zeros((4, 5), dtype=np.int64),
                     n_as=np.zeros((4, 5), dtype=np.int64), layout=layout)
+
+
+@pytest.mark.parametrize("counts", [
+    np.array([[0.5, 1.2, 0.0]] * 4), np.full((4, 3), np.nan), np.ones((4, 3), dtype=bool),
+    [[0, 1, 2]] * 4,
+], ids=["float", "nan", "bool", "list"])
+def test_counts_batch_rejects_non_integer_counts(counts):
+    """The moments are exact only for integer counts."""
+    layout = RegionLayout(n_regions=3)
+    good = np.zeros((4, 3), dtype=np.int16)
+    with pytest.raises(DataError, match="integer array"):
+        CountsBatch(n_s=counts, n_as=good, layout=layout)
+    with pytest.raises(DataError, match="integer array"):
+        CountsBatch(n_s=good, n_as=counts, layout=layout)
 
 
 # -------------------------------------------------------- correlations
@@ -400,6 +434,30 @@ def test_moments_stay_exact_in_the_validator_range():
     assert se.dtype == np.float64 and np.isfinite(se).all()
     assert se[0] == pytest.approx(jackknife_se_loop(batch.n_s[:, 0], batch.n_as[:, 0]),
                                   rel=1e-10, abs=0.0)
+
+
+def test_counts_stay_below_int16_in_the_validator_range():
+    """At the validator's high-count corner, with MAX_COUNTS_PER_ARM frames of
+    one region, no count and no overflow guard reaches 32768 (computed, not run).
+
+    If every pair number stays below t and every Poisson background below
+    32769 - t, every count and every guard bound is at most 32767; union bounds
+    over the 2 * MAX_COUNTS_PER_ARM draws of each kind give the chance of
+    anything else.
+    """
+    noise = NoiseModel(n_sig=100.0, eta_s=1.0, eta_as=1.0, b_fluorescence=1e3,
+                       b_leakage=1e3, intensifier_per_frame=1e4)
+    lam = noise.background_per_region(RegionLayout(n_regions=1))
+    assert lam == 7e3
+    draws = 2 * MAX_COUNTS_PER_ARM
+    t = np.arange(1.0, photon_stats.COUNT_MAX + 1)
+    # thermal tail: P(pair >= t) = (nbar / (1 + nbar))**t
+    log_thermal = t * math.log(noise.n_sig / (1.0 + noise.n_sig))
+    # Chernoff: P(Poisson(lam) >= x) <= exp(-lam) (e lam / x)**x for x > lam
+    x = photon_stats.COUNT_MAX + 2 - t
+    log_poisson = np.where(x > lam, -lam + x - x * np.log(x / lam), 0.0)
+    log_p = math.log(draws) + np.logaddexp(log_thermal, log_poisson).min()
+    assert log_p / math.log(10.0) < -30.0
 
 
 # --------------------------------------------- analytic oracle vs MC
