@@ -1,10 +1,11 @@
 """Run configuration: JSON schema, validation, presets, and hashing.
 
 Config keys carry explicit unit suffixes (temperature_c, b_field_mt,
-length_cm, polarization_angle_deg); each cell key's range and SI conversion
-is its entry in lineshape.CELL_KEYS.  Validation is total: every problem in
-the file is reported in one pass with its dotted key path, and no partially
-built object escapes a failed load.
+length_cm, polarization_angle_deg).  Every key and what it accepts is in
+SCHEMA; a cell key's range and SI conversion is its entry in
+lineshape.CELL_KEYS, which SCHEMA uses as is.  Validation is one walk over
+SCHEMA and is total: every problem in the file is reported in one pass with
+its dotted key path, and no partially built object escapes a failed load.
 """
 
 from __future__ import annotations
@@ -12,10 +13,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from .errors import ConfigError, DataError
-from .lineshape import CELL_KEYS, CellConfig
+from .lineshape import CELL_KEYS, CellConfig, default_grid
 from .optimize import PAPER_OPTIMUM, FomSpec, ParamBox, build_cells
 from .photon_stats import NoiseModel, RegionLayout, filtered_preset, unfiltered_preset
 from .propagation import WOLLASTON_EXTINCTION
@@ -24,12 +28,54 @@ from .propagation import WOLLASTON_EXTINCTION
 MAX_COUNTS_PER_ARM = 10**8
 
 _TEMPERATURE, _FIELD = CELL_KEYS["temperature_c"], CELL_KEYS["b_field_mt"]
-# optimizer.box key -> the cell key whose range bounds it
-_BOX_KEYS = {"t_abs_c": _TEMPERATURE, "t_far_c": _TEMPERATURE, "b_abs_mt": _FIELD, "b_far_mt": _FIELD}
+
+
+@dataclass(frozen=True)
+class Key:
+    """What one non-cell config key accepts, read like lineshape.CellKey: a
+    number in [lo, hi] (bounds included; a None bound is open), an integer if
+    integer, or one of choices."""
+
+    lo: float | None = None
+    hi: float | None = None
+    integer: bool = False
+    choices: tuple[str, ...] = ()
+
+
+@dataclass(frozen=True)
+class Pair:
+    """Two numbers in [lo, hi]; if ordered, the first may not exceed the second."""
+
+    lo: float | None = None
+    hi: float | None = None
+    ordered: bool = False
+
+
+# Every key a run config accepts: section -> key -> what it accepts.  A key the
+# preset (preset_paper_optimum) leaves out is optional: it is resolved only
+# when given.  The only place a config key's name and range are written.
+SCHEMA = {
+    "seed": Key(0, 2**64 - 1, integer=True),
+    "grid": {"points": Key(2, 10_000_000, integer=True),
+             "lo_ghz": Key(-1e4, 1e4), "hi_ghz": Key(-1e4, 1e4)},
+    "cells": {"absorption": CELL_KEYS, "faraday": CELL_KEYS},
+    "chain": {"wollaston_extinction": Key(0.0, 0.999)},
+    "fom": {"signal_detunings_ghz": Pair(), "noise_detunings_ghz": Pair(),
+            "min_suppression_db": Key(1.0, 300.0)},
+    "noise": {"preset": Key(choices=("filtered", "unfiltered", "custom")),
+              "frames": Key(1, 10**8, integer=True), "n_regions": Key(1, 1000, integer=True),
+              "n_sig": Key(0.0, 100.0), "eta_s": Key(0.0, 1.0), "eta_as": Key(0.0, 1.0),
+              "b_fluorescence": Key(0.0, 1e3), "b_leakage": Key(0.0, 1e3),
+              "intensifier_per_frame": Key(0.0, 1e4)},
+    "optimizer": {"budget": Key(100, 10**7, integer=True), "restarts": Key(1, 20, integer=True),
+                  "box": {name: Pair(key.lo, key.hi, ordered=True) for name, key in (
+                      ("t_abs_c", _TEMPERATURE), ("t_far_c", _TEMPERATURE),
+                      ("b_abs_mt", _FIELD), ("b_far_mt", _FIELD))}},
+}
 
 
 def _cell_section(cell: CellConfig) -> dict:
-    """A cell in config units; _validate_cell converts it back exactly."""
+    """A cell in config units; _cell converts it back exactly."""
     return {key.name: key.from_field(getattr(cell, key.field)) for key in CELL_KEYS.values()}
 
 
@@ -86,86 +132,83 @@ class RunConfig:
     optimizer_box: ParamBox
     resolved: dict = field(repr=False, default_factory=dict)
 
-    def grid(self):
-        import numpy as np
-
-        return np.linspace(self.grid_lo_ghz, self.grid_hi_ghz, self.grid_points)
+    def grid(self) -> np.ndarray:
+        return default_grid(self.grid_points, self.grid_lo_ghz, self.grid_hi_ghz)
 
 
-class _Validator:
-    """Collects every error with its dotted path before raising."""
+# what a config key given an invalid value resolves to
+_INVALID = object()
 
-    def __init__(self, data: dict):
-        self.data = data
-        self.errors: list[str] = []
 
-    def fail(self, path: str, msg: str):
-        self.errors.append(f"{path}: {msg}" if path else msg)
+def _join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
 
-    def section(self, data, path, known: set[str]) -> dict:
-        if not isinstance(data, dict):
-            self.fail(path, f"expected an object, got {type(data).__name__}")
-            return {}
-        for key in data:
-            if key not in known:
-                self.fail(f"{path}.{key}" if path else key, "unknown key")
-        return data
 
-    def number(self, data, path, key, default=None, lo=None, hi=None, integer=False):
-        dotted = f"{path}.{key}" if path else key
-        if key not in data:
-            if default is None:
-                self.fail(dotted, "missing required key")
-                return None
-            return default
-        return self._value(dotted, data[key], default, lo, hi, integer)
+def _number(v, leaf, path: str, errors: list[str], integer: bool = False) -> bool:
+    """Check one number against leaf's range, appending any problem to errors."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        errors.append(f"{path}: expected a number, got {type(v).__name__}")
+    elif isinstance(v, float) and not math.isfinite(v):
+        errors.append(f"{path}: must be finite")
+    elif integer and int(v) != v:
+        errors.append(f"{path}: expected an integer, got {v}")
+    elif leaf.lo is not None and v < leaf.lo or leaf.hi is not None and v > leaf.hi:
+        errors.append(f"{path}: value {v} outside valid range [{leaf.lo}, {leaf.hi}]")
+    elif not integer and abs(v) > sys.float_info.max:  # an int past float on an open range
+        errors.append(f"{path}: must be finite")
+    else:
+        return True
+    return False
 
-    def _value(self, dotted, v, default, lo, hi, integer=False):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self.fail(dotted, f"expected a number, got {type(v).__name__}")
-            return default
-        if isinstance(v, float) and not math.isfinite(v):
-            self.fail(dotted, "must be finite")
-            return default
-        if integer and int(v) != v:
-            self.fail(dotted, f"expected an integer, got {v}")
-            return default
-        if lo is not None and v < lo or hi is not None and v > hi:
-            self.fail(dotted, f"value {v} outside valid range [{lo}, {hi}]")
-            return default
-        return int(v) if integer else float(v)
 
-    def choice(self, data, path, key, options, default=None):
-        v = data.get(key, default)
-        if v not in options:
-            self.fail(f"{path}.{key}", f"must be one of {sorted(options)}, got {v!r}")
-            return default
-        return v
-
-    def pair(self, data, path, key, default, lo=None, hi=None):
-        dotted = f"{path}.{key}"
-        v = data.get(key, default)
+def _valid(leaf, v, path: str, errors: list[str]) -> bool:
+    """Check a given value against its schema leaf (a Key, a Pair or a
+    lineshape.CellKey), appending each problem to errors."""
+    n_errors = len(errors)
+    if isinstance(leaf, Pair):
         if not isinstance(v, (list, tuple)) or len(v) != 2:
-            self.fail(dotted, "expected a pair of numbers")
-            return default
-        n_before = len(self.errors)
-        values = [self._value(dotted, x, None, lo, hi) for x in v]
-        return default if len(self.errors) > n_before else values
+            errors.append(f"{path}: expected a pair of numbers")
+        elif all([_number(x, leaf, path, errors) for x in v]) and leaf.ordered and v[0] > v[1]:
+            errors.append(f"{path}: lower bound {float(v[0])} exceeds upper bound {float(v[1])}")
+    elif leaf.choices:
+        if v not in leaf.choices:
+            errors.append(f"{path}: must be one of {sorted(leaf.choices)}, got {v!r}")
+    else:
+        _number(v, leaf, path, errors, integer=isinstance(leaf, Key) and leaf.integer)
+    return len(errors) == n_errors
 
 
-def _validate_cell(v: _Validator, data: dict, path: str, defaults: dict) -> CellConfig | None:
-    merged = {**defaults, **v.section(data, path, set(CELL_KEYS))}
-    n_before = len(v.errors)
-    values = {name: v.choice(merged, path, name, key.choices) if key.choices
-              else v.number(merged, path, name, lo=key.lo, hi=key.hi)
-              for name, key in CELL_KEYS.items()}
-    f85, f87 = values["rb85_fraction"], values["rb87_fraction"]
-    if f85 is not None and f87 is not None and f85 + f87 > 1.0 + 1e-12:
-        v.fail(path, f"rb85_fraction + rb87_fraction = {f85 + f87} exceeds 1")
-    if len(v.errors) > n_before:
-        return None
-    fields = {CELL_KEYS[name].field: CELL_KEYS[name].to_field(x) for name, x in values.items()}
-    return CellConfig(name=path.rsplit(".", 1)[-1], **fields)
+def _walk(schema: dict, data, defaults: dict, path: str, errors: list[str]) -> dict:
+    """Check one config section against its schema, appending each problem to
+    errors under its dotted path, and return the section resolved: each valid
+    given value, and the preset default for each key not given.  A key given an
+    invalid value resolves to _INVALID, so that the cross-key rules read only
+    values that validated.  Preset keys keep the preset's order; optional keys
+    follow as given."""
+    if not isinstance(data, dict):
+        errors.append(f"{path}: expected an object, got {type(data).__name__}")
+        data = {}
+    errors += [f"{_join(path, key)}: unknown key" for key in data if key not in schema]
+    out = {}
+    for key, leaf in schema.items():
+        if isinstance(leaf, dict):
+            out[key] = _walk(leaf, data.get(key, {}), defaults[key], _join(path, key), errors)
+        elif key in data:
+            valid = _valid(leaf, data[key], _join(path, key), errors)
+            out[key] = data[key] if valid else _INVALID
+        elif key in defaults:
+            out[key] = defaults[key]
+    return {key: out[key] for key in [*defaults, *data] if key in out}
+
+
+def _cell(name: str, section: dict) -> CellConfig:
+    return CellConfig(name=name, **{
+        key.field: key.to_field(section[key.name] if key.choices else float(section[key.name]))
+        for key in CELL_KEYS.values()})
+
+
+def _floats(pair, to_field=float) -> tuple[float, float]:
+    return tuple(to_field(float(x)) for x in pair)
 
 
 def validate_config(data: dict) -> RunConfig:
@@ -173,123 +216,59 @@ def validate_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(["top level: expected a JSON object"])
     defaults = preset_paper_optimum()
-    v = _Validator(data)
-    v.section(data, "", {"seed", "grid", "cells", "chain", "fom", "noise", "optimizer"})
+    errors: list[str] = []
+    resolved = _walk(SCHEMA, data, defaults, "", errors)
 
-    seed = v.number(data, "", "seed", defaults["seed"], 0, 2**64 - 1, integer=True)
-
-    grid = v.section(data.get("grid", {}), "grid", {"points", "lo_ghz", "hi_ghz"})
-    points = v.number(grid, "grid", "points", defaults["grid"]["points"], 2, 10_000_000, integer=True)
-    lo = v.number(grid, "grid", "lo_ghz", defaults["grid"]["lo_ghz"], -1e4, 1e4)
-    hi = v.number(grid, "grid", "hi_ghz", defaults["grid"]["hi_ghz"], -1e4, 1e4)
-    if lo is not None and hi is not None and lo >= hi:
-        v.fail("grid", f"lo_ghz {lo} must be below hi_ghz {hi}")
-
-    cells_in = v.section(data.get("cells", {}), "cells", {"absorption", "faraday"})
-    cells: dict[str, CellConfig] = {}
-    for name in ("absorption", "faraday"):
-        cell = _validate_cell(v, cells_in.get(name, {}), f"cells.{name}", defaults["cells"][name])
-        if cell is not None:
-            cells[name] = cell
-
-    chain = v.section(data.get("chain", {}), "chain", {"wollaston_extinction"})
-    extinction = v.number(chain, "chain", "wollaston_extinction",
-                          defaults["chain"]["wollaston_extinction"], 0.0, 0.999)
-
-    fom_in = v.section(data.get("fom", {}), "fom",
-                       {"signal_detunings_ghz", "noise_detunings_ghz", "min_suppression_db"})
-    sig = v.pair(fom_in, "fom", "signal_detunings_ghz", defaults["fom"]["signal_detunings_ghz"])
-    noi = v.pair(fom_in, "fom", "noise_detunings_ghz", defaults["fom"]["noise_detunings_ghz"])
-    min_supp = v.number(fom_in, "fom", "min_suppression_db",
-                        defaults["fom"]["min_suppression_db"], 1.0, 300.0)
-
-    noise_in = v.section(data.get("noise", {}), "noise",
-                         {"preset", "frames", "n_regions", "n_sig", "eta_s", "eta_as",
-                          "b_fluorescence", "b_leakage", "intensifier_per_frame"})
-    noise_preset = v.choice(noise_in, "noise", "preset", {"filtered", "unfiltered", "custom"},
-                            defaults["noise"]["preset"])
-    frames = v.number(noise_in, "noise", "frames", defaults["noise"]["frames"], 1, 10**8, integer=True)
-    n_regions = v.number(noise_in, "noise", "n_regions", defaults["noise"]["n_regions"], 1, 1000, integer=True)
-    if frames * n_regions > MAX_COUNTS_PER_ARM:
-        v.fail("noise.frames", f"frames x n_regions = {frames * n_regions} exceeds "
-               f"{MAX_COUNTS_PER_ARM} counts per arm")
-    custom_fields = {}
-    for key, lo_k, hi_k in (("n_sig", 0.0, 100.0), ("eta_s", 0.0, 1.0), ("eta_as", 0.0, 1.0),
-                            ("b_fluorescence", 0.0, 1e3), ("b_leakage", 0.0, 1e3),
-                            ("intensifier_per_frame", 0.0, 1e4)):
-        if key in noise_in:
-            val = v.number(noise_in, "noise", key, 0.0, lo_k, hi_k)
-            if val is not None:
-                custom_fields[key] = val
-    if noise_preset == "custom" and not custom_fields:
-        v.fail("noise", "preset 'custom' requires explicit noise fields")
-
-    opt_in = v.section(data.get("optimizer", {}), "optimizer", {"budget", "restarts", "box"})
-    budget = v.number(opt_in, "optimizer", "budget", defaults["optimizer"]["budget"], 100, 10**7, integer=True)
-    restarts = v.number(opt_in, "optimizer", "restarts", defaults["optimizer"]["restarts"], 1, 20, integer=True)
-    box_in = v.section(opt_in.get("box", {}), "optimizer.box",
-                       {"t_abs_c", "t_far_c", "b_abs_mt", "b_far_mt"})
-    box_vals = {}
-    for key, valid in _BOX_KEYS.items():
-        lo_hi = box_vals[key] = v.pair(box_in, "optimizer.box", key,
-                                       defaults["optimizer"]["box"][key], valid.lo, valid.hi)
-        if lo_hi[0] > lo_hi[1]:
-            v.fail(f"optimizer.box.{key}", f"lower bound {lo_hi[0]} exceeds upper bound {lo_hi[1]}")
-
-    if v.errors:
-        raise ConfigError(v.errors)
+    grid, cells, noise = resolved["grid"], resolved["cells"], resolved["noise"]
+    lo, hi = grid["lo_ghz"], grid["hi_ghz"]
+    if _INVALID not in (lo, hi) and lo >= hi:
+        errors.append(f"grid: lo_ghz {float(lo)} must be below hi_ghz {float(hi)}")
+    for name, cell in cells.items():
+        f85, f87 = cell["rb85_fraction"], cell["rb87_fraction"]
+        if _INVALID not in (f85, f87) and float(f85) + float(f87) > 1.0 + 1e-12:
+            errors.append(f"cells.{name}: rb85_fraction + rb87_fraction = "
+                          f"{float(f85) + float(f87)} exceeds 1")
+    frames, n_regions = noise["frames"], noise["n_regions"]
+    if _INVALID not in (frames, n_regions) and int(frames) * int(n_regions) > MAX_COUNTS_PER_ARM:
+        errors.append(f"noise.frames: frames x n_regions = {int(frames) * int(n_regions)} "
+                      f"exceeds {MAX_COUNTS_PER_ARM} counts per arm")
+    noise_fields = {key: v for key, v in noise.items() if key not in defaults["noise"]}
+    if noise["preset"] == "custom" and not noise_fields:
+        errors.append("noise: preset 'custom' requires explicit noise fields")
+    if errors:
+        raise ConfigError(errors)
 
     presets = {"filtered": filtered_preset, "unfiltered": unfiltered_preset}
-    base = presets[noise_preset]()[0] if noise_preset in presets else NoiseModel()
-    noise_model = replace(base, **custom_fields)
-    layout = RegionLayout(n_regions=n_regions)
-
-    fom = FomSpec(
-        signal_detunings_ghz=tuple(sig),
-        noise_detunings_ghz=tuple(noi),
-        min_suppression_db=min_supp,
-        wollaston_extinction=max(extinction, 1e-300),
-    )
-    box = ParamBox(
-        t_abs_c=tuple(box_vals["t_abs_c"]),
-        t_far_c=tuple(box_vals["t_far_c"]),
-        b_abs_t=tuple(map(_FIELD.to_field, box_vals["b_abs_mt"])),
-        b_far_t=tuple(map(_FIELD.to_field, box_vals["b_far_mt"])),
-    )
-
-    resolved = _resolve(defaults, data)
+    base = presets[noise["preset"]]()[0] if noise["preset"] in presets else NoiseModel()
+    fom, optimizer = resolved["fom"], resolved["optimizer"]
+    extinction = float(resolved["chain"]["wollaston_extinction"])
+    box = optimizer["box"]
     return RunConfig(
-        seed=seed,
-        grid_points=points,
-        grid_lo_ghz=lo,
-        grid_hi_ghz=hi,
-        cells=cells,
+        seed=int(resolved["seed"]),
+        grid_points=int(grid["points"]),
+        grid_lo_ghz=float(lo),
+        grid_hi_ghz=float(hi),
+        cells={name: _cell(name, cell) for name, cell in cells.items()},
         wollaston_extinction=extinction,
-        fom=fom,
-        noise=noise_model,
-        layout=layout,
-        frames=frames,
-        optimizer_budget=budget,
-        optimizer_restarts=restarts,
-        optimizer_box=box,
+        fom=FomSpec(
+            signal_detunings_ghz=_floats(fom["signal_detunings_ghz"]),
+            noise_detunings_ghz=_floats(fom["noise_detunings_ghz"]),
+            min_suppression_db=float(fom["min_suppression_db"]),
+            wollaston_extinction=max(extinction, 1e-300),
+        ),
+        noise=replace(base, **{key: float(v) for key, v in noise_fields.items()}),
+        layout=RegionLayout(n_regions=int(n_regions)),
+        frames=int(frames),
+        optimizer_budget=int(optimizer["budget"]),
+        optimizer_restarts=int(optimizer["restarts"]),
+        optimizer_box=ParamBox(
+            t_abs_c=_floats(box["t_abs_c"]),
+            t_far_c=_floats(box["t_far_c"]),
+            b_abs_t=_floats(box["b_abs_mt"], _FIELD.to_field),
+            b_far_t=_floats(box["b_far_mt"], _FIELD.to_field),
+        ),
         resolved=resolved,
     )
-
-
-def _resolve(defaults: dict, overrides: dict) -> dict:
-    out = {}
-    for key, dval in defaults.items():
-        oval = overrides.get(key)
-        if isinstance(dval, dict) and isinstance(oval, dict):
-            out[key] = _resolve(dval, oval)
-        elif oval is not None:
-            out[key] = oval
-        else:
-            out[key] = dval
-    for key, oval in overrides.items():
-        if key not in defaults:
-            out[key] = oval
-    return out
 
 
 def read_config(path: str | None) -> dict:
@@ -299,7 +278,7 @@ def read_config(path: str | None) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     try:
         return json.loads(text)

@@ -96,6 +96,9 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
     if unknown:
         raise ConfigError([f"fit: unknown free parameter {p!r} (valid: {sorted(FIT_PARAM_RANGES)})"
                            for p in unknown])
+    repeated = sorted({p for p in free if free.count(p) > 1})
+    if repeated:
+        raise ConfigError([f"fit: free parameter {p!r} listed more than once" for p in repeated])
     missing = [p for p in free if p not in initial]
     if missing:
         raise ConfigError([f"fit: no initial value for free parameter {p!r}" for p in missing])

@@ -53,6 +53,8 @@ def read_spectrum_csv(path: str) -> tuple[np.ndarray, dict]:
             rows = list(csv.reader(fh))
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: unreadable CSV: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty file")
     header = rows[0]

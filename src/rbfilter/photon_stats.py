@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-REGION_AREA_MRAD2 = 0.02
 # frames per seeded chunk of simulate_frames; part of the stream's definition
 CHUNK_FRAMES = 1 << 15
 # counts are stored as int16: a region's count per frame is a handful of photons
@@ -55,13 +54,10 @@ class RegionLayout:
     region n-1-i (mirror symmetry about the beam axis)."""
 
     n_regions: int = 10
-    region_area_mrad2: float = REGION_AREA_MRAD2
 
     def __post_init__(self):
         if self.n_regions < 1:
             raise ConfigError([f"layout: need at least one region, got {self.n_regions}"])
-        if self.region_area_mrad2 <= 0:
-            raise ConfigError(["layout: region area must be positive"])
 
     def partner(self, i: int) -> int:
         if not 0 <= i < self.n_regions:

@@ -328,6 +328,14 @@ def test_exit_2_on_frame_arrays_past_the_count_bound(tmp_path, capsys):
     assert not (tmp_path / "photon_summary.json").exists()
 
 
+@pytest.mark.parametrize("preset", [["filtered"], {"name": "filtered"}, 1])
+def test_exit_2_on_noise_preset_that_is_not_a_name(tmp_path, capsys, preset):
+    cfg = tmp_path / "preset.json"
+    cfg.write_text(json.dumps({"noise": {"preset": preset}}))
+    assert run("constants", "--out", str(tmp_path), "--config", str(cfg)) == 2
+    assert "config error: noise.preset: must be one of" in capsys.readouterr().err
+
+
 def test_exit_2_on_malformed_config(tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{not json")
@@ -352,6 +360,24 @@ def test_exit_3_on_missing_config_file(tmp_path):
                "--config", str(tmp_path / "absent.json")) == 3
 
 
+def test_exit_3_on_config_file_that_is_not_utf8(tmp_path, capsys):
+    cfg = tmp_path / "utf16.json"
+    cfg.write_bytes(b'\xff\xfe{"seed": 1}')
+    assert run("constants", "--out", str(tmp_path), "--config", str(cfg)) == 3
+    assert f"cannot read config {cfg}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [b"detuning_ghz,transmission\n0,\xff\n",
+                                     b"detuning_ghz,transmission\n0,\"" + b"1" * 131073 + b"\"\n"])
+def test_exit_3_on_unreadable_fit_data(tmp_path, capsys, content):
+    """A byte that is not UTF-8, and a field past csv's 131 072-character limit."""
+    data = tmp_path / "m.csv"
+    data.write_bytes(content)
+    assert run("fit", "--out", str(tmp_path), "--data", str(data),
+               "--free", "temperature_c", "--initial", "temperature_c=95") == 3
+    assert f"{data}: unreadable CSV" in capsys.readouterr().err
+
+
 def test_exit_3_on_missing_fit_data(tmp_path):
     assert run("fit", "--out", str(tmp_path), "--data", str(tmp_path / "no.csv"),
                "--free", "temperature_c", "--initial", "temperature_c=95") == 3
@@ -365,6 +391,15 @@ def test_exit_2_on_unknown_fit_parameter(tmp_path):
                "--free", "pressure_pa", "--initial", "pressure_pa=1") == 2
     assert run("fit", "--out", str(tmp_path), "--data", data,
                "--free", "temperature_c", "--initial", "temperature_c:95") == 2
+
+
+def test_exit_2_on_repeated_fit_parameter(tmp_path, capsys):
+    grid = np.linspace(-5.0, 5.0, 60)
+    data = str(tmp_path / "m.csv")
+    write_spectrum_csv(data, grid, {"transmission": np.full(60, 0.5)})
+    assert run("fit", "--out", str(tmp_path), "--data", data, "--free", "temperature_c,temperature_c",
+               "--initial", "temperature_c=95") == 2
+    assert "fit: free parameter 'temperature_c' listed more than once" in capsys.readouterr().err
 
 
 def test_version_flag():

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from hypothesis import given, settings, strategies as st
 from rbfilter import __version__
 from rbfilter.config import (
     MAX_COUNTS_PER_ARM,
+    SCHEMA,
+    Pair,
     config_hash,
     load_config,
     preset_paper_optimum,
@@ -111,6 +115,97 @@ def test_cell_table_ranges_are_the_validated_ranges(data):
             f"cells.{cell}.{key.name}: value {past} outside valid range [{key.lo}, {key.hi}]"]
 
 
+def numeric_leaves(schema=SCHEMA, path=""):
+    """(dotted path, leaf) for every SCHEMA leaf with a range."""
+    for key, leaf in schema.items():
+        dotted = f"{path}.{key}" if path else key
+        if isinstance(leaf, dict):
+            yield from numeric_leaves(leaf, dotted)
+        elif leaf.lo is not None:
+            yield dotted, leaf
+
+
+NUMERIC_LEAVES = list(numeric_leaves())
+# settings that keep a cross-key rule from firing at the key's own path
+PARTNERS = {"noise.frames": {"n_regions": 1}, "noise.n_regions": {"frames": 1}}
+
+
+def config_at(path: str, value) -> dict:
+    *sections, key = path.split(".")
+    cfg = node = {}
+    for name in sections:
+        node = node.setdefault(name, {})
+    node.update({key: value, **PARTNERS.get(path, {})})
+    return cfg
+
+
+def errors_of(cfg: dict) -> list[str]:
+    try:
+        validate_config(cfg)
+    except ConfigError as exc:
+        return exc.errors
+    return []
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_schema_ranges_are_the_validated_ranges(data):
+    """Every value in a SCHEMA key's range passes that key's check, bounds
+    included; the first value past either bound is rejected with exactly the
+    range message.  Past an integer key's bound that value is the next integer
+    (math.nextafter of an integer bound is no integer and fails that check
+    first); a pair is tested one element at a time."""
+    path, leaf = data.draw(st.sampled_from(NUMERIC_LEAVES), label="key")
+    if getattr(leaf, "integer", False):
+        value = data.draw(st.integers(leaf.lo, leaf.hi), label="value")
+        below, above = leaf.lo - 1, leaf.hi + 1
+    else:
+        value = data.draw(st.floats(leaf.lo, leaf.hi), label="value")
+        below, above = math.nextafter(leaf.lo, -math.inf), math.nextafter(leaf.hi, math.inf)
+    pair = isinstance(leaf, Pair)
+    errors = errors_of(config_at(path, [value, value] if pair else value))
+    assert not [e for e in errors if e.startswith(f"{path}:")]
+    for past, past_pair in ((below, [below, leaf.hi]), (above, [leaf.lo, above])):
+        assert errors_of(config_at(path, past_pair if pair else past)) == [
+            f"{path}: value {past} outside valid range [{leaf.lo}, {leaf.hi}]"]
+
+
+@pytest.mark.parametrize("config, error", [
+    ({"cells": {"absorption": {"rb85_fraction": "x", "rb87_fraction": 1.0}}},
+     "cells.absorption.rb85_fraction: expected a number, got str"),
+    ({"grid": {"lo_ghz": False, "hi_ghz": -20.0}}, "grid.lo_ghz: expected a number, got bool"),
+    ({"noise": {"frames": 10**8, "n_regions": 1001}},
+     "noise.n_regions: value 1001 outside valid range [1, 1000]"),
+    ({"noise": {"preset": "custom", "n_sig": -1.0}},
+     "noise.n_sig: value -1.0 outside valid range [0.0, 100.0]"),
+])
+def test_cross_key_rules_read_only_values_that_validated(config, error):
+    """A key given an invalid value reports that alone: the isotope sum, grid
+    order, count bound and custom-noise rules do not run on a default put in
+    its place."""
+    assert errors_of(config) == [error]
+
+
+def test_resolved_keeps_given_values_in_preset_order_then_optional_keys_as_given():
+    cfg = validate_config({"noise": {"eta_as": 0.5, "n_sig": 1, "frames": 50},
+                           "cells": {"faraday": {"rb87_fraction": 1, "rb85_fraction": 0}}})
+    assert list(cfg.resolved["noise"]) == ["preset", "frames", "n_regions", "eta_as", "n_sig"]
+    assert list(cfg.resolved["cells"]["faraday"]) == list(CELL_KEYS)
+    assert cfg.resolved["cells"]["faraday"]["rb87_fraction"] == 1
+    assert type(cfg.resolved["cells"]["faraday"]["rb87_fraction"]) is int
+    assert type(cfg.cells["faraday"].rb87_fraction) is float
+    assert type(cfg.noise.n_sig) is float and cfg.noise.n_sig == 1.0
+
+
+def test_readme_config_example_resolves_to_the_preset():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    assert example["cells"]["faraday"]["geometry"] == "longitudinal"
+    assert validate_config(example) == validate_config({})
+    assert validate_config(example).resolved == validate_config({}).resolved
+
+
 def test_optimizer_box_checked_against_cell_ranges():
     with pytest.raises(ConfigError) as info:
         validate_config({"optimizer": {"box": {"t_abs_c": [0, 400], "b_far_mt": [1, 301],
@@ -126,7 +221,9 @@ def test_optimizer_box_checked_against_cell_ranges():
 
 
 @pytest.mark.parametrize("fom", [{"signal_detunings_ghz": [float("nan"), 7.8]},
-                                 {"noise_detunings_ghz": [1.0, float("inf")]}])
+                                 {"noise_detunings_ghz": [1.0, float("inf")]},
+                                 {"signal_detunings_ghz": [10**400, 7.8]},
+                                 {"noise_detunings_ghz": [1.0, -(10**400)]}])
 def test_detuning_pairs_must_be_finite(fom):
     with pytest.raises(ConfigError, match="must be finite"):
         validate_config({"fom": fom})

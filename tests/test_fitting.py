@@ -82,6 +82,14 @@ def test_fit_rejects_unknown_parameter(truth):
         fit_spectrum(meas, ["pressure_pa"], {"pressure_pa": 1.0}, TEMPLATE)
 
 
+def test_fit_rejects_a_free_parameter_listed_twice(truth):
+    meas = MeasuredSpectrum(GRID, truth)
+    with pytest.raises(ConfigError) as info:
+        fit_spectrum(meas, ["temperature_c", "b_field_mt", "temperature_c"],
+                     {"temperature_c": 95.0, "b_field_mt": 10.0}, TEMPLATE)
+    assert info.value.errors == ["fit: free parameter 'temperature_c' listed more than once"]
+
+
 def test_fit_rejects_missing_or_out_of_range_initial(truth):
     meas = MeasuredSpectrum(GRID, truth)
     with pytest.raises(ConfigError, match="no initial value"):

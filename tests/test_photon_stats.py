@@ -44,8 +44,6 @@ def test_layout_partner_is_mirror_and_involutive():
 def test_layout_validation():
     with pytest.raises(ConfigError):
         RegionLayout(n_regions=0)
-    with pytest.raises(ConfigError):
-        RegionLayout(region_area_mrad2=-1.0)
     with pytest.raises(DataError):
         RegionLayout(n_regions=5).partner(5)
 
