@@ -26,10 +26,9 @@ from .photon_stats import (
 )
 from .propagation import (
     FilterChain,
-    absorption_transmission,
+    cell_transmission,
     dual_filter,
     faraday_rotation,
-    faraday_transmission,
     jones_transfer,
     opaque_region_width,
     transmission_db,

@@ -37,10 +37,9 @@ from .lineshape import CELL_KEYS
 from .optimize import ChainParams, optimize
 from .photon_stats import analytic_pair_correlation, simulate_frames, summary_and_map
 from .propagation import (
-    absorption_transmission,
+    cell_transmission,
     dual_filter,
     faraday_rotation,
-    faraday_transmission,
     susceptibility,
     transmission_db,
 )
@@ -133,17 +132,11 @@ def cmd_spectrum(args) -> int:
     cfg = _load(args)
     cell = cfg.cells[args.cell]
     grid = cfg.grid()
-    columns = {}
-    if cell.geometry == "transverse":
-        t = absorption_transmission(cell, grid)
-    else:
-        spectrum = susceptibility(cell, grid)
-        t = faraday_transmission(spectrum, grid, extinction=cfg.wollaston_extinction)
-        theta, t_rot = faraday_rotation(spectrum, grid)
-        columns["rotation_rad"] = theta
-        columns["rotation_transmission"] = t_rot
+    spectrum = susceptibility(cell, grid)
+    t = cell_transmission(spectrum, grid, extinction=cfg.wollaston_extinction)
     out = {"transmission": t, "transmission_db": transmission_db(t)}
-    out.update(columns)
+    if cell.geometry == "longitudinal":
+        out["rotation_rad"], out["rotation_transmission"] = faraday_rotation(spectrum, grid)
     path = _outpath(args, f"spectrum_{args.cell}.csv")
     write_spectrum_csv(path, grid, out)
     print(path)

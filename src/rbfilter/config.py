@@ -33,8 +33,8 @@ _TEMPERATURE, _FIELD = CELL_KEYS["temperature_c"], CELL_KEYS["b_field_mt"]
 @dataclass(frozen=True)
 class Key:
     """What one non-cell config key accepts, read like lineshape.CellKey: a
-    number in [lo, hi] (bounds included; a None bound is open), an integer if
-    integer, or one of choices."""
+    number in [lo, hi] (bounds included), an integer if integer, or one of
+    choices."""
 
     lo: float | None = None
     hi: float | None = None
@@ -46,8 +46,8 @@ class Key:
 class Pair:
     """Two numbers in [lo, hi]; if ordered, the first may not exceed the second."""
 
-    lo: float | None = None
-    hi: float | None = None
+    lo: float
+    hi: float
     ordered: bool = False
 
 
@@ -60,7 +60,7 @@ SCHEMA = {
              "lo_ghz": Key(-1e4, 1e4), "hi_ghz": Key(-1e4, 1e4)},
     "cells": {"absorption": CELL_KEYS, "faraday": CELL_KEYS},
     "chain": {"wollaston_extinction": Key(0.0, 0.999)},
-    "fom": {"signal_detunings_ghz": Pair(), "noise_detunings_ghz": Pair(),
+    "fom": {"signal_detunings_ghz": Pair(-1e4, 1e4), "noise_detunings_ghz": Pair(-1e4, 1e4),
             "min_suppression_db": Key(1.0, 300.0)},
     "noise": {"preset": Key(choices=("filtered", "unfiltered", "custom")),
               "frames": Key(1, 10**8, integer=True), "n_regions": Key(1, 1000, integer=True),
@@ -148,14 +148,13 @@ def _number(v, leaf, path: str, errors: list[str], integer: bool = False) -> boo
     """Check one number against leaf's range, appending any problem to errors."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         errors.append(f"{path}: expected a number, got {type(v).__name__}")
-    elif isinstance(v, float) and not math.isfinite(v):
+    elif (isinstance(v, float) and not math.isfinite(v)
+          or not integer and abs(v) > sys.float_info.max):  # an int past the float range
         errors.append(f"{path}: must be finite")
     elif integer and int(v) != v:
         errors.append(f"{path}: expected an integer, got {v}")
-    elif leaf.lo is not None and v < leaf.lo or leaf.hi is not None and v > leaf.hi:
+    elif not leaf.lo <= v <= leaf.hi:
         errors.append(f"{path}: value {v} outside valid range [{leaf.lo}, {leaf.hi}]")
-    elif not integer and abs(v) > sys.float_info.max:  # an int past float on an open range
-        errors.append(f"{path}: must be finite")
     else:
         return True
     return False

@@ -16,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .lineshape import CELL_KEYS, CellConfig, TRANSVERSE
+from .lineshape import CELL_KEYS, CellConfig
 from .optimize import PAPER_OPTIMUM, build_cells
-from .propagation import absorption_transmission, faraday_transmission
+from .propagation import cell_transmission
 
 # Fit parameter -> its cell key.  A parameter named after the key is in config
 # units; one named after the CellConfig field (length_m) is in field units.
@@ -76,9 +76,7 @@ def _apply_params(template: CellConfig, values: dict[str, float]) -> CellConfig:
 
 def model_transmission(cell: CellConfig, grid_ghz) -> np.ndarray:
     """The observable the fit matches: the cell's own filter transmission."""
-    if cell.geometry == TRANSVERSE:
-        return absorption_transmission(cell, grid_ghz)
-    return faraday_transmission(cell, grid_ghz)
+    return cell_transmission(cell, grid_ghz)
 
 
 def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],

@@ -149,8 +149,11 @@ class ComplexSpectrum:
     """Per-mode complex susceptibility on one detuning grid.
 
     Modes are {'sigma+', 'sigma-'} for longitudinal cells and {'pi', 'sigma'}
-    for transverse ones ('sigma' is the incoherent average of sigma+ and sigma-,
-    valid when the filter is purely absorptive for the perpendicular component).
+    for transverse ones.  'sigma' is the average (chi_+ + chi_-)/2: it omits
+    the Voigt term eps_xy^2/eps_xx of the exact n_perp^2 = eps_xx + eps_xy^2/eps_xx.
+    On the reference 30 cm absorption cell at 300 mT the amplitude this gives
+    is off by at most 3.5e-5 in transmission and, where T > 1e-3, 5.6e-3 rad in
+    phase at 100 C; at 140 C, 1.7e-4 and 0.15 rad.
     """
 
     grid_ghz: np.ndarray
@@ -191,8 +194,8 @@ def _mode_strength_tables(lines: LineTable, geometry: str) -> dict[str, list[tup
     pi = lines.select("pi")
     if geometry == LONGITUDINAL:
         return {"sigma+": [sp], "sigma-": [sm]}
-    # Transverse: E parallel to B drives pi lines; E perpendicular is an equal
-    # incoherent mix of the two circular components.
+    # Transverse: E parallel to B drives pi lines; E perpendicular sees the
+    # average of the two circular components (ComplexSpectrum bounds its error).
     half = lambda pair: (pair[0], 0.5 * pair[1])
     return {"pi": [pi], "sigma": [half(sp), half(sm)]}
 

@@ -1,14 +1,21 @@
 """Beam propagation through magnetized Rb cells and polarizer chains.
 
-Longitudinal cells are treated coherently in the circular basis with amplitude
-transmissions t_pm = exp(i (omega L / 2c) chi_pm); the common vacuum phase is
-dropped.  Transverse cells act as pure absorbers for the two linear components
-(pi along B, sigma perpendicular), combined incoherently by the beam's angle to
-the field.  Every function and chain takes each cell as a CellConfig or as its
-precomputed ComplexSpectrum (which carries the cell), so chains that differ
-only in angles compute each susceptibility once.  Chains of polarizers and cells
-are evaluated left to right; a rotator cell's coherent output must be resolved
-by a polarizer (or the chain end, which measures total intensity).
+Every cell is a Jones element: per detuning, a 2x2 complex matrix in the lab
+x/y basis built from its mode amplitudes a_mode = exp(i (omega L / 2c) chi_mode)
+(the common vacuum phase is dropped).  A longitudinal cell is diagonal in the
+circular basis (sigma+, sigma-); a transverse cell is diagonal in the linear
+basis of its field (pi along B, sigma perpendicular), so light leaving it at an
+angle to the field is turned and made elliptical.  A chain of polarizers and
+cells is one walk, left to right, over the beam's (n, 2) complex amplitude.
+
+A polarizer of extinction eps passes |along|^2 + eps |across|^2 of the
+intensity and leaves the beam polarized along its axis: its leak is
+re-polarized, not a coherent sqrt(eps) amplitude.  That is exact at the final
+analyzer, which only measures intensity, and it keeps the dual filter
+light-direction-insensitive at any field angle and extinction; a coherent leak
+breaks that symmetry by O(eps).  Every function and chain takes each cell as a
+CellConfig or as its precomputed ComplexSpectrum (which carries the cell), so
+chains that differ only in angles compute each susceptibility once.
 """
 
 from __future__ import annotations
@@ -22,7 +29,6 @@ from .constants import C_LIGHT, REFERENCE
 from .errors import ConfigError, DataError
 from .lineshape import (
     LONGITUDINAL,
-    TRANSVERSE,
     CellConfig,
     ComplexSpectrum,
     _validate_grid,
@@ -52,34 +58,10 @@ def _spectrum(source: CellOrSpectrum, grid_ghz) -> ComplexSpectrum:
     return source
 
 
-def _require_geometry(cell: CellConfig, geometry: str, what: str):
-    if cell.geometry != geometry:
-        raise ConfigError([f"{what} needs a {geometry} cell, got {cell.geometry!r} ({cell.name})"])
-
-
 def absorption_coefficients(spec: ComplexSpectrum) -> dict[str, np.ndarray]:
     """Intensity absorption alpha_mode(Delta) in 1/m for every mode."""
     om = REFERENCE.detuning_to_omega(spec.grid_ghz)
     return {m: om / C_LIGHT * np.imag(spec.chi[m]) for m in spec.chi}
-
-
-def absorption_transmission(cell: CellOrSpectrum, grid_ghz,
-                            psi_rad: float | None = None) -> np.ndarray:
-    """Intensity transmission of a transverse-field absorption cell (or its spectrum).
-
-    psi_rad is the angle between the beam polarization and the field; the two
-    linear components attenuate independently:
-        T = cos^2(psi) exp(-alpha_pi L) + sin^2(psi) exp(-alpha_sigma L)
-    Defaults to the cell's configured polarization angle (pi/2: pure sigma).
-    """
-    spec = _spectrum(cell, grid_ghz)
-    cell = spec.cell
-    _require_geometry(cell, TRANSVERSE, "absorption_transmission")
-    psi = cell.polarization_angle_rad if psi_rad is None else psi_rad
-    alpha = absorption_coefficients(spec)
-    t_pi = np.exp(-alpha["pi"] * cell.length_m)
-    t_sg = np.exp(-alpha["sigma"] * cell.length_m)
-    return math.cos(psi) ** 2 * t_pi + math.sin(psi) ** 2 * t_sg
 
 
 def faraday_rotation(cell: CellOrSpectrum, grid_ghz):
@@ -93,7 +75,9 @@ def faraday_rotation(cell: CellOrSpectrum, grid_ghz):
     """
     spec = _spectrum(cell, grid_ghz)
     cell = spec.cell
-    _require_geometry(cell, LONGITUDINAL, "faraday_rotation")
+    if cell.geometry != LONGITUDINAL:
+        raise ConfigError([f"faraday_rotation needs a {LONGITUDINAL} cell, "
+                           f"got {cell.geometry!r} ({cell.name})"])
     om = REFERENCE.detuning_to_omega(spec.grid_ghz)
     theta = om * cell.length_m / (4.0 * C_LIGHT) * (
         np.real(spec.chi["sigma+"]) - np.real(spec.chi["sigma-"])
@@ -105,32 +89,33 @@ def faraday_rotation(cell: CellOrSpectrum, grid_ghz):
 
 def jones_transfer(cell: CellOrSpectrum, grid_ghz) -> np.ndarray:
     """2x2 complex transfer matrices, shape (n, 2, 2) in the lab x/y basis, of a
-    longitudinal cell (or its spectrum)."""
+    cell (or its spectrum), built from the mode amplitudes a_mode = exp(i k chi_mode).
+
+    A longitudinal cell is diagonal in the circular basis (a_+, a_-).  A
+    transverse cell is R(-phi) diag(a_pi, a_sigma) R(phi): diagonal in the
+    linear basis of its field, which lies at phi = polarization_angle_rad.
+    """
     spec = _spectrum(cell, grid_ghz)
     cell = spec.cell
-    _require_geometry(cell, LONGITUDINAL, "jones_transfer")
     k = REFERENCE.detuning_to_omega(spec.grid_ghz) * cell.length_m / (2.0 * C_LIGHT)
-    tp = np.exp(1j * k * spec.chi["sigma+"])
-    tm = np.exp(1j * k * spec.chi["sigma-"])
-    s = 0.5 * (tp + tm)
-    d = 0.5j * (tp - tm)
     mats = np.empty((spec.grid_ghz.size, 2, 2), dtype=complex)
-    mats[:, 0, 0] = s
-    mats[:, 0, 1] = -d
-    mats[:, 1, 0] = d
-    mats[:, 1, 1] = s
+    if cell.geometry == LONGITUDINAL:
+        tp = np.exp(1j * k * spec.chi["sigma+"])
+        tm = np.exp(1j * k * spec.chi["sigma-"])
+        s = 0.5 * (tp + tm)
+        d = 0.5j * (tp - tm)
+        mats[:, 0, 0] = s
+        mats[:, 0, 1] = -d
+        mats[:, 1, 0] = d
+        mats[:, 1, 1] = s
+    else:
+        a_pi = np.exp(1j * k * spec.chi["pi"])
+        a_sg = np.exp(1j * k * spec.chi["sigma"])
+        c, s = math.cos(cell.polarization_angle_rad), math.sin(cell.polarization_angle_rad)
+        mats[:, 0, 0] = c * c * a_pi + s * s * a_sg
+        mats[:, 0, 1] = mats[:, 1, 0] = c * s * (a_pi - a_sg)
+        mats[:, 1, 1] = s * s * a_pi + c * c * a_sg
     return mats
-
-
-def faraday_transmission(cell: CellOrSpectrum, grid_ghz, extinction: float = 0.0) -> np.ndarray:
-    """Transmission through polarizer / rotator cell (or its spectrum) / crossed analyzer.
-
-    extinction adds the analyzer's leak of the rejected (parallel) component.
-    """
-    if not 0.0 <= extinction < 1.0:
-        raise ConfigError([f"extinction must lie in [0, 1), got {extinction}"])
-    out = jones_transfer(cell, grid_ghz)[:, :, 0]  # the cell's output for x-polarized input
-    return np.abs(out[:, 1]) ** 2 + extinction * np.abs(out[:, 0]) ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -151,55 +136,34 @@ def cascade(elements, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
     """Intensity transmission of a chain of Polarizers and cells, each cell a
     CellConfig or its ComplexSpectrum on grid_ghz.
 
-    The beam enters linearly polarized at input_angle_rad (lab frame).  The
-    walk keeps an intensity factor and the current polarization angle.  A
-    transverse cell absorbs at the beam's angle to its field, whose angle is
-    the cell's polarization_angle_rad.  A longitudinal cell switches to a
-    coherent amplitude pair until the next polarizer projects it back (chain
-    may also end there, measuring total intensity).
+    The beam enters linearly polarized at input_angle_rad (lab frame) and the
+    walk carries its (n, 2) complex amplitude from left to right: each cell
+    applies its jones_transfer matrices, and each polarizer keeps
+    |along|^2 + extinction |across|^2 of the intensity and leaves the beam
+    polarized along its axis.  The chain's transmission is the amplitude's
+    total intensity at the end (the chain may end on a cell).  That leak model
+    is exact at the final analyzer and keeps the dual filter
+    light-direction-insensitive at any angle and extinction.
     """
     grid = _validate_grid(grid_ghz)
     elements = list(elements)
     if not elements:
         raise ConfigError(["filter chain has no elements"])
 
-    t_total = np.ones(grid.shape)
-    angle = float(input_angle_rad)
-    amp: np.ndarray | None = None  # (n, 2) complex while inside a coherent segment
-
+    amp = np.empty((grid.size, 2), dtype=complex)
+    amp[:] = (math.cos(input_angle_rad), math.sin(input_angle_rad))
     for el in elements:
         if isinstance(el, Polarizer):
-            ax = np.array([math.cos(el.axis_angle_rad), math.sin(el.axis_angle_rad)])
-            perp = np.array([-ax[1], ax[0]])
-            if amp is None:
-                delta = angle - el.axis_angle_rad
-                t_total = t_total * (math.cos(delta) ** 2 + el.extinction * math.sin(delta) ** 2)
-            else:
-                along = amp @ ax.astype(complex)
-                leak = amp @ perp.astype(complex)
-                t_total = t_total * (np.abs(along) ** 2 + el.extinction * np.abs(leak) ** 2)
-                amp = None
-            angle = el.axis_angle_rad
-            continue
-        if not isinstance(el, CellOrSpectrum):
-            raise ConfigError([f"unknown chain element {type(el).__name__}"])
-        spec = _spectrum(el, grid)
-        if spec.cell.geometry == TRANSVERSE:
-            if amp is not None:
-                raise ConfigError(
-                    ["rotator cell output must pass a polarizer before an absorption cell"]
-                )
-            psi = angle - spec.cell.polarization_angle_rad
-            t_total = t_total * absorption_transmission(spec, grid, psi_rad=psi)
+            c, s = math.cos(el.axis_angle_rad), math.sin(el.axis_angle_rad)
+            along = c * amp[:, 0] + s * amp[:, 1]
+            across = c * amp[:, 1] - s * amp[:, 0]
+            intensity = np.abs(along) ** 2 + el.extinction * np.abs(across) ** 2
+            amp = np.sqrt(intensity)[:, None] * np.array([c, s])
+        elif isinstance(el, CellOrSpectrum):
+            amp = np.einsum("nij,nj->ni", jones_transfer(el, grid), amp)
         else:
-            if amp is None:
-                amp = np.broadcast_to(np.array([math.cos(angle), math.sin(angle)], dtype=complex),
-                                      (grid.size, 2))
-            amp = np.einsum("nij,nj->ni", jones_transfer(spec, grid), amp)
-
-    if amp is not None:
-        t_total = t_total * (np.abs(amp) ** 2).sum(axis=1)
-    return t_total
+            raise ConfigError([f"unknown chain element {type(el).__name__}"])
+    return (np.abs(amp) ** 2).sum(axis=1)
 
 
 @dataclass
@@ -228,6 +192,20 @@ def dual_filter(absorption: CellOrSpectrum, faraday: CellOrSpectrum,
         faraday,
         Polarizer(math.pi / 2.0, extinction),
     ])
+
+
+def cell_transmission(cell: CellOrSpectrum, grid_ghz, extinction: float = 0.0) -> np.ndarray:
+    """The filter transmission of one cell (or its spectrum), beam entering along x.
+
+    A transverse cell stands alone, so with its field at psi to the beam it
+    passes cos^2(psi) T_pi + sin^2(psi) T_sigma.  A longitudinal cell sits
+    before a crossed analyzer, whose extinction leaks the parallel component
+    (a transverse cell has no analyzer, so extinction does not apply to it).
+    """
+    spec = _spectrum(cell, grid_ghz)
+    if spec.cell.geometry == LONGITUDINAL:
+        return cascade([spec, Polarizer(math.pi / 2.0, extinction)], grid_ghz)
+    return cascade([spec], grid_ghz)
 
 
 def opaque_region_width(grid_ghz, transmission, level: float = 0.5) -> float:

@@ -223,3 +223,17 @@ def covariance_central_differences(residuals, x: np.ndarray, span: np.ndarray) -
         jac[:, k] = (residuals(x + step) - residuals(x - step)) / (2.0 * h)
     s2 = float(r0 @ r0) / max(n - p, 1)
     return s2 * np.linalg.inv(jac.T @ jac)
+
+
+# ---------------------------------------------------------------------------
+# Voigt geometry (field perpendicular to the beam): the exact index of the
+# mode polarized perpendicular to B, from the dielectric tensor of the same
+# vapor.  With B along z, eps_xx = 1 + (chi_+ + chi_-)/2 and the gyrotropic
+# eps_xy = i (chi_+ - chi_-)/2; a wave travelling along x whose field lies in
+# the x-y plane sees n_perp^2 = eps_xx + eps_xy^2 / eps_xx.
+
+def voigt_perpendicular_chi(chi_plus, chi_minus) -> np.ndarray:
+    """n_perp^2 - 1, the exact susceptibility of the sigma mode of a transverse cell."""
+    eps_xx = 1.0 + 0.5 * (chi_plus + chi_minus)
+    eps_xy = 0.5j * (chi_plus - chi_minus)
+    return eps_xx + eps_xy ** 2 / eps_xx - 1.0

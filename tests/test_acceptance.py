@@ -34,9 +34,8 @@ from rbfilter.photon_stats import (
 )
 from rbfilter.propagation import (
     absorption_coefficients,
-    absorption_transmission,
+    cell_transmission,
     faraday_rotation,
-    faraday_transmission,
     jones_transfer,
     opaque_region_width,
 )
@@ -133,7 +132,7 @@ def test_criterion_04_absorption_width_grows_with_field():
     for b in np.linspace(5e-3, 0.12, 9):
         cell = CellConfig(temperature_k=333.15, b_field_t=b, geometry="transverse",
                           rb85_fraction=0.985, rb87_fraction=0.015)
-        widths.append(opaque_region_width(grid, absorption_transmission(cell, grid)))
+        widths.append(opaque_region_width(grid, cell_transmission(cell, grid)))
     dt = time.perf_counter() - t0
     monotone = all(a < b for a, b in zip(widths, widths[1:]))
     lo_ok = abs(widths[0] - 5.5) <= 0.2 * 5.5
@@ -165,7 +164,7 @@ def test_criterion_06_transmission_maxima_at_half_turn_rotations():
     counts = []
     for b in (0.04, 0.06, 0.08, 0.10, 0.12):
         cell = _faraday_cell(341.15, b)
-        t = faraday_transmission(cell, grid)
+        t = cell_transmission(cell, grid)
         theta, t_rot = faraday_rotation(cell, grid)
         selected = [i for i in argrelmax(t, order=2)[0]
                     if t[i] > 0.5 and t_rot[i] > 0.5]

@@ -320,6 +320,16 @@ def test_exit_2_on_nan_detuning(tmp_path):
     assert run("constants", "--out", str(tmp_path), "--config", str(cfg)) == 2
 
 
+def test_exit_2_on_detuning_outside_the_grid_range(tmp_path, capsys):
+    """A huge detuning is a config error, not an overflow in the search."""
+    cfg = tmp_path / "far.json"
+    cfg.write_text(json.dumps({"fom": {"signal_detunings_ghz": [1e300, 7.8]}}))
+    assert run("optimize", "--out", str(tmp_path), "--config", str(cfg)) == 2
+    assert ("config error: fom.signal_detunings_ghz: value 1e+300 outside valid range"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "optimize.json").exists()
+
+
 def test_exit_2_on_frame_arrays_past_the_count_bound(tmp_path, capsys):
     cfg = tmp_path / "frames.json"
     cfg.write_text(json.dumps({"noise": {"frames": 10**8, "n_regions": 1000}}))

@@ -9,20 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import hilbert
 
+from rbfilter.constants import C_LIGHT, REFERENCE
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.lineshape import CELL_KEYS, CellConfig, default_grid, susceptibility
 from rbfilter.optimize import ChainParams, build_cells
 from rbfilter.propagation import (
     Polarizer,
-    absorption_transmission,
     cascade,
+    cell_transmission,
     dual_filter,
     faraday_rotation,
-    faraday_transmission,
     jones_transfer,
     opaque_region_width,
     transmission_db,
 )
+
+from oracles import voigt_perpendicular_chi
 
 GRID = default_grid(301, -12.0, 12.0)
 
@@ -103,15 +105,16 @@ def _cells(draw, geometry):
 @given(absorption=_cells("transverse"), far=_cells("longitudinal"),
        extinction=st.floats(0.0, 0.999))
 def test_jones_matrices_passive(absorption, far, extinction):
-    """Over the whole valid config space the Faraday cell's Jones matrices are
-    passive and every transmission lies in [0, 1]."""
+    """Over the whole valid config space the Jones matrices of cells of both
+    geometries are passive and every transmission lies in [0, 1]."""
     with np.errstate(all="raise", under="ignore"):
         abs_spec, far_spec = susceptibility(absorption, GRID), susceptibility(far, GRID)
-        s_max = np.linalg.svd(jones_transfer(far_spec, GRID), compute_uv=False).max()
-        transmissions = (absorption_transmission(abs_spec, GRID),
-                         faraday_transmission(far_spec, GRID, extinction=extinction),
+        s_max = [np.linalg.svd(jones_transfer(spec, GRID), compute_uv=False).max()
+                 for spec in (abs_spec, far_spec)]
+        transmissions = (cell_transmission(abs_spec, GRID),
+                         cell_transmission(far_spec, GRID, extinction=extinction),
                          dual_filter(abs_spec, far_spec, extinction=extinction).transmission(GRID))
-    assert s_max <= 1.0 + 1e-12
+    assert max(s_max) <= 1.0 + 1e-12
     for t in transmissions:
         assert np.all((t >= 0.0) & (t <= 1.0 + 1e-12))
 
@@ -125,32 +128,92 @@ def test_zero_density_chain_is_transparent():
 
 def test_faraday_transmission_extinction_floor():
     cell = _faraday_cell()
-    t0 = faraday_transmission(cell, GRID, extinction=0.0)
-    t5 = faraday_transmission(cell, GRID, extinction=1e-5)
+    t0 = cell_transmission(cell, GRID, extinction=0.0)
+    t5 = cell_transmission(cell, GRID, extinction=1e-5)
     assert np.all(t5 >= t0)
     assert np.max(t5 - t0) <= 1e-5 + 1e-12
     with pytest.raises(ConfigError):
-        faraday_transmission(cell, GRID, extinction=1.0)
+        cell_transmission(cell, GRID, extinction=1.0)
 
 
 def test_absorption_transmission_polarization_mix():
+    """A transverse cell alone passes cos^2(psi) T_pi + sin^2(psi) T_sigma."""
     cell = CellConfig(temperature_k=353.15, b_field_t=1e-2, geometry="transverse")
-    t_pi = absorption_transmission(cell, GRID, psi_rad=0.0)
-    t_sigma = absorption_transmission(cell, GRID, psi_rad=math.pi / 2)
-    t_mix = absorption_transmission(cell, GRID, psi_rad=math.pi / 4)
+
+    def at(psi):
+        return cell_transmission(replace(cell, polarization_angle_rad=psi), GRID)
+
+    t_pi, t_sigma, t_mix = at(0.0), at(math.pi / 2), at(math.pi / 4)
     assert np.allclose(t_mix, 0.5 * (t_pi + t_sigma), rtol=0, atol=1e-12)
     assert np.all((t_pi >= 0) & (t_pi <= 1.0 + 1e-12))
 
 
 def test_geometry_mismatch_raises():
-    transverse = CellConfig(geometry="transverse")
-    longitudinal = _faraday_cell()
     with pytest.raises(ConfigError):
-        faraday_rotation(transverse, GRID)
-    with pytest.raises(ConfigError):
-        absorption_transmission(longitudinal, GRID)
-    with pytest.raises(ConfigError):
-        jones_transfer(susceptibility(transverse, GRID), GRID)
+        faraday_rotation(CellConfig(geometry="transverse"), GRID)
+
+
+def _amplitudes(spec):
+    """Each mode's amplitude transmission exp(i k chi_mode), k = omega L / 2c."""
+    k = REFERENCE.detuning_to_omega(spec.grid_ghz) * spec.cell.length_m / (2.0 * C_LIGHT)
+    return {mode: np.exp(1j * k * chi) for mode, chi in spec.chi.items()}
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell=_cells("transverse"), axis_rad=st.floats(-math.pi, math.pi),
+       extinction=st.floats(0.0, 0.999))
+def test_transverse_cell_between_parallel_polarizers(cell, axis_rad, extinction):
+    """Between parallel polarizers at psi to its field a transverse cell passes
+    |cos^2 psi a_pi + sin^2 psi a_sigma|^2 + eps |sin psi cos psi (a_pi - a_sigma)|^2:
+    the light it turns toward its less-absorbed axis meets the second polarizer."""
+    spec = susceptibility(cell, GRID)
+    got = cascade([Polarizer(axis_rad, extinction), spec, Polarizer(axis_rad, extinction)], GRID,
+                  input_angle_rad=axis_rad)
+    a = _amplitudes(spec)
+    psi = axis_rad - cell.polarization_angle_rad
+    c, s = math.cos(psi), math.sin(psi)
+    want = (np.abs(c * c * a["pi"] + s * s * a["sigma"]) ** 2
+            + extinction * np.abs(s * c * (a["pi"] - a["sigma"])) ** 2)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(cells=st.lists(st.one_of(_cells("transverse"), _cells("longitudinal")),
+                      min_size=1, max_size=3),
+       polarizers=st.lists(st.tuples(st.floats(-math.pi, math.pi), st.floats(0.0, 0.999)),
+                           min_size=1, max_size=4),
+       input_angle_rad=st.floats(-math.pi, math.pi), data=st.data())
+def test_zero_density_cells_leave_malus_law(cells, polarizers, input_angle_rad, data):
+    """Cells with no atoms, of either geometry and anywhere in the chain, leave
+    the product over the polarizers of cos^2(delta) + eps sin^2(delta)."""
+    chain = [Polarizer(angle, eps) for angle, eps in polarizers]
+    for cell in cells:
+        empty = replace(cell, rb85_fraction=0.0, rb87_fraction=0.0)
+        chain.insert(data.draw(st.integers(0, len(chain))), empty)
+    want, angle = 1.0, input_angle_rad
+    for axis, eps in polarizers:
+        want *= math.cos(angle - axis) ** 2 + eps * math.sin(angle - axis) ** 2
+        angle = axis
+    got = cascade(chain, GRID, input_angle_rad=input_angle_rad)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("temperature_c, bound_t, bound_phase_rad",
+                         [(100.0, 3.5e-5, 5.6e-3), (140.0, 1.7e-4, 0.15)])
+def test_sigma_mode_approximation_bound(temperature_c, bound_t, bound_phase_rad):
+    """The transverse cell's sigma mode, (chi_+ + chi_-)/2, against the exact
+    n_perp^2 = eps_xx + eps_xy^2/eps_xx at 300 mT: the bound ComplexSpectrum states."""
+    grid = default_grid()
+    cell, _ = build_cells(ChainParams(temperature_c, 100.0, 0.3, 1e-2))
+    assert cell.polarization_angle_rad == pytest.approx(math.pi / 2)
+    approx = jones_transfer(cell, grid)[:, 0, 0]  # field along y: x is the sigma mode
+    circular = susceptibility(replace(cell, geometry="longitudinal"), grid)
+    exact_chi = voigt_perpendicular_chi(circular.chi["sigma+"], circular.chi["sigma-"])
+    exact = _amplitudes(replace(circular, chi={"sigma": exact_chi}))["sigma"]
+    t_exact = np.abs(exact) ** 2
+    assert np.max(np.abs(np.abs(approx) ** 2 - t_exact)) <= bound_t
+    seen = t_exact > 1e-3
+    assert np.max(np.abs(np.angle(approx[seen] / exact[seen]))) <= bound_phase_rad
 
 
 # ---------------------------------------------------------------------------
@@ -173,13 +236,8 @@ def test_cascade_rotator_between_crossed_polarizers_matches_jones():
     cell = _faraday_cell()
     chain = [Polarizer(0.0, extinction=0.0), cell, Polarizer(math.pi / 2.0, extinction=0.0)]
     t_chain = cascade(chain, GRID)
-    t_direct = faraday_transmission(cell, GRID, extinction=0.0)
+    t_direct = np.abs(jones_transfer(cell, GRID)[:, 1, 0]) ** 2
     assert np.allclose(t_chain, t_direct, rtol=0, atol=1e-14)
-
-
-def test_cascade_rejects_unpolarized_rotator_output_into_absorber():
-    with pytest.raises(ConfigError):
-        cascade([Polarizer(0.0), _faraday_cell(), CellConfig(geometry="transverse")], GRID)
 
 
 def test_cascade_open_ended_rotator_conserves_intensity():
@@ -207,20 +265,19 @@ def test_dual_filter_composes_both_cells():
     assert t.shape == GRID.shape
     assert np.all((t >= 0.0) & (t <= 1.0 + 1e-9))
     # chain is strictly tighter than the Faraday stage alone
-    t_far = faraday_transmission(far, GRID, extinction=1e-5)
+    t_far = cell_transmission(far, GRID, extinction=1e-5)
     assert np.all(t <= t_far + 1e-9)
     # precomputed spectra give the same bytes; a spectrum on another grid is refused
     abs_spec, far_spec = susceptibility(absorption, GRID), susceptibility(far, GRID)
     assert dual_filter(abs_spec, far_spec).transmission(GRID).tobytes() == t.tobytes()
-    assert absorption_transmission(abs_spec, GRID).tobytes() == \
-        absorption_transmission(absorption, GRID).tobytes()
-    assert faraday_transmission(far_spec, GRID).tobytes() == \
-        faraday_transmission(far, GRID).tobytes()
+    for cell, spec in ((absorption, abs_spec), (far, far_spec)):
+        assert cell_transmission(spec, GRID).tobytes() == cell_transmission(cell, GRID).tobytes()
     uses = (lambda g: dual_filter(abs_spec, far_spec).transmission(g),
-            lambda g: absorption_transmission(abs_spec, g),
+            lambda g: cell_transmission(abs_spec, g),
             lambda g: faraday_rotation(far_spec, g),
+            lambda g: jones_transfer(abs_spec, g),
             lambda g: jones_transfer(far_spec, g),
-            lambda g: faraday_transmission(far_spec, g))
+            lambda g: cell_transmission(far_spec, g))
     for use in uses:
         with pytest.raises(DataError, match="another detuning grid"):
             use(GRID[::2])
