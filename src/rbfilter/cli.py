@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
 import numpy as np
@@ -40,6 +39,7 @@ from .propagation import (
     cell_transmission,
     dual_filter,
     faraday_rotation,
+    susceptibilities,
     susceptibility,
     transmission_db,
 )
@@ -80,7 +80,6 @@ def _outpath(args, name: str) -> str:
 def cmd_constants(args) -> int:
     cfg = _load(args)
     doc = {
-        "version": __version__,
         "reference_frequency_thz": REFERENCE.reference_frequency_hz * 1e-12,
         "reference_detunings_ghz": {
             "stokes": DEFAULT_DETUNINGS.stokes,
@@ -103,9 +102,7 @@ def cmd_constants(args) -> int:
     temp = cfg.cells["absorption"].effective_temperature_k
     doc["vapor_pressure_pa_at_config_temperature"] = vapor_pressure_pa(temp)
     path = _outpath(args, "constants.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json_report(path, doc, cfg.resolved)
     print(path)
     return 0
 
@@ -150,7 +147,7 @@ def cmd_cascade(args) -> int:
     faraday = cfg.cells["faraday"]
     if args.psi_sweep:
         # the angle moves no line, so both susceptibilities serve every column
-        abs_spec, far_spec = susceptibility(absorption, grid), susceptibility(faraday, grid)
+        abs_spec, far_spec = susceptibilities([absorption, faraday], grid)
         to_rad = CELL_KEYS["polarization_angle_deg"].to_field
         columns = {}
         for deg in PSI_SWEEP_DEG:

@@ -32,6 +32,7 @@ from .lineshape import (
     CellConfig,
     ComplexSpectrum,
     _validate_grid,
+    susceptibilities,
     susceptibility,
 )
 
@@ -136,6 +137,8 @@ def cascade(elements, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
     """Intensity transmission of a chain of Polarizers and cells, each cell a
     CellConfig or its ComplexSpectrum on grid_ghz.
 
+    The CellConfig elements get their susceptibilities from one
+    susceptibilities call, so the chain is one Voigt block per grid slice.
     The beam enters linearly polarized at input_angle_rad (lab frame) and the
     walk carries its (n, 2) complex amplitude from left to right: each cell
     applies its jones_transfer matrices, and each polarizer keeps
@@ -150,9 +153,12 @@ def cascade(elements, grid_ghz, input_angle_rad: float = 0.0) -> np.ndarray:
     if not elements:
         raise ConfigError(["filter chain has no elements"])
 
+    computed = iter(susceptibilities([el for el in elements if isinstance(el, CellConfig)], grid))
     amp = np.empty((grid.size, 2), dtype=complex)
     amp[:] = (math.cos(input_angle_rad), math.sin(input_angle_rad))
     for el in elements:
+        if isinstance(el, CellConfig):
+            el = next(computed)
         if isinstance(el, Polarizer):
             c, s = math.cos(el.axis_angle_rad), math.sin(el.axis_angle_rad)
             along = c * amp[:, 0] + s * amp[:, 1]

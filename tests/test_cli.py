@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rbfilter
-from rbfilter import cli, propagation
+from rbfilter import cli, lineshape, propagation
 from rbfilter.config import load_config
 from rbfilter.fitting import model_transmission
 from rbfilter.io import read_spectrum_csv, write_spectrum_csv
@@ -37,6 +37,20 @@ def test_constants_command(tmp_path):
     assert set(doc["isotopes"]) == {"Rb85", "Rb87"}
     assert doc["isotopes"]["Rb87"]["nuclear_spin"] == 1.5
     assert doc["vapor_pressure_pa_at_config_temperature"] > 0
+
+
+def test_constants_report_carries_the_config_and_its_hash(tmp_path):
+    """The vapor pressure depends on the config, so the report says which config."""
+    docs = []
+    for temperature_c in (100.0, 120.0):
+        cfg = tmp_path / f"cfg_{temperature_c:g}.json"
+        cfg.write_text(json.dumps({"cells": {"absorption": {"temperature_c": temperature_c}}}))
+        out = tmp_path / f"out_{temperature_c:g}"
+        assert run("constants", "--config", str(cfg), "--out", str(out)) == 0
+        docs.append(json.loads((out / "constants.json").read_text()))
+    assert [doc["config"]["cells"]["absorption"]["temperature_c"] for doc in docs] == [100.0, 120.0]
+    assert docs[0]["config_hash"] != docs[1]["config_hash"]
+    assert docs[0]["version"] == rbfilter.__version__
 
 
 def test_lines_command_writes_one_file_per_present_isotope(tmp_path):
@@ -102,17 +116,20 @@ def test_cascade_psi_sweep_columns_match_cascade_at_each_angle(tmp_path):
 
 
 def test_cascade_psi_sweep_computes_each_susceptibility_once(tmp_path, monkeypatch):
-    cells = []
-    real = propagation.susceptibility
+    """Both cells in one susceptibilities call (one Voigt block), shared by every angle."""
+    calls = []
+    real = lineshape.susceptibilities
 
-    def counting(cell, grid_ghz, *args, **kwargs):
-        cells.append(cell.name)
-        return real(cell, grid_ghz, *args, **kwargs)
+    def counting(cells, grid_ghz):
+        cells = list(cells)
+        calls.append([cell.name for cell in cells])
+        return real(cells, grid_ghz)
 
-    monkeypatch.setattr(cli, "susceptibility", counting)
-    monkeypatch.setattr(propagation, "susceptibility", counting)
+    # lineshape.susceptibility goes through lineshape.susceptibilities, so this sees it too
+    for module in (cli, propagation, lineshape):
+        monkeypatch.setattr(module, "susceptibilities", counting)
     assert run("cascade", "--out", str(tmp_path), "--grid-points", "51", "--psi-sweep") == 0
-    assert sorted(cells) == ["absorption", "faraday"]
+    assert [names for names in calls if names] == [["absorption", "faraday"]]
 
 
 def test_spectrum_faraday_computes_one_susceptibility(tmp_path, monkeypatch):
@@ -265,19 +282,36 @@ def test_importing_the_cli_loads_no_thread_pool():
     assert "concurrent.futures" not in modules_loaded_by()
 
 
-@pytest.mark.parametrize("argv", [["constants"], ["lines"], ["photon-sim", "--frames-csv"]],
-                         ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", [
+    pytest.param(["constants"], id="constants"),
+    pytest.param(["lines"], id="lines"),
+    pytest.param(["photon-sim", "--frames-csv"], id="photon-sim"),
+    pytest.param(["spectrum", "--cell", "absorption"], id="spectrum-absorption"),
+    pytest.param(["spectrum", "--cell", "faraday"], id="spectrum-faraday"),
+    pytest.param(["cascade"], id="cascade"),
+    pytest.param(["cascade", "--psi-sweep"], id="cascade-psi-sweep"),
+])
 def test_commands_that_need_no_scipy_load_none(tmp_path, argv):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"noise": {"frames": 2000}}))
+    cfg.write_text(json.dumps({"noise": {"frames": 2000}, "grid": {"points": 101}}))
     assert scipy_loaded_by(*argv, "--config", str(cfg), "--out", str(tmp_path)) == set()
 
 
-@pytest.mark.parametrize("argv", [["spectrum", "--cell", "faraday"], ["cascade", "--psi-sweep"]],
-                         ids=lambda a: a[0])
-def test_spectra_load_no_scipy_optimize(tmp_path, argv):
-    loaded = scipy_loaded_by(*argv, "--grid-points", "101", "--out", str(tmp_path))
-    assert not {m for m in loaded if m.startswith("scipy.optimize")}
+@pytest.mark.parametrize("buffer_pressure_pa", [0.0, 1e6])
+@pytest.mark.parametrize("b_field_mt", [0.0, 300.0])
+def test_extreme_cells_on_the_widest_grid_exit_0(tmp_path, b_field_mt, buffer_pressure_pa):
+    """20 C cells on the +-1e4 GHz grid put |Re z| near 3.5e4, and 1e6 Pa of
+    buffer gas Im z near 2e2: under the CLI's errstate the Faddeeva kernel
+    must stay finite and raise nothing."""
+    cell = {"temperature_c": 20.0, "b_field_mt": b_field_mt, "buffer_pressure_pa": buffer_pressure_pa}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"points": 401, "lo_ghz": -1e4, "hi_ghz": 1e4},
+                               "cells": {"absorption": cell, "faraday": cell}}))
+    for argv, name in ((["cascade", "--psi-sweep"], "cascade_psi_sweep.csv"),
+                       (["spectrum", "--cell", "faraday"], "spectrum_faraday.csv")):
+        assert run(*argv, "--config", str(cfg), "--out", str(tmp_path)) == 0
+        _, cols = read_spectrum_csv(str(tmp_path / name))
+        assert all(np.all(np.isfinite(col)) for col in cols.values())
 
 
 # ------------------------------------------------------------- exit codes

@@ -13,6 +13,7 @@ from rbfilter.lineshape import (
     default_grid,
     doppler_sigma_ghz,
     faddeeva,
+    susceptibilities,
     susceptibility,
     voigt_profile,
 )
@@ -59,6 +60,50 @@ def test_faddeeva_reflection_consistency():
     # scale by the summand size: the identity can cancel to near zero
     scale = np.abs(faddeeva(-z)) + np.abs(rhs)
     assert np.max(np.abs(lhs - rhs) / scale) < 1e-13
+
+
+WOFZ_TOL = 1e-13
+
+
+def test_faddeeva_matches_wofz():
+    """The NumPy kernel against scipy.special.wofz wherever the lineshape can
+    reach; run with -s to print the worst relative error next to the tolerance."""
+    from scipy.special import wofz
+
+    rng = np.random.default_rng(17)
+    n = 20000
+    theta = rng.uniform(-math.pi, math.pi, n)
+    samples = {
+        # Im z 1e-6 .. 1e2, |Re z| up to 3.5e4: a 20 C cell at the grid's 1e4 GHz edge
+        "upper half-plane": (rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-3, math.log10(3.5e4), n)
+                             + 1j * 10 ** rng.uniform(-6, 2, n)),
+        "lower strip -5 <= Im z < 0": rng.uniform(-30.0, 30.0, n) + 1j * rng.uniform(-5.0, 0.0, n),
+        "just inside |z| = R": lineshape._FAR_RADIUS * (1 - 1e-12) * np.exp(1j * theta),
+        "just outside |z| = R": lineshape._FAR_RADIUS * (1 + 1e-12) * np.exp(1j * theta),
+        "z = 0 and z = i": np.array([0.0, 1j]),
+    }
+    worst = {}
+    for name, z in samples.items():
+        want = wofz(z)
+        # below the real axis w is the difference 2 exp(-z^2) - w(-z), and it has
+        # zeros (the first near +-1.99 - 1.35i): there the error is taken relative
+        # to the larger summand, since neither kernel knows the difference better
+        # (at 4.818 - 4.479i, where |w| is 1e-2 of the summand, wofz is 7.2e-13
+        # from the mpmath value and this kernel 1.1e-13)
+        scale, lower = np.abs(want), z.imag < 0
+        scale[lower] = np.maximum(scale[lower], 2.0 * np.abs(np.exp(-z[lower] ** 2)))
+        worst[name] = float(np.max(np.abs(faddeeva(z) - want) / scale))
+    print(f"faddeeva vs wofz: worst rel {max(worst.values()):.2e} (tol {WOFZ_TOL:.0e}); "
+          + ", ".join(f"{name} {rel:.1e}" for name, rel in worst.items()))
+    assert max(worst.values()) <= WOFZ_TOL, worst
+
+
+def test_faddeeva_of_huge_finite_z_is_finite_and_silent():
+    z = np.array([1e200, 1e200j, 1e200 + 1e200j, -1e200 + 1e-300j])
+    with np.errstate(over="raise", invalid="raise"):
+        w = faddeeva(z)
+    assert np.all(np.isfinite(w))
+    np.testing.assert_allclose(w, 1j / (math.sqrt(math.pi) * z), rtol=1e-15)
 
 
 def test_faddeeva_rejects_non_finite():
@@ -180,15 +225,21 @@ def test_susceptibility_looks_up_faddeeva_at_call_time(monkeypatch):
     assert sum(points) == n_lines * 51
 
 
-def _largest_line_group() -> int:
-    """Most lines one Voigt block of susceptibility holds, over both isotopes,
-    both geometries and the field range."""
-    return max(len(zeeman_lines(name, b, geometry).select(pol)[0])
-               for name in ("Rb85", "Rb87") for geometry in ("longitudinal", "transverse")
-               for b in (0.0, 1e-2, 0.3) for pol in ("sigma+", "sigma-", "pi"))
+def _n_lines(cell: CellConfig) -> int:
+    """Lines in the Voigt block of one cell (a longitudinal cell drops its pi lines)."""
+    return sum(len(zeeman_lines(name, cell.b_field_t, cell.geometry).select(pol)[0])
+               for name in ("Rb85", "Rb87") if cell.fraction(name) > 0.0
+               for pol in ("sigma+", "sigma-", "pi")
+               if cell.geometry == "transverse" or pol != "pi")
 
 
-def test_susceptibility_evaluates_the_grid_in_bounded_slices(monkeypatch):
+_CHAIN = (CellConfig(name="absorption", temperature_k=373.15, b_field_t=1e-2, geometry="transverse",
+                     rb85_fraction=0.985, rb87_fraction=0.015),
+          CellConfig(name="faraday", temperature_k=375.15, b_field_t=1e-2, geometry="longitudinal",
+                     rb85_fraction=0.0, rb87_fraction=1.0))
+
+
+def _recording_faddeeva(monkeypatch) -> list:
     shapes = []
     real = lineshape.faddeeva
 
@@ -197,26 +248,59 @@ def test_susceptibility_evaluates_the_grid_in_bounded_slices(monkeypatch):
         return real(z)
 
     monkeypatch.setattr(lineshape, "faddeeva", recording)
-    cell = CellConfig(temperature_k=373.15, b_field_t=1e-2, geometry="transverse")
-    grid = default_grid(2 * lineshape.GRID_SLICE + 5)  # two full slices and a short one
-    sliced = susceptibility(cell, grid)
-    assert max(n * points for n, points in shapes) <= _largest_line_group() * lineshape.GRID_SLICE
-    n_lines = sum(zeeman_lines(name, cell.b_field_t, cell.geometry).n_lines
-                  for name in ("Rb85", "Rb87"))
-    assert sum(n * points for n, points in shapes) == n_lines * grid.size
-    # each grid column is summed on its own: one block gives the same bytes
-    monkeypatch.setattr(lineshape, "GRID_SLICE", grid.size)
-    whole = susceptibility(cell, grid)
-    for mode in sliced.modes:
-        assert sliced.chi[mode].tobytes() == whole.chi[mode].tobytes()
+    return shapes
 
 
-def test_voigt_block_is_bounded_on_the_largest_accepted_grid():
-    """The config accepts grid.points up to 1e7; the block is computed, not run."""
+def test_susceptibility_evaluates_the_grid_in_bounded_slices(monkeypatch):
+    shapes = _recording_faddeeva(monkeypatch)
+    n_lines = sum(map(_n_lines, _CHAIN))
+    step = lineshape.BLOCK_POINTS // n_lines
+    # two full slices and a one-point one, where a BLAS product or a pairwise
+    # sum would round differently
+    grid = default_grid(2 * step + 1)
+    sliced = susceptibilities(_CHAIN, grid)
+    assert shapes == [(n_lines, step), (n_lines, step), (n_lines, 1)]
+    assert n_lines * step <= lineshape.BLOCK_POINTS
+    # each grid column of each mode is summed on its own: neither one block
+    # nor a block without the other cell changes the bytes
+    monkeypatch.setattr(lineshape, "BLOCK_POINTS", 1 << 22)
+    whole = susceptibilities(_CHAIN, grid)
+    assert shapes[3:] == [(n_lines, grid.size)]
+    for cell, a, b in zip(_CHAIN, sliced, whole):
+        alone = susceptibility(cell, grid)
+        for mode in a.modes:
+            assert a.chi[mode].tobytes() == b.chi[mode].tobytes() == alone.chi[mode].tobytes()
+
+
+def test_voigt_block_is_bounded_on_the_largest_accepted_grid(monkeypatch):
+    """The config accepts grid.points up to 1e7: no block holds more than
+    BLOCK_POINTS entries, whatever the line count.  Computed from one slice's
+    shape, not run: every slice but the last has it on any longer grid."""
     max_points = 10_000_000
-    per_point = _largest_line_group() * np.dtype(complex).itemsize
-    assert per_point * max_points > 3e9  # one unsliced block: 22 lines, 3.5 GB
-    assert per_point * min(max_points, lineshape.GRID_SLICE) < 6e6
+    lines, b_most = max((_n_lines(CellConfig(b_field_t=b, geometry="transverse")), b)
+                        for b in np.linspace(0.0, 0.3, 31))
+    assert lines == 100  # no cell has more (longitudinal cells drop their pi lines)
+    widest = [CellConfig(name=f"cell{k}", b_field_t=b_most, geometry="transverse") for k in range(2)]
+    # the dual filter at its largest, unsliced: 200 lines x 1e7 points, 32 GB
+    assert 2 * lines * max_points * np.dtype(complex).itemsize > 3e10
+    shapes = _recording_faddeeva(monkeypatch)
+    susceptibilities(widest, default_grid(lineshape.BLOCK_POINTS // (2 * lines) + 1))
+    (n_lines, width), _ = shapes
+    assert n_lines == 2 * lines and n_lines * min(max_points, width) <= lineshape.BLOCK_POINTS
+
+    # a chain with more lines than a block holds is split between cells, with the same bytes
+    chain = [CellConfig(name=f"cell{k}", b_field_t=b, geometry="transverse")
+             for k, b in enumerate((0.0, 1e-2, 0.3))]
+    grid = default_grid(7)
+    want = susceptibilities(chain, grid)
+    shapes.clear()
+    monkeypatch.setattr(lineshape, "BLOCK_POINTS", max(map(_n_lines, chain)) + 1)
+    got = susceptibilities(chain, grid)
+    assert max(n * points for n, points in shapes) <= lineshape.BLOCK_POINTS
+    assert sum(n * points for n, points in shapes) == sum(map(_n_lines, chain)) * grid.size
+    for a, b in zip(want, got):
+        for mode in a.modes:
+            assert a.chi[mode].tobytes() == b.chi[mode].tobytes()
 
 
 def test_susceptibility_modes_by_geometry():

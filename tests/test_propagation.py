@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import hilbert
 
+from rbfilter import lineshape
 from rbfilter.constants import C_LIGHT, REFERENCE
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.lineshape import CELL_KEYS, CellConfig, default_grid, susceptibility
@@ -281,6 +282,25 @@ def test_dual_filter_composes_both_cells():
     for use in uses:
         with pytest.raises(DataError, match="another detuning grid"):
             use(GRID[::2])
+
+
+def test_cascade_evaluates_its_cells_as_one_voigt_block(monkeypatch):
+    """The dual filter's two cells share each Faddeeva call: one per grid slice, not per cell."""
+    shapes = []
+    real = lineshape.faddeeva
+
+    def recording(z):
+        shapes.append(np.shape(z))
+        return real(z)
+
+    monkeypatch.setattr(lineshape, "faddeeva", recording)
+    grid = default_grid(41)
+    cells = build_cells(ChainParams(100.0, 102.0, 1e-2, 1e-2))
+    dual_filter(*cells).transmission(grid)
+    for cell in cells:
+        susceptibility(cell, grid)
+    chain, absorption, far = shapes
+    assert chain == (absorption[0] + far[0], grid.size)
 
 
 _TEMPERATURE_C = st.floats(CELL_KEYS["temperature_c"].lo, CELL_KEYS["temperature_c"].hi)
