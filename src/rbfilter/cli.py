@@ -32,7 +32,7 @@ from .io import (
     write_lines_csv,
     write_spectrum_csv,
 )
-from .lineshape import CELL_KEYS
+from .lineshape import CELL_KEYS, LONGITUDINAL
 from .optimize import ChainParams, optimize
 from .photon_stats import analytic_pair_correlation, simulate_frames, summary_and_map
 from .propagation import (
@@ -132,7 +132,7 @@ def cmd_spectrum(args) -> int:
     spectrum = susceptibility(cell, grid)
     t = cell_transmission(spectrum, grid, extinction=cfg.wollaston_extinction)
     out = {"transmission": t, "transmission_db": transmission_db(t)}
-    if cell.geometry == "longitudinal":
+    if cell.geometry == LONGITUDINAL:
         out["rotation_rad"], out["rotation_transmission"] = faraday_rotation(spectrum, grid)
     path = _outpath(args, f"spectrum_{args.cell}.csv")
     write_spectrum_csv(path, grid, out)

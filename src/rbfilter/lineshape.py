@@ -15,7 +15,8 @@ susceptibilities evaluates every line of every cell of a filter chain as one
 (lines x points) Voigt block, so a chain costs one Faddeeva call per grid
 slice; a block holds at most BLOCK_POINTS complex entries on any grid.
 
-Susceptibility convention: chi(Delta) per polarization mode with Im chi >= 0
+Susceptibility convention: chi(Delta) per line component the beam drives
+(sigma+, sigma-, pi: labelled along B, see MODES) with Im chi >= 0
 (passive medium), intensity absorption alpha = (omega/c) Im chi, refractive index
 n = 1 + Re chi / 2.  The absolute scale follows from the natural linewidth via
 |d|^2 = 3 pi eps0 hbar c^3 Gamma / omega0^3, so no dipole moment is hard-coded.
@@ -32,11 +33,13 @@ import numpy as np
 
 from .constants import C_LIGHT, ISOTOPES, K_BOLTZMANN, REFERENCE, number_density_m3
 from .errors import ConfigError, DataError
-from .zeeman import LineTable, zeeman_lines
+from .zeeman import zeeman_lines
 
 LONGITUDINAL = "longitudinal"
 TRANSVERSE = "transverse"
 GEOMETRIES = (LONGITUDINAL, TRANSVERSE)
+# the line components each geometry's beam drives: the one geometry -> modes map
+MODES = {LONGITUDINAL: ("sigma+", "sigma-"), TRANSVERSE: ("pi", "sigma+", "sigma-")}
 
 # Rb D1 pressure broadening by Kr buffer gas, FWHM rate.
 # Rotondaro & Perram, JQSRT 57, 497 (1997): 17.2 MHz/torr.
@@ -230,28 +233,15 @@ CELL_KEYS = {key.name: key for key in (
 
 @dataclass
 class ComplexSpectrum:
-    """Per-mode complex susceptibility on one detuning grid.
-
-    Modes are {'sigma+', 'sigma-'} for longitudinal cells and {'pi', 'sigma'}
-    for transverse ones.  'sigma' is the average (chi_+ + chi_-)/2: it omits
-    the Voigt term eps_xy^2/eps_xx of the exact n_perp^2 = eps_xx + eps_xy^2/eps_xx.
-    On the reference 30 cm absorption cell at 300 mT the amplitude this gives
-    is off by at most 3.5e-5 in transmission and, where T > 1e-3, 5.6e-3 rad in
-    phase at 100 C; at 140 C, 1.7e-4 and 0.15 rad.
-    """
+    """Complex susceptibility of each line component a cell's beam drives
+    (MODES[cell.geometry]), on one detuning grid."""
 
     grid_ghz: np.ndarray
     chi: dict[str, np.ndarray]
     cell: CellConfig
 
-    def mode(self, name: str) -> np.ndarray:
-        try:
-            return self.chi[name]
-        except KeyError:
-            raise DataError(f"spectrum has no mode {name!r}; available: {sorted(self.chi)}") from None
-
     @property
-    def modes(self) -> list[str]:
+    def modes(self) -> list[str]:  # read by bench/test_bench.py
         return sorted(self.chi)
 
 
@@ -272,24 +262,12 @@ def default_grid(points: int = 4001, lo: float = -15.0, hi: float = 15.0) -> np.
     return np.linspace(lo, hi, points)
 
 
-def _mode_strength_tables(lines: LineTable, geometry: str) -> dict[str, list[tuple[np.ndarray, np.ndarray]]]:
-    sp = lines.select("sigma+")
-    sm = lines.select("sigma-")
-    pi = lines.select("pi")
-    if geometry == LONGITUDINAL:
-        return {"sigma+": [sp], "sigma-": [sm]}
-    # Transverse: E parallel to B drives pi lines; E perpendicular sees the
-    # average of the two circular components (ComplexSpectrum bounds its error).
-    half = lambda pair: (pair[0], 0.5 * pair[1])
-    return {"pi": [pi], "sigma": [half(sp), half(sm)]}
-
-
-def _mode_lines(cell: CellConfig) -> dict[str, list[tuple[np.ndarray, np.ndarray, float, float]]]:
-    """The lines that feed each mode of one cell, in groups (centers GHz,
-    weights, sigma, gamma_hwhm): chi_mode = sum over its lines of weight x Voigt."""
+def _mode_lines(cell: CellConfig) -> dict[str, np.ndarray]:
+    """The lines that drive each mode of one cell, one (4, lines) array per
+    mode of rows (centers GHz, weights, sigma, gamma_hwhm), isotopes in
+    ISOTOPES order: chi_mode = sum over its lines of weight x Voigt."""
     t_k = cell.effective_temperature_k
-    mode_names = ("sigma+", "sigma-") if cell.geometry == LONGITUDINAL else ("pi", "sigma")
-    groups = {m: [] for m in mode_names}
+    rows = {m: [np.empty((4, 0))] for m in MODES[cell.geometry]}
 
     for name, isotope in ISOTOPES.items():
         frac = cell.fraction(name)
@@ -308,17 +286,19 @@ def _mode_lines(cell: CellConfig) -> dict[str, list[tuple[np.ndarray, np.ndarray
         ) * 1e-3
         centroid = REFERENCE.centroid_offset_ghz(isotope)
 
-        for mode, pieces in _mode_strength_tables(table, cell.geometry).items():
-            for offsets, strengths in pieces:
-                groups[mode].append((centroid + offsets, prefactor * strengths, sigma_d, gamma_hwhm))
-    return groups
+        for mode, parts in rows.items():
+            offsets, strengths = table.select(mode)
+            parts.append(np.stack([centroid + offsets, prefactor * strengths,
+                                   np.full(offsets.size, sigma_d),
+                                   np.full(offsets.size, gamma_hwhm)]))
+    return {m: np.concatenate(parts, axis=1) for m, parts in rows.items()}
 
 
 def susceptibilities(cells, grid_ghz) -> list[ComplexSpectrum]:
     """Complex susceptibility of all modes of each cell, all on one grid.
 
-    Every line of every cell (isotopes, modes, sigma+- pieces) is one row of a
-    single (lines x points) Voigt block, evaluated BLOCK_POINTS // lines grid
+    Every line of every cell (isotopes, modes) is one row of a single
+    (lines x points) Voigt block, evaluated BLOCK_POINTS // lines grid
     points at a time.  Each mode is its own contiguous run of rows summed with
     their weights, the product with a (modes x lines) weight matrix, added row
     by row in a fixed order (a BLAS product's rounding depends on the block's
@@ -330,8 +310,8 @@ def susceptibilities(cells, grid_ghz) -> list[ComplexSpectrum]:
     grid = _validate_grid(grid_ghz)
     cells = list(cells)
     per_cell = [_mode_lines(cell) for cell in cells]
-    modes = [groups for lines in per_cell for groups in lines.values()]
-    mode_lines = [sum(len(g[0]) for g in groups) for groups in modes]
+    modes = [lines for cell_modes in per_cell for lines in cell_modes.values()]
+    mode_lines = [lines.shape[1] for lines in modes]
     n_lines = sum(mode_lines)
     if n_lines > BLOCK_POINTS and len(cells) > 1:
         half = len(cells) // 2
@@ -340,10 +320,7 @@ def susceptibilities(cells, grid_ghz) -> list[ComplexSpectrum]:
     chi = np.zeros((len(modes), grid.size), dtype=complex)
     filled = [k for k, n in enumerate(mode_lines) if n]
     if filled:
-        groups = [g for k in filled for g in modes[k]]
-        center, weight = (np.concatenate([g[i] for g in groups])[:, None] for i in (0, 1))
-        sigma, gamma = (np.repeat([g[i] for g in groups], [len(g[0]) for g in groups])[:, None]
-                        for i in (2, 3))
+        center, weight, sigma, gamma = np.concatenate(modes, axis=1)[:, :, None]
         starts = np.cumsum([0] + [mode_lines[k] for k in filled[:-1]])
         step = max(1, BLOCK_POINTS // n_lines)
         for lo in range(0, grid.size, step):

@@ -1,12 +1,12 @@
 """Beam propagation through magnetized Rb cells and polarizer chains.
 
 Every cell is a Jones element: per detuning, a 2x2 complex matrix in the lab
-x/y basis built from its mode amplitudes a_mode = exp(i (omega L / 2c) chi_mode)
+x/y basis built from its eigenmode amplitudes a = exp(i (omega L / 2c) chi)
 (the common vacuum phase is dropped).  A longitudinal cell is diagonal in the
-circular basis (sigma+, sigma-); a transverse cell is diagonal in the linear
-basis of its field (pi along B, sigma perpendicular), so light leaving it at an
-angle to the field is turned and made elliptical.  A chain of polarizers and
-cells is one walk, left to right, over the beam's (n, 2) complex amplitude.
+circular basis (chi_+, chi_-); a transverse cell in the linear basis of its
+field (chi_pi along B, the exact n_perp^2 - 1 across it), so light leaving it
+at an angle to the field is turned and made elliptical.  A chain of polarizers
+and cells is one walk, left to right, over the beam's (n, 2) complex amplitude.
 
 A polarizer of extinction eps passes |along|^2 + eps |across|^2 of the
 intensity and leaves the beam polarized along its axis: its leak is
@@ -60,7 +60,7 @@ def _spectrum(source: CellOrSpectrum, grid_ghz) -> ComplexSpectrum:
 
 
 def absorption_coefficients(spec: ComplexSpectrum) -> dict[str, np.ndarray]:
-    """Intensity absorption alpha_mode(Delta) in 1/m for every mode."""
+    """Intensity absorption alpha(Delta) in 1/m of every line component in spec.chi."""
     om = REFERENCE.detuning_to_omega(spec.grid_ghz)
     return {m: om / C_LIGHT * np.imag(spec.chi[m]) for m in spec.chi}
 
@@ -90,11 +90,12 @@ def faraday_rotation(cell: CellOrSpectrum, grid_ghz):
 
 def jones_transfer(cell: CellOrSpectrum, grid_ghz) -> np.ndarray:
     """2x2 complex transfer matrices, shape (n, 2, 2) in the lab x/y basis, of a
-    cell (or its spectrum), built from the mode amplitudes a_mode = exp(i k chi_mode).
+    cell (or its spectrum), built from the eigenmode amplitudes a = exp(i k chi).
 
     A longitudinal cell is diagonal in the circular basis (a_+, a_-).  A
-    transverse cell is R(-phi) diag(a_pi, a_sigma) R(phi): diagonal in the
-    linear basis of its field, which lies at phi = polarization_angle_rad.
+    transverse cell is R(-phi) diag(a_pi, a_perp) R(phi): diagonal in the
+    linear basis of its field, which lies at phi = polarization_angle_rad;
+    a_perp takes the exact n_perp^2 - 1 = eps_xx + eps_xy^2 / eps_xx - 1.
     """
     spec = _spectrum(cell, grid_ghz)
     cell = spec.cell
@@ -111,11 +112,13 @@ def jones_transfer(cell: CellOrSpectrum, grid_ghz) -> np.ndarray:
         mats[:, 1, 1] = s
     else:
         a_pi = np.exp(1j * k * spec.chi["pi"])
-        a_sg = np.exp(1j * k * spec.chi["sigma"])
+        eps_xx = 1.0 + 0.5 * (spec.chi["sigma+"] + spec.chi["sigma-"])
+        eps_xy = 0.5j * (spec.chi["sigma+"] - spec.chi["sigma-"])
+        a_perp = np.exp(1j * k * (eps_xx + eps_xy ** 2 / eps_xx - 1.0))
         c, s = math.cos(cell.polarization_angle_rad), math.sin(cell.polarization_angle_rad)
-        mats[:, 0, 0] = c * c * a_pi + s * s * a_sg
-        mats[:, 0, 1] = mats[:, 1, 0] = c * s * (a_pi - a_sg)
-        mats[:, 1, 1] = s * s * a_pi + c * c * a_sg
+        mats[:, 0, 0] = c * c * a_pi + s * s * a_perp
+        mats[:, 0, 1] = mats[:, 1, 0] = c * s * (a_pi - a_perp)
+        mats[:, 1, 1] = s * s * a_pi + c * c * a_perp
     return mats
 
 
@@ -204,7 +207,7 @@ def cell_transmission(cell: CellOrSpectrum, grid_ghz, extinction: float = 0.0) -
     """The filter transmission of one cell (or its spectrum), beam entering along x.
 
     A transverse cell stands alone, so with its field at psi to the beam it
-    passes cos^2(psi) T_pi + sin^2(psi) T_sigma.  A longitudinal cell sits
+    passes cos^2(psi) T_pi + sin^2(psi) T_perp.  A longitudinal cell sits
     before a crossed analyzer, whose extinction leaks the parallel component
     (a transverse cell has no analyzer, so extinction does not apply to it).
     """

@@ -2,12 +2,17 @@
 
 import math
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from rbfilter import lineshape
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.lineshape import (
+    LONGITUDINAL,
+    TRANSVERSE,
     CellConfig,
     KR_BROADENING_MHZ_PER_PA,
     default_grid,
@@ -20,6 +25,7 @@ from rbfilter.lineshape import (
 from rbfilter.zeeman import zeeman_lines
 
 from oracles import faddeeva_quadrature
+from strategies import cell_configs
 
 
 def test_faddeeva_at_origin():
@@ -204,8 +210,8 @@ CELL_87 = CellConfig(name="far", temperature_k=341.15, b_field_t=1e-2,
 def test_susceptibility_zero_density_is_zero():
     cell = CellConfig(rb85_fraction=0.0, rb87_fraction=0.0, geometry="longitudinal")
     spec = susceptibility(cell, default_grid(101))
-    for mode in spec.modes:
-        assert np.all(spec.mode(mode) == 0.0)
+    for chi in spec.chi.values():
+        assert np.all(chi == 0.0)
 
 
 def test_susceptibility_looks_up_faddeeva_at_call_time(monkeypatch):
@@ -268,7 +274,7 @@ def test_susceptibility_evaluates_the_grid_in_bounded_slices(monkeypatch):
     assert shapes[3:] == [(n_lines, grid.size)]
     for cell, a, b in zip(_CHAIN, sliced, whole):
         alone = susceptibility(cell, grid)
-        for mode in a.modes:
+        for mode in a.chi:
             assert a.chi[mode].tobytes() == b.chi[mode].tobytes() == alone.chi[mode].tobytes()
 
 
@@ -299,17 +305,31 @@ def test_voigt_block_is_bounded_on_the_largest_accepted_grid(monkeypatch):
     assert max(n * points for n, points in shapes) <= lineshape.BLOCK_POINTS
     assert sum(n * points for n, points in shapes) == sum(map(_n_lines, chain)) * grid.size
     for a, b in zip(want, got):
-        for mode in a.modes:
+        for mode in a.chi:
             assert a.chi[mode].tobytes() == b.chi[mode].tobytes()
 
 
 def test_susceptibility_modes_by_geometry():
     grid = default_grid(51)
     spec_l = susceptibility(CELL_87, grid)
-    assert sorted(spec_l.modes) == ["sigma+", "sigma-"]
+    assert sorted(spec_l.chi) == ["sigma+", "sigma-"]
     cell_t = CellConfig(temperature_k=341.15, b_field_t=1e-2, geometry="transverse")
     spec_t = susceptibility(cell_t, grid)
-    assert sorted(spec_t.modes) == ["pi", "sigma"]
+    assert sorted(spec_t.chi) == ["pi", "sigma+", "sigma-"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(cell=cell_configs(TRANSVERSE))
+@example(cell=CellConfig(b_field_t=0.0, geometry=TRANSVERSE))
+def test_line_components_do_not_depend_on_geometry(cell):
+    """A transverse cell's chi_+ and chi_- are those of the same vapor in a
+    longitudinal cell, byte for byte, alone or in a two-cell block."""
+    grid = default_grid(201)
+    twin = replace(cell, geometry=LONGITUDINAL)
+    alone, paired = susceptibility(cell, grid), susceptibilities([cell, twin], grid)
+    for mode in ("sigma+", "sigma-"):
+        want = susceptibility(twin, grid).chi[mode].tobytes()
+        assert {s.chi[mode].tobytes() for s in (alone, *paired)} == {want}
 
 
 def test_susceptibility_passive_medium():
@@ -317,8 +337,8 @@ def test_susceptibility_passive_medium():
     for cell in (CELL_87, CellConfig(temperature_k=393.15, b_field_t=5e-2,
                                      geometry="transverse")):
         spec = susceptibility(cell, grid)
-        for mode in spec.modes:
-            assert spec.mode(mode).imag.min() >= 0.0
+        for chi in spec.chi.values():
+            assert chi.imag.min() >= 0.0
 
 
 def test_susceptibility_linear_in_density():
@@ -330,8 +350,8 @@ def test_susceptibility_linear_in_density():
                       rb85_fraction=0.0, rb87_fraction=1.0)
     chi_half = susceptibility(half, grid)
     chi_full = susceptibility(full, grid)
-    for mode in chi_full.modes:
-        assert np.allclose(2.0 * chi_half.mode(mode), chi_full.mode(mode),
+    for mode in chi_full.chi:
+        assert np.allclose(2.0 * chi_half.chi[mode], chi_full.chi[mode],
                            rtol=1e-12, atol=0)
 
 
@@ -344,8 +364,8 @@ def test_susceptibility_additive_over_isotopes():
     only87 = CellConfig(temperature_k=341.15, b_field_t=1e-2, geometry="longitudinal",
                         rb85_fraction=0.0, rb87_fraction=0.4)
     for mode in ("sigma+", "sigma-"):
-        total = susceptibility(mix, grid).mode(mode)
-        parts = susceptibility(only85, grid).mode(mode) + susceptibility(only87, grid).mode(mode)
+        total = susceptibility(mix, grid).chi[mode]
+        parts = susceptibility(only85, grid).chi[mode] + susceptibility(only87, grid).chi[mode]
         assert np.allclose(total, parts, rtol=1e-12, atol=0)
 
 
@@ -357,8 +377,7 @@ def test_susceptibility_far_wing_decay():
     grid = np.sort(np.concatenate([edges, np.linspace(-15, 15, 2001)]))
     spec = susceptibility(CELL_87, grid)
     at = {e: np.searchsorted(grid, e) for e in edges}
-    for mode in spec.modes:
-        chi = spec.mode(mode)
+    for chi in spec.chi.values():
         peak = np.abs(chi).max()
         assert abs(chi[at[-600.0]]) < 1e-3 * peak
         assert abs(chi[at[600.0]]) < 1e-3 * peak
@@ -374,8 +393,8 @@ def test_susceptibility_buffer_broadening_widens_lines():
                              rb85_fraction=0.0, rb87_fraction=1.0,
                              buffer_pressure_pa=1500.0)
     assert with_buffer.buffer_broadening_mhz_per_pa == KR_BROADENING_MHZ_PER_PA
-    a = susceptibility(no_buffer, grid).mode("sigma+").imag
-    b = susceptibility(with_buffer, grid).mode("sigma+").imag
+    a = susceptibility(no_buffer, grid).chi["sigma+"].imag
+    b = susceptibility(with_buffer, grid).chi["sigma+"].imag
     # same area, lower peak when collision-broadened
     assert b.max() < 0.8 * a.max()
     assert np.trapezoid(b, grid) == pytest.approx(np.trapezoid(a, grid), rel=1e-2)
@@ -393,9 +412,3 @@ def test_grid_validation():
         susceptibility(cell, np.array([0.0, np.nan]))
     with pytest.raises(DataError):
         susceptibility(cell, np.array([1.0, 0.0]))
-
-
-def test_spectrum_mode_lookup_error():
-    spec = susceptibility(CELL_87, default_grid(11))
-    with pytest.raises(DataError):
-        spec.mode("pi")  # not a longitudinal eigenmode
