@@ -211,6 +211,26 @@ def test_transverse_perp_amplitude_is_exact(cell):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("temperature_c, bound_t, bound_phase_rad",
+                         [(100.0, 3.5e-5, 5.6e-3), (140.0, 1.7e-4, 0.15)])
+def test_sigma_mode_approximation_bound(temperature_c, bound_t, bound_phase_rad):
+    """The reference absorption cell at 300 mT on the default grid: the
+    perpendicular amplitude jones_transfer passes stays within the bounds once
+    stated for the averaged (chi_+ + chi_-)/2 mode, against the exact
+    n_perp^2 = eps_xx + eps_xy^2/eps_xx."""
+    grid = default_grid()
+    cell, _ = build_cells(ChainParams(temperature_c, 100.0, 0.3, 1e-2))
+    assert cell.polarization_angle_rad == pytest.approx(math.pi / 2)
+    got = jones_transfer(cell, grid)[:, 0, 0]  # field along y: x is the perpendicular mode
+    circular = susceptibility(replace(cell, geometry="longitudinal"), grid)
+    k = REFERENCE.detuning_to_omega(grid) * cell.length_m / (2.0 * C_LIGHT)
+    exact = np.exp(1j * k * voigt_perpendicular_chi(circular.chi["sigma+"], circular.chi["sigma-"]))
+    t_exact = np.abs(exact) ** 2
+    assert np.max(np.abs(np.abs(got) ** 2 - t_exact)) <= bound_t
+    seen = t_exact > 1e-3
+    assert np.max(np.abs(np.angle(got[seen] / exact[seen]))) <= bound_phase_rad
+
+
 # ---------------------------------------------------------------------------
 # Cascade walk
 # ---------------------------------------------------------------------------
