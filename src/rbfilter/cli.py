@@ -33,7 +33,7 @@ from .io import (
     write_spectrum_csv,
 )
 from .lineshape import CELL_KEYS, LONGITUDINAL
-from .optimize import ChainParams, optimize
+from .optimize import OPERATING_KEYS, optimize
 from .photon_stats import analytic_pair_correlation, simulate_frames, summary_and_map
 from .propagation import (
     cell_transmission,
@@ -180,10 +180,10 @@ def cmd_optimize(args) -> int:
         cells=(cfg.cells["absorption"], cfg.cells["faraday"]),
     )
     payload = {
-        "best_params": result.best_params.config_units(),
+        "best_params": dataclasses.asdict(result.best_params),
         "objective": result.best_objective,
-        "signal_transmissions": {f"{k:g}": v for k, v in result.best_fom.signal_transmissions.items()},
-        "noise_suppressions_db": {f"{k:g}": v for k, v in result.best_fom.noise_suppressions_db.items()},
+        "signal_transmissions": {repr(k): v for k, v in result.best_fom.signal_transmissions.items()},
+        "noise_suppressions_db": {repr(k): v for k, v in result.best_fom.noise_suppressions_db.items()},
         "n_evaluations": result.n_evaluations,
         "trace_length": len(result.trace),
         "wall_time_s": result.wall_time_s,
@@ -192,11 +192,10 @@ def cmd_optimize(args) -> int:
     write_json_report(path, payload, cfg.resolved)
     if args.trace:
         trace_path = _outpath(args, "optimize_trace.csv")
-        rows = [{**ChainParams.from_array(x).config_units(), "objective": obj}
-                for x, obj in result.trace]
+        xs, objectives = zip(*result.trace)
+        columns = dict(zip(OPERATING_KEYS, np.array(xs).T))
         write_spectrum_csv(trace_path, np.arange(len(result.trace), dtype=float),
-                           {name: np.array([row[name] for row in rows]) for name in rows[0]},
-                           index_name="evaluation")
+                           {**columns, "objective": np.array(objectives)}, index_name="evaluation")
         print(trace_path)
     print(path)
     return 0
@@ -247,17 +246,17 @@ def cmd_fit(args) -> int:
     measured = read_measured_csv(args.data, column=args.column)
     free = [s.strip() for s in args.free.split(",") if s.strip()]
     initial = {}
-    for item in args.initial.split(",") if args.initial else []:
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
+    for item in filter(None, (s.strip() for s in args.initial.split(","))):
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep:
             raise ConfigError([f"--initial entries must be key=value, got {item!r}"])
-        key, _, value = item.partition("=")
+        if key in initial:
+            raise ConfigError([f"--initial {key} given more than once"])
         try:
-            initial[key.strip()] = float(value)
+            initial[key] = float(value)
         except ValueError:
-            raise ConfigError([f"--initial {key.strip()}: not a number: {value!r}"]) from None
+            raise ConfigError([f"--initial {key}: not a number: {value!r}"]) from None
     template = cfg.cells[args.cell]
     result = fit_spectrum(measured, free, initial, template=template)
     payload = {

@@ -3,9 +3,10 @@
 Config keys carry explicit unit suffixes (temperature_c, b_field_mt,
 length_cm, polarization_angle_deg).  Every key and what it accepts is in
 SCHEMA; a cell key's range and SI conversion is its entry in
-lineshape.CELL_KEYS, which SCHEMA uses as is.  Validation is one walk over
-SCHEMA and is total: every problem in the file is reported in one pass with
-its dotted key path, and no partially built object escapes a failed load.
+lineshape.CELL_KEYS, which SCHEMA uses as is, and the search box's keys are
+optimize.OPERATING_KEYS.  Validation is one walk over SCHEMA and is total:
+every problem in the file is reported in one pass with its dotted key path,
+and no partially built object escapes a failed load.
 """
 
 from __future__ import annotations
@@ -14,20 +15,18 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import ConfigError, DataError
 from .lineshape import CELL_KEYS, CellConfig, default_grid
-from .optimize import PAPER_OPTIMUM, FomSpec, ParamBox, build_cells
+from .optimize import OPERATING_KEYS, PAPER_OPTIMUM, FomSpec, ParamBox, build_cells
 from .photon_stats import NoiseModel, RegionLayout, filtered_preset, unfiltered_preset
 from .propagation import WOLLASTON_EXTINCTION
 
 # frames x n_regions bound: two int16 count arrays of 1e8 entries take 400 MB
 MAX_COUNTS_PER_ARM = 10**8
-
-_TEMPERATURE, _FIELD = CELL_KEYS["temperature_c"], CELL_KEYS["b_field_mt"]
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,8 @@ SCHEMA = {
               "b_fluorescence": Key(0.0, 1e3), "b_leakage": Key(0.0, 1e3),
               "intensifier_per_frame": Key(0.0, 1e4)},
     "optimizer": {"budget": Key(100, 10**7, integer=True), "restarts": Key(1, 20, integer=True),
-                  "box": {name: Pair(key.lo, key.hi, ordered=True) for name, key in (
-                      ("t_abs_c", _TEMPERATURE), ("t_far_c", _TEMPERATURE),
-                      ("b_abs_mt", _FIELD), ("b_far_mt", _FIELD))}},
+                  "box": {name: Pair(key.lo, key.hi, ordered=True)
+                          for name, (_, key) in OPERATING_KEYS.items()}},
 }
 
 
@@ -105,12 +103,7 @@ def preset_paper_optimum() -> dict:
         "optimizer": {
             "budget": 2000,
             "restarts": 3,
-            "box": {
-                "t_abs_c": list(box.t_abs_c),
-                "t_far_c": list(box.t_far_c),
-                "b_abs_mt": [_FIELD.from_field(x) for x in box.b_abs_t],
-                "b_far_mt": [_FIELD.from_field(x) for x in box.b_far_t],
-            },
+            "box": {name: list(pair) for name, pair in asdict(box).items()},
         },
     }
 
@@ -206,8 +199,8 @@ def _cell(name: str, section: dict) -> CellConfig:
         for key in CELL_KEYS.values()})
 
 
-def _floats(pair, to_field=float) -> tuple[float, float]:
-    return tuple(to_field(float(x)) for x in pair)
+def _floats(pair) -> tuple[float, float]:
+    return tuple(float(x) for x in pair)
 
 
 def validate_config(data: dict) -> RunConfig:
@@ -241,7 +234,6 @@ def validate_config(data: dict) -> RunConfig:
     base = presets[noise["preset"]]()[0] if noise["preset"] in presets else NoiseModel()
     fom, optimizer = resolved["fom"], resolved["optimizer"]
     extinction = float(resolved["chain"]["wollaston_extinction"])
-    box = optimizer["box"]
     return RunConfig(
         seed=int(resolved["seed"]),
         grid_points=int(grid["points"]),
@@ -260,12 +252,7 @@ def validate_config(data: dict) -> RunConfig:
         frames=int(frames),
         optimizer_budget=int(optimizer["budget"]),
         optimizer_restarts=int(optimizer["restarts"]),
-        optimizer_box=ParamBox(
-            t_abs_c=_floats(box["t_abs_c"]),
-            t_far_c=_floats(box["t_far_c"]),
-            b_abs_t=_floats(box["b_abs_mt"], _FIELD.to_field),
-            b_far_t=_floats(box["b_far_mt"], _FIELD.to_field),
-        ),
+        optimizer_box=ParamBox(**{name: _floats(pair) for name, pair in optimizer["box"].items()}),
         resolved=resolved,
     )
 

@@ -8,6 +8,10 @@ coarse grid scan weighted toward the Faraday field axis (the transmission
 bands shift by roughly 0.3 GHz/mT, so that axis needs the finest sampling)
 followed by Nelder-Mead restarts from the best cells.
 
+The operating point (ChainParams) and its search box (ParamBox) are in config
+units (Celsius, mT) under the optimizer.box names; OPERATING_KEYS maps each to
+its cell and cell key, and build_cells alone turns the point into SI.
+
 The figure of merit is this package's own construction; the reference
 experiment tuned its operating point by hand.
 """
@@ -27,7 +31,16 @@ from .lineshape import CELL_KEYS, CellConfig, LONGITUDINAL, TRANSVERSE
 from .propagation import WOLLASTON_EXTINCTION, dual_filter
 
 _T_FLOOR = 1.0e-15
-_TEMPERATURE, _FIELD = CELL_KEYS["temperature_c"], CELL_KEYS["b_field_mt"]
+
+# Each searched parameter under its optimizer.box name, in config units: the
+# cell it sets (0 absorption, 1 faraday) and that cell's key.  The only place
+# the operating point's names, units, ranges and cells are written.
+OPERATING_KEYS = {
+    "t_abs_c": (0, CELL_KEYS["temperature_c"]),
+    "t_far_c": (1, CELL_KEYS["temperature_c"]),
+    "b_abs_mt": (0, CELL_KEYS["b_field_mt"]),
+    "b_far_mt": (1, CELL_KEYS["b_field_mt"]),
+}
 
 
 @dataclass(frozen=True)
@@ -57,65 +70,51 @@ class FomSpec:
 
 @dataclass(frozen=True)
 class ChainParams:
-    """The four searched operating parameters of the cascade."""
+    """The four searched operating parameters of the cascade, in config units
+    and in OPERATING_KEYS order."""
 
     t_abs_c: float
     t_far_c: float
-    b_abs_t: float
-    b_far_t: float
+    b_abs_mt: float
+    b_far_mt: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.t_abs_c, self.t_far_c, self.b_abs_t, self.b_far_t])
+        return np.array([self.t_abs_c, self.t_far_c, self.b_abs_mt, self.b_far_mt])
 
     @staticmethod
     def from_array(x) -> "ChainParams":
-        return ChainParams(float(x[0]), float(x[1]), float(x[2]), float(x[3]))
-
-    def config_units(self) -> dict[str, float]:
-        """The parameters under their config and report names (Celsius, mT)."""
-        return {"t_abs_c": self.t_abs_c, "t_far_c": self.t_far_c,
-                "b_abs_mt": _FIELD.from_field(self.b_abs_t), "b_far_mt": _FIELD.from_field(self.b_far_t)}
+        return ChainParams(*map(float, x))
 
 
-PAPER_OPTIMUM = ChainParams(t_abs_c=100.0, t_far_c=102.0, b_abs_t=1.0e-2, b_far_t=1.0e-2)
+PAPER_OPTIMUM = ChainParams(t_abs_c=100.0, t_far_c=102.0, b_abs_mt=10.0, b_far_mt=10.0)
 
 
 @dataclass(frozen=True)
 class ParamBox:
-    """Search ranges; defaults follow the cells' documented operational limits.
+    """Search ranges in config units; defaults follow the cells' documented
+    operational limits.
 
-    Every range must be ordered and lie within the cell table's temperature
-    (Celsius) or field (tesla) range, so each searched cell is one a config
-    may name.
+    Every range must be ordered and lie within its cell key's range, so each
+    searched cell is one a config may name.
     """
 
     t_abs_c: tuple[float, float] = (90.0, 120.0)
     t_far_c: tuple[float, float] = (60.0, 120.0)
-    b_abs_t: tuple[float, float] = (5.0e-3, 2.0e-2)
-    b_far_t: tuple[float, float] = (1.0e-3, 2.0e-2)
+    b_abs_mt: tuple[float, float] = (5.0, 20.0)
+    b_far_mt: tuple[float, float] = (1.0, 20.0)
 
     def __post_init__(self):
-        t_valid, b_valid = (_TEMPERATURE.lo, _TEMPERATURE.hi), _FIELD.field_range()
-        valid = {"t_abs_c": t_valid, "t_far_c": t_valid, "b_abs_t": b_valid, "b_far_t": b_valid}
-        errors = [f"box.{name}: ({lo}, {hi}) must be an ordered range within {list(valid[name])}"
-                  for name, (lo, hi) in self.ranges().items()
-                  if not valid[name][0] <= lo <= hi <= valid[name][1]]
+        errors = [f"box.{name}: ({lo}, {hi}) must be an ordered range within {[key.lo, key.hi]}"
+                  for name, (_, key) in OPERATING_KEYS.items() for lo, hi in [getattr(self, name)]
+                  if not key.lo <= lo <= hi <= key.hi]
         if errors:
             raise ConfigError(errors)
 
-    def ranges(self) -> dict[str, tuple[float, float]]:
-        return {
-            "t_abs_c": self.t_abs_c,
-            "t_far_c": self.t_far_c,
-            "b_abs_t": self.b_abs_t,
-            "b_far_t": self.b_far_t,
-        }
-
     def lower(self) -> np.ndarray:
-        return np.array([r[0] for r in self.ranges().values()])
+        return np.array([getattr(self, name)[0] for name in OPERATING_KEYS])
 
     def upper(self) -> np.ndarray:
-        return np.array([r[1] for r in self.ranges().values()])
+        return np.array([getattr(self, name)[1] for name in OPERATING_KEYS])
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower(), self.upper())
@@ -145,8 +144,8 @@ _REFERENCE_CELLS = (
 def build_cells(params: ChainParams, cells: tuple[CellConfig, CellConfig] = _REFERENCE_CELLS
                 ) -> tuple[CellConfig, CellConfig]:
     """Cascade cells at the given operating parameters: the (absorption,
-    faraday) template cells with their temperature and field replaced, and
-    nothing else.
+    faraday) template cells with each OPERATING_KEYS field set from its
+    parameter in SI, and nothing else.
 
     The default templates are the reference cells.  Absorption cell: 30 cm,
     isotopically enriched Rb85 with a 1.5% Rb87 residual, transverse field,
@@ -154,14 +153,10 @@ def build_cells(params: ChainParams, cells: tuple[CellConfig, CellConfig] = _REF
     longitudinal field.  At PAPER_OPTIMUM they give the reference operating
     point; the config preset and the fit template derive from it.
     """
-    absorption, faraday = cells
-
-    def at(cell, t_c, b_t):
-        return replace(cell, **{_TEMPERATURE.field: _TEMPERATURE.to_field(t_c),
-                                _FIELD.field: b_t})
-
-    return (at(absorption, params.t_abs_c, params.b_abs_t),
-            at(faraday, params.t_far_c, params.b_far_t))
+    updates = ({}, {})
+    for name, (i, key) in OPERATING_KEYS.items():
+        updates[i][key.field] = key.to_field(getattr(params, name))
+    return tuple(replace(cell, **fields) for cell, fields in zip(cells, updates))
 
 
 def score(params: ChainParams, spec: FomSpec | None = None,
@@ -215,8 +210,7 @@ def _grid_axes(box: ParamBox, grid_budget: int) -> list[np.ndarray]:
             return np.array([0.5 * (lo[i] + hi[i])])
         return np.linspace(lo[i], hi[i], n)
 
-    span_mt = _FIELD.from_field(hi[3] - lo[3])
-    n_bfar = max(1, min(int(math.ceil(span_mt / (1.0 / 3.0))) + 1, 64))
+    n_bfar = max(1, min(int(math.ceil((hi[3] - lo[3]) / (1.0 / 3.0))) + 1, 64))
     rest = max(1, grid_budget // max(n_bfar, 1))
     # split the remaining factor over the three slow axes
     n_tabs = max(1, min(2, rest))
@@ -248,8 +242,8 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
     cells are the (absorption, faraday) templates the searched temperatures
     and fields are set in (see build_cells).
 
-    objective_fn(x: ndarray[4]) -> float is a test seam replacing the physical
-    objective; the default maximizes score().objective.  The returned best
+    objective_fn(x: ndarray[4]) -> float, x in ChainParams order and units, is
+    a test seam replacing the physical objective; the default maximizes score().objective.  The returned best
     point is the argmax over the full evaluation trace, so reported results
     never regress below any evaluated point (including the reference preset,
     scanned first whenever it lies inside the box).

@@ -164,8 +164,22 @@ def test_optimize_command_with_trace(tmp_path):
     assert doc["signal_transmissions"]["-2.3"] == pytest.approx(0.66871, abs=2e-4)
     assert "config_hash" in doc
     header, *rows = _csv_rows(tmp_path / "optimize_trace.csv")
-    assert header[0] == "evaluation" and header[-1] == "objective"
+    assert header == ["evaluation", "t_abs_c", "t_far_c", "b_abs_mt", "b_far_mt", "objective"]
     assert len(rows) == doc["trace_length"]
+
+
+def test_optimize_report_keys_each_detuning_by_its_full_value(tmp_path):
+    """Two signal detunings that agree to six digits keep a key each, and every
+    key reads back as the detuning it was configured as."""
+    signal = [1.2345671, 1.2345672]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"fom": {"signal_detunings_ghz": signal},
+                               "optimizer": {"budget": 100}}))
+    assert run("optimize", "--out", str(tmp_path), "--config", str(cfg)) == 0
+    doc = json.loads((tmp_path / "optimize.json").read_text())
+    noise = doc["config"]["fom"]["noise_detunings_ghz"]
+    assert [float(k) for k in doc["signal_transmissions"]] == signal
+    assert [float(k) for k in doc["noise_suppressions_db"]] == noise
 
 
 def test_optimize_scores_the_config_cells(tmp_path):
@@ -444,6 +458,16 @@ def test_exit_2_on_repeated_fit_parameter(tmp_path, capsys):
     assert run("fit", "--out", str(tmp_path), "--data", data, "--free", "temperature_c,temperature_c",
                "--initial", "temperature_c=95") == 2
     assert "fit: free parameter 'temperature_c' listed more than once" in capsys.readouterr().err
+
+
+def test_exit_2_on_repeated_initial_key(tmp_path, capsys):
+    grid = np.linspace(-5.0, 5.0, 60)
+    data = str(tmp_path / "m.csv")
+    write_spectrum_csv(data, grid, {"transmission": np.full(60, 0.5)})
+    assert run("fit", "--out", str(tmp_path), "--data", data, "--free", "temperature_c",
+               "--initial", "temperature_c=60,temperature_c=98") == 2
+    assert "--initial temperature_c given more than once" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
 
 
 def test_version_flag():

@@ -46,7 +46,7 @@ def test_default_config_matches_reference_preset():
     assert cfg.cells["faraday"].rb87_fraction == 1.0
     assert cfg.wollaston_extinction == pytest.approx(1.0e-5)
     assert cfg.noise == filtered_preset()[0]
-    assert cfg.optimizer_box.b_abs_t == (5.0e-3, 2.0e-2)
+    assert cfg.optimizer_box.b_abs_mt == (5.0, 20.0)
     grid = cfg.grid()
     assert grid.size == 4001 and grid[0] == -15.0 and grid[-1] == 15.0
 
@@ -217,7 +217,7 @@ def test_optimizer_box_checked_against_cell_ranges():
         "optimizer.box.b_far_mt: value 301 outside valid range [0.0, 300.0]",
     ]
     box = validate_config({"optimizer": {"box": {"b_abs_mt": [0, 300]}}}).optimizer_box
-    assert box.b_abs_t == CELL_KEYS["b_field_mt"].field_range()
+    assert box.b_abs_mt == (0.0, 300.0)
 
 
 @pytest.mark.parametrize("fom", [{"signal_detunings_ghz": [float("nan"), 7.8]},

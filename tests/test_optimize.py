@@ -1,10 +1,16 @@
 """Figure-of-merit scoring and the operating-point search."""
 
+import inspect
+from dataclasses import asdict, fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rbfilter.config import validate_config
 from rbfilter.errors import ConfigError
 from rbfilter.optimize import (
+    OPERATING_KEYS,
     PAPER_OPTIMUM,
     ChainParams,
     FomSpec,
@@ -30,7 +36,7 @@ def test_shortfall_penalty_branch():
     # a cold, nearly transparent chain leaves only the polarizer extinction;
     # against a demanding 150 dB requirement that is a large shortfall
     spec = FomSpec(min_suppression_db=150.0)
-    fom = score(ChainParams(20.0, 20.0, 1e-3, 1e-3), spec)
+    fom = score(ChainParams(20.0, 20.0, 1.0, 1.0), spec)
     assert fom.objective < 0.0
     assert all(s < 150.0 for s in fom.noise_suppressions_db.values())
     expected = -sum(max(0.0, 150.0 - s) for s in fom.noise_suppressions_db.values())
@@ -39,13 +45,13 @@ def test_shortfall_penalty_branch():
 
 def test_raising_absorption_temperature_cuts_anti_stokes():
     temps = [100.0, 110.0, 120.0, 130.0]
-    t_as = [score(ChainParams(t, 102.0, 1e-2, 1e-2)).signal_transmissions[7.8]
+    t_as = [score(ChainParams(t, 102.0, 10.0, 10.0)).signal_transmissions[7.8]
             for t in temps]
     assert all(a > b for a, b in zip(t_as, t_as[1:]))
 
 
 def test_score_deterministic():
-    p = ChainParams(95.0, 80.0, 8e-3, 6e-3)
+    p = ChainParams(95.0, 80.0, 8.0, 6.0)
     a = score(p)
     b = score(p)
     assert a.objective == b.objective
@@ -84,16 +90,39 @@ def test_param_box_validation():
     with pytest.raises(ConfigError):
         ParamBox(t_abs_c=(120.0, 90.0))
     with pytest.raises(ConfigError):
-        ParamBox(b_far_t=(0.0, float("inf")))
+        ParamBox(b_far_mt=(0.0, float("inf")))
     with pytest.raises(ConfigError, match=r"box.t_abs_c: \(0.0, 400.0\)"):
         ParamBox(t_abs_c=(0.0, 400.0))  # past the vapor-pressure formula's domain
-    with pytest.raises(ConfigError, match="box.b_far_t"):
-        ParamBox(b_far_t=(0.0, 0.5))
-    ParamBox(t_abs_c=(20.0, 140.0), b_far_t=(0.0, 0.3))  # the cell table's bounds
+    with pytest.raises(ConfigError, match=r"box.b_far_mt: \(0.0, 500.0\)"):
+        ParamBox(b_far_mt=(0.0, 500.0))
+    ParamBox(t_abs_c=(20.0, 140.0), b_far_mt=(0.0, 300.0))  # the cell table's bounds
     box = ParamBox()
     assert box.contains(PAPER_OPTIMUM)
     clipped = box.clip(np.array([200.0, 0.0, 1.0, -1.0]))
     assert np.all(clipped >= box.lower()) and np.all(clipped <= box.upper())
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_operating_keys_are_the_one_table(data):
+    """ChainParams and ParamBox take the optimizer.box names in config units,
+    the config's box is ParamBox(**box), and build_cells sets exactly the
+    mapped cell fields, each to key.to_field(value)."""
+    assert [f.name for f in fields(ChainParams)] == list(OPERATING_KEYS)
+    assert [f.name for f in fields(ParamBox)] == list(OPERATING_KEYS)
+    box = {name: tuple(sorted(data.draw(st.lists(st.floats(key.lo, key.hi), min_size=2,
+                                                 max_size=2))))
+           for name, (_, key) in OPERATING_KEYS.items()}
+    assert validate_config({"optimizer": {"box": box}}).optimizer_box == ParamBox(**box)
+
+    p = ChainParams(**{name: data.draw(st.floats(*pair)) for name, pair in asdict(ParamBox()).items()})
+    templates = inspect.signature(build_cells).parameters["cells"].default
+    built = build_cells(p)
+    for i, (cell, template) in enumerate(zip(built, templates)):
+        mapped = {key.field: key.to_field(getattr(p, name))
+                  for name, (j, key) in OPERATING_KEYS.items() if j == i}
+        assert mapped.keys() == {"temperature_k", "b_field_t"}
+        assert asdict(cell) == {**asdict(template), **mapped}
 
 
 def test_optimize_budget_too_small():
@@ -102,9 +131,9 @@ def test_optimize_budget_too_small():
 
 
 def test_optimize_collapsed_box_returns_the_point():
-    p = ChainParams(100.0, 102.0, 1e-2, 1e-2)
+    p = ChainParams(100.0, 102.0, 10.0, 10.0)
     box = ParamBox(t_abs_c=(100.0, 100.0), t_far_c=(102.0, 102.0),
-                   b_abs_t=(1e-2, 1e-2), b_far_t=(1e-2, 1e-2))
+                   b_abs_mt=(10.0, 10.0), b_far_mt=(10.0, 10.0))
     result = optimize(box, budget=150, seed=1)
     assert result.best_params == p
     assert result.best_objective == pytest.approx(score(p).objective, rel=1e-12)
@@ -112,7 +141,7 @@ def test_optimize_collapsed_box_returns_the_point():
 
 def test_optimize_quadratic_seam_converges():
     """Injected concave quadratic: the search nails the analytic maximum."""
-    center = np.array([104.0, 88.0, 1.2e-2, 7.5e-3])
+    center = np.array([104.0, 88.0, 12.0, 7.5])
     box = ParamBox()
     span = box.upper() - box.lower()
 
