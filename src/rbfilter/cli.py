@@ -32,7 +32,7 @@ from .io import (
     write_lines_csv,
     write_spectrum_csv,
 )
-from .lineshape import CELL_KEYS, LONGITUDINAL
+from .lineshape import LONGITUDINAL, with_keys
 from .optimize import OPERATING_KEYS, optimize
 from .photon_stats import analytic_pair_correlation, simulate_frames, summary_and_map
 from .propagation import (
@@ -148,10 +148,9 @@ def cmd_cascade(args) -> int:
     if args.psi_sweep:
         # the angle moves no line, so both susceptibilities serve every column
         abs_spec, far_spec = susceptibilities([absorption, faraday], grid)
-        to_rad = CELL_KEYS["polarization_angle_deg"].to_field
         columns = {}
         for deg in PSI_SWEEP_DEG:
-            cell = dataclasses.replace(absorption, polarization_angle_rad=to_rad(deg))
+            cell = with_keys(absorption, polarization_angle_deg=deg)
             chain = dual_filter(dataclasses.replace(abs_spec, cell=cell), far_spec,
                                 extinction=cfg.wollaston_extinction)
             columns[f"transmission_psi_{deg:g}_deg"] = chain.transmission(grid)
@@ -265,7 +264,7 @@ def cmd_fit(args) -> int:
         "covariance": result.covariance,
         "degenerate": result.degenerate,
         "n_evaluations": result.n_evaluations,
-        "free_params": result.free_names,
+        "free_params": list(result.params),
         "n_rows": measured.n_rows,
     }
     path = _outpath(args, "fit.json")

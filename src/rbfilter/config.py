@@ -3,10 +3,10 @@
 Config keys carry explicit unit suffixes (temperature_c, b_field_mt,
 length_cm, polarization_angle_deg).  Every key and what it accepts is in
 SCHEMA; a cell key's range and SI conversion is its entry in
-lineshape.CELL_KEYS, which SCHEMA uses as is, and the search box's keys are
-optimize.OPERATING_KEYS.  Validation is one walk over SCHEMA and is total:
-every problem in the file is reported in one pass with its dotted key path,
-and no partially built object escapes a failed load.
+lineshape.CELL_KEYS, which SCHEMA uses as is and with_keys applies, and the
+search box's keys are optimize.OPERATING_KEYS.  Validation is one walk over
+SCHEMA and is total: every problem in the file is reported in one pass with
+its dotted key path, and no partially built object escapes a failed load.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .lineshape import CELL_KEYS, CellConfig, default_grid
+from .lineshape import CELL_KEYS, CellConfig, default_grid, with_keys
 from .optimize import OPERATING_KEYS, PAPER_OPTIMUM, FomSpec, ParamBox, build_cells
 from .photon_stats import NoiseModel, RegionLayout, filtered_preset, unfiltered_preset
 from .propagation import WOLLASTON_EXTINCTION
@@ -194,8 +194,8 @@ def _walk(schema: dict, data, defaults: dict, path: str, errors: list[str]) -> d
 
 
 def _cell(name: str, section: dict) -> CellConfig:
-    return CellConfig(name=name, **{
-        key.field: key.to_field(section[key.name] if key.choices else float(section[key.name]))
+    return with_keys(CellConfig(name=name), **{
+        key.name: section[key.name] if key.choices else float(section[key.name])
         for key in CELL_KEYS.values()})
 
 

@@ -16,17 +16,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .lineshape import CELL_KEYS, CellConfig
+from .lineshape import CELL_KEYS, CellConfig, with_keys
 from .optimize import PAPER_OPTIMUM, build_cells
 from .propagation import cell_transmission
 
-# Fit parameter -> its cell key.  A parameter named after the key is in config
-# units; one named after the CellConfig field (length_m) is in field units.
-_FIT_KEYS = {name: CELL_KEYS[key] for name, key in (
-    ("temperature_c", "temperature_c"), ("b_field_mt", "b_field_mt"),
-    ("rb87_fraction", "rb87_fraction"), ("length_m", "length_cm"))}
-FIT_PARAM_RANGES = {name: (key.lo, key.hi) if name == key.name else key.field_range()
-                    for name, key in _FIT_KEYS.items()}
+# The cell keys a fit may free, each over its range in config units.
+FIT_PARAM_RANGES = {name: (CELL_KEYS[name].lo, CELL_KEYS[name].hi)
+                    for name in ("temperature_c", "b_field_mt", "rb87_fraction", "length_cm")}
 MIN_FIT_ROWS = 50
 
 
@@ -63,15 +59,6 @@ class FitResult:
     covariance: np.ndarray | None
     degenerate: bool
     n_evaluations: int
-    free_names: list[str]
-
-
-def _apply_params(template: CellConfig, values: dict[str, float]) -> CellConfig:
-    updates = {}
-    for name, value in values.items():
-        key = _FIT_KEYS[name]
-        updates[key.field] = key.to_field(value) if name == key.name else value
-    return replace(template, **updates)
 
 
 def model_transmission(cell: CellConfig, grid_ghz) -> np.ndarray:
@@ -83,29 +70,26 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
                  initial: dict[str, float], template: CellConfig | None = None) -> FitResult:
     """Unweighted least squares over the named free parameters.
 
-    initial must provide a starting value for every free parameter, in the
-    units implied by the name (temperature_c in Celsius, b_field_mt in mT,
-    fractions and lengths SI).  Fixed parameters come from the template cell.
+    Each parameter is a cell key in config units (temperature_c in Celsius,
+    length_cm in cm).  initial holds a starting value for every free parameter
+    and nothing else; one ConfigError lists every problem with either.  Fixed
+    parameters come from the template cell.
     """
     free = list(free)
-    if not free:
-        raise ConfigError(["fit: free parameter set is empty"])
-    unknown = [p for p in free if p not in FIT_PARAM_RANGES]
-    if unknown:
-        raise ConfigError([f"fit: unknown free parameter {p!r} (valid: {sorted(FIT_PARAM_RANGES)})"
-                           for p in unknown])
-    repeated = sorted({p for p in free if free.count(p) > 1})
-    if repeated:
-        raise ConfigError([f"fit: free parameter {p!r} listed more than once" for p in repeated])
-    missing = [p for p in free if p not in initial]
-    if missing:
-        raise ConfigError([f"fit: no initial value for free parameter {p!r}" for p in missing])
+    errors = [] if free else ["fit: free parameter set is empty"]
+    errors += [f"fit: unknown free parameter {p!r} (valid: {sorted(FIT_PARAM_RANGES)})"
+               for p in free if p not in FIT_PARAM_RANGES]
+    errors += [f"fit: free parameter {p!r} listed more than once"
+               for p in sorted({p for p in free if free.count(p) > 1})]
+    errors += [f"fit: no initial value for free parameter {p!r}" for p in free if p not in initial]
+    errors += [f"fit: initial value for {p!r}, which is not free" for p in initial if p not in free]
+    if errors:
+        raise ConfigError(errors)
     if measured.n_rows < MIN_FIT_ROWS:
         raise DataError(f"fit needs >= {MIN_FIT_ROWS} rows, got {measured.n_rows}")
 
     template = template or replace(build_cells(PAPER_OPTIMUM)[0], name="fit")
-    lo = np.array([FIT_PARAM_RANGES[p][0] for p in free])
-    hi = np.array([FIT_PARAM_RANGES[p][1] for p in free])
+    lo, hi = np.array([FIT_PARAM_RANGES[p] for p in free]).T
     x0 = np.array([float(initial[p]) for p in free])
     if not np.all((lo <= x0) & (x0 <= hi)):  # NaN fails too
         raise ConfigError([f"fit: initial {p}={initial[p]} outside range {FIT_PARAM_RANGES[p]}"
@@ -120,7 +104,7 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
         nonlocal n_eval
         n_eval += 1
         x = np.clip(lo + u * span, lo, hi)
-        cell = _apply_params(template, dict(zip(free, x)))
+        cell = with_keys(template, **dict(zip(free, x)))
         return model_transmission(cell, grid) - target
 
     from scipy.optimize import least_squares
@@ -143,4 +127,4 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
 
     params = dict(zip(free, (float(v) for v in x_best)))
     return FitResult(params=params, rms=math.sqrt(rss / n), covariance=covariance,
-                     degenerate=degenerate, n_evaluations=n_eval, free_names=free)
+                     degenerate=degenerate, n_evaluations=n_eval)

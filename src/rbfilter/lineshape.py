@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -211,9 +211,6 @@ class CellKey:
     from_field: Callable = lambda x: x
     choices: tuple[str, ...] = ()
 
-    def field_range(self) -> tuple[float, float]:
-        return self.to_field(self.lo), self.to_field(self.hi)
-
 
 # The only place a cell's config units, conversions and ranges are written.
 CELL_KEYS = {key.name: key for key in (
@@ -229,6 +226,13 @@ CELL_KEYS = {key.name: key for key in (
             math.radians, math.degrees),
     CellKey("temperature_offset_c", "temperature_offset_k", -5.0, 5.0),
 )}
+
+
+def with_keys(cell: CellConfig, **values) -> CellConfig:
+    """cell with each named CELL_KEYS value, given in config units, set on
+    its field: the one path from config units to a cell."""
+    return replace(cell, **{CELL_KEYS[name].field: CELL_KEYS[name].to_field(v)
+                            for name, v in values.items()})
 
 
 @dataclass
@@ -303,19 +307,27 @@ def susceptibilities(cells, grid_ghz) -> list[ComplexSpectrum]:
     their weights, the product with a (modes x lines) weight matrix, added row
     by row in a fixed order (a BLAS product's rounding depends on the block's
     width and thread count), so a column's bytes depend neither on the slice
-    width nor on the other cells in the block.  Cells whose lines together
-    exceed BLOCK_POINTS are split into smaller groups; one cell has at most
-    100 lines.
+    width nor on the other cells in the block.  Each cell's lines are built
+    once; _block splits cells whose lines together exceed BLOCK_POINTS into
+    smaller groups (one cell has at most 100 lines).
     """
     grid = _validate_grid(grid_ghz)
     cells = list(cells)
     per_cell = [_mode_lines(cell) for cell in cells]
+    rows = iter(_block(per_cell, grid))
+    return [ComplexSpectrum(grid_ghz=grid, chi={m: next(rows) for m in lines}, cell=cell)
+            for cell, lines in zip(cells, per_cell)]
+
+
+def _block(per_cell: list[dict[str, np.ndarray]], grid: np.ndarray) -> list[np.ndarray]:
+    """chi of every mode of the given cells' lines, one row per mode in
+    order; halved between cells while their lines exceed BLOCK_POINTS."""
     modes = [lines for cell_modes in per_cell for lines in cell_modes.values()]
     mode_lines = [lines.shape[1] for lines in modes]
     n_lines = sum(mode_lines)
-    if n_lines > BLOCK_POINTS and len(cells) > 1:
-        half = len(cells) // 2
-        return susceptibilities(cells[:half], grid) + susceptibilities(cells[half:], grid)
+    if n_lines > BLOCK_POINTS and len(per_cell) > 1:
+        half = len(per_cell) // 2
+        return _block(per_cell[:half], grid) + _block(per_cell[half:], grid)
 
     chi = np.zeros((len(modes), grid.size), dtype=complex)
     filled = [k for k, n in enumerate(mode_lines) if n]
@@ -328,10 +340,7 @@ def susceptibilities(cells, grid_ghz) -> list[ComplexSpectrum]:
             prof = voigt_profile(grid[None, part], center, sigma, gamma)
             prof *= weight
             chi[filled, part] = np.add.reduceat(prof, starts, axis=0)
-
-    rows = iter(chi)
-    return [ComplexSpectrum(grid_ghz=grid, chi={m: next(rows) for m in lines}, cell=cell)
-            for cell, lines in zip(cells, per_cell)]
+    return list(chi)
 
 
 def susceptibility(cell: CellConfig, grid_ghz) -> ComplexSpectrum:

@@ -10,7 +10,7 @@ followed by Nelder-Mead restarts from the best cells.
 
 The operating point (ChainParams) and its search box (ParamBox) are in config
 units (Celsius, mT) under the optimizer.box names; OPERATING_KEYS maps each to
-its cell and cell key, and build_cells alone turns the point into SI.
+its cell and cell key, and build_cells sets them through lineshape.with_keys.
 
 The figure of merit is this package's own construction; the reference
 experiment tuned its operating point by hand.
@@ -21,13 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import DEFAULT_DETUNINGS
 from .errors import ConfigError, NumericalError
-from .lineshape import CELL_KEYS, CellConfig, LONGITUDINAL, TRANSVERSE
+from .lineshape import CELL_KEYS, CellConfig, LONGITUDINAL, TRANSVERSE, with_keys
 from .propagation import WOLLASTON_EXTINCTION, dual_filter
 
 _T_FLOOR = 1.0e-15
@@ -144,8 +144,8 @@ _REFERENCE_CELLS = (
 def build_cells(params: ChainParams, cells: tuple[CellConfig, CellConfig] = _REFERENCE_CELLS
                 ) -> tuple[CellConfig, CellConfig]:
     """Cascade cells at the given operating parameters: the (absorption,
-    faraday) template cells with each OPERATING_KEYS field set from its
-    parameter in SI, and nothing else.
+    faraday) template cells with each OPERATING_KEYS cell key set to its
+    parameter by with_keys, and nothing else.
 
     The default templates are the reference cells.  Absorption cell: 30 cm,
     isotopically enriched Rb85 with a 1.5% Rb87 residual, transverse field,
@@ -153,10 +153,10 @@ def build_cells(params: ChainParams, cells: tuple[CellConfig, CellConfig] = _REF
     longitudinal field.  At PAPER_OPTIMUM they give the reference operating
     point; the config preset and the fit template derive from it.
     """
-    updates = ({}, {})
+    values = ({}, {})
     for name, (i, key) in OPERATING_KEYS.items():
-        updates[i][key.field] = key.to_field(getattr(params, name))
-    return tuple(replace(cell, **fields) for cell, fields in zip(cells, updates))
+        values[i][key.name] = getattr(params, name)
+    return tuple(with_keys(cell, **keys) for cell, keys in zip(cells, values))
 
 
 def score(params: ChainParams, spec: FomSpec | None = None,

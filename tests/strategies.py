@@ -2,7 +2,7 @@
 
 from hypothesis import strategies as st
 
-from rbfilter.lineshape import CELL_KEYS, CellConfig
+from rbfilter.lineshape import CELL_KEYS, CellConfig, with_keys
 
 
 @st.composite
@@ -11,6 +11,4 @@ def cell_configs(draw, geometry):
     values = {name: draw(st.floats(key.lo, key.hi)) for name, key in CELL_KEYS.items()
               if not key.choices and name != "rb87_fraction"}
     values["rb87_fraction"] = draw(st.floats(0.0, 1.0 - values["rb85_fraction"]))
-    return CellConfig(geometry=geometry,
-                      **{CELL_KEYS[name].field: CELL_KEYS[name].to_field(x)
-                         for name, x in values.items()})
+    return with_keys(CellConfig(geometry=geometry), **values)

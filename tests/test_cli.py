@@ -441,14 +441,33 @@ def test_exit_3_on_missing_fit_data(tmp_path):
                "--free", "temperature_c", "--initial", "temperature_c=95") == 3
 
 
-def test_exit_2_on_unknown_fit_parameter(tmp_path):
+def test_exit_2_on_unknown_fit_parameter(tmp_path, capsys):
     grid = np.linspace(-5.0, 5.0, 60)
     data = str(tmp_path / "m.csv")
     write_spectrum_csv(data, grid, {"transmission": np.full(60, 0.5)})
     assert run("fit", "--out", str(tmp_path), "--data", data,
                "--free", "pressure_pa", "--initial", "pressure_pa=1") == 2
+    # every fit parameter is a cell key in config units: the length is length_cm
+    assert run("fit", "--out", str(tmp_path), "--data", data,
+               "--free", "length_m", "--initial", "length_m=0.3") == 2
+    err = capsys.readouterr().err
+    assert "fit: unknown free parameter 'length_m'" in err and "'length_cm'" in err
     assert run("fit", "--out", str(tmp_path), "--data", data,
                "--free", "temperature_c", "--initial", "temperature_c:95") == 2
+
+
+@pytest.mark.parametrize("initial", ["temperature_c=98,b_field_mt=12",
+                                     "temperature_c=98,length_cm=12",
+                                     "temperature_c=98,length_m=0.3"])
+def test_exit_2_on_an_initial_value_for_a_parameter_not_free(tmp_path, capsys, initial):
+    grid = np.linspace(-5.0, 5.0, 60)
+    data = str(tmp_path / "m.csv")
+    write_spectrum_csv(data, grid, {"transmission": np.full(60, 0.5)})
+    assert run("fit", "--out", str(tmp_path), "--data", data, "--free", "temperature_c",
+               "--initial", initial) == 2
+    extra = initial.split(",")[1].split("=")[0]
+    assert f"fit: initial value for {extra!r}, which is not free" in capsys.readouterr().err
+    assert not (tmp_path / "fit.json").exists()
 
 
 def test_exit_2_on_repeated_fit_parameter(tmp_path, capsys):

@@ -13,7 +13,7 @@ from rbfilter.fitting import (
     fit_spectrum,
     model_transmission,
 )
-from rbfilter.lineshape import LONGITUDINAL, TRANSVERSE, CellConfig
+from rbfilter.lineshape import CELL_KEYS, LONGITUDINAL, TRANSVERSE, CellConfig
 from rbfilter.optimize import PAPER_OPTIMUM, build_cells
 
 from oracles import covariance_central_differences
@@ -70,6 +70,11 @@ def test_measured_spectrum_validation():
         MeasuredSpectrum(np.array([0.0, 1.0]), np.array([-0.1, 0.5]))
 
 
+def test_fit_parameters_are_cell_keys_over_their_config_ranges():
+    for name, bounds in FIT_PARAM_RANGES.items():
+        assert bounds == (CELL_KEYS[name].lo, CELL_KEYS[name].hi)
+
+
 def test_fit_rejects_empty_free_set(truth):
     meas = MeasuredSpectrum(GRID, truth)
     with pytest.raises(ConfigError):
@@ -98,6 +103,15 @@ def test_fit_rejects_missing_or_out_of_range_initial(truth):
     for bad in (hi + 10.0, float("nan")):
         with pytest.raises(ConfigError, match="outside range"):
             fit_spectrum(meas, ["temperature_c"], {"temperature_c": bad}, TEMPLATE)
+
+
+def test_fit_rejects_an_initial_value_for_a_parameter_not_free(truth):
+    meas = MeasuredSpectrum(GRID, truth)
+    with pytest.raises(ConfigError) as info:
+        fit_spectrum(meas, ["temperature_c"],
+                     {"temperature_c": 98.0, "b_field_mt": 12.0, "length_m": 0.3}, TEMPLATE)
+    assert info.value.errors == ["fit: initial value for 'b_field_mt', which is not free",
+                                 "fit: initial value for 'length_m', which is not free"]
 
 
 def test_fit_rejects_short_spectra(truth):
@@ -156,12 +170,12 @@ def test_round_trip_from_a_range_bound_or_far_start(truth, initial):
 
 
 def test_every_model_evaluation_is_counted(truth, model_calls):
-    free = ["temperature_c", "b_field_mt", "rb87_fraction", "length_m"]
-    initial = {"temperature_c": 96.0, "b_field_mt": 12.0, "rb87_fraction": 0.02, "length_m": 0.28}
+    free = ["temperature_c", "b_field_mt", "rb87_fraction", "length_cm"]
+    initial = {"temperature_c": 96.0, "b_field_mt": 12.0, "rb87_fraction": 0.02, "length_cm": 28.0}
     result = fit_spectrum(MeasuredSpectrum(GRID, truth), free, initial, TEMPLATE)
     assert result.n_evaluations == len(model_calls)
     assert result.params == pytest.approx(
-        {"temperature_c": 100.0, "b_field_mt": 10.0, "rb87_fraction": 0.015, "length_m": 0.30},
+        {"temperature_c": 100.0, "b_field_mt": 10.0, "rb87_fraction": 0.015, "length_cm": 30.0},
         rel=1e-6)
     assert not result.degenerate
 
@@ -175,13 +189,13 @@ def test_covariance_matches_central_difference_reference(truth, initial):
     result = fit_spectrum(meas, list(initial), initial, TEMPLATE)
 
     def residuals(x):
-        values = dict(zip(result.free_names, x))
+        values = dict(zip(result.params, x))
         cell = replace(TEMPLATE, temperature_k=273.15 + values["temperature_c"],
                        b_field_t=1e-3 * values.get("b_field_mt", 10.0))
         return model_transmission(cell, GRID) - meas.transmission
 
-    x = np.array([result.params[name] for name in result.free_names])
-    ranges = np.array([FIT_PARAM_RANGES[name] for name in result.free_names])
+    x = np.array(list(result.params.values()))
+    ranges = np.array([FIT_PARAM_RANGES[name] for name in result.params])
     reference = covariance_central_differences(residuals, x, ranges[:, 1] - ranges[:, 0])
     assert result.covariance is not None
     np.testing.assert_allclose(result.covariance, reference, rtol=1e-3)

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from rbfilter import lineshape
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.lineshape import (
+    CELL_KEYS,
     LONGITUDINAL,
     TRANSVERSE,
     CellConfig,
@@ -21,6 +22,7 @@ from rbfilter.lineshape import (
     susceptibilities,
     susceptibility,
     voigt_profile,
+    with_keys,
 )
 from rbfilter.zeeman import zeeman_lines
 
@@ -189,6 +191,16 @@ def test_cell_config_collects_all_errors():
     assert CellConfig(temperature_offset_k=9.0).effective_temperature_k == 382.15
 
 
+def test_with_keys_sets_each_named_key_in_config_units_and_nothing_else():
+    cell = CellConfig(name="probe")
+    for name, key in CELL_KEYS.items():
+        value = key.choices[0] if key.choices else key.hi
+        assert with_keys(cell, **{name: value}) == replace(cell, **{key.field: key.to_field(value)})
+    assert with_keys(cell) == cell
+    assert with_keys(cell, length_cm=12.0, b_field_mt=250.0) == replace(
+        cell, length_m=0.12, b_field_t=0.25)
+
+
 def test_cell_config_effective_temperature():
     cell = CellConfig(temperature_k=350.0, temperature_offset_k=2.5)
     assert cell.effective_temperature_k == pytest.approx(352.5)
@@ -294,15 +306,21 @@ def test_voigt_block_is_bounded_on_the_largest_accepted_grid(monkeypatch):
     (n_lines, width), _ = shapes
     assert n_lines == 2 * lines and n_lines * min(max_points, width) <= lineshape.BLOCK_POINTS
 
-    # a chain with more lines than a block holds is split between cells, with the same bytes
+    # a chain with more lines than a block holds is split between cells, with
+    # the same bytes, and each cell's lines are built once
     chain = [CellConfig(name=f"cell{k}", b_field_t=b, geometry="transverse")
              for k, b in enumerate((0.0, 1e-2, 0.3))]
     grid = default_grid(7)
     want = susceptibilities(chain, grid)
     shapes.clear()
     monkeypatch.setattr(lineshape, "BLOCK_POINTS", max(map(_n_lines, chain)) + 1)
+    built = []
+    mode_lines = lineshape._mode_lines
+    monkeypatch.setattr(lineshape, "_mode_lines",
+                        lambda cell: built.append(cell) or mode_lines(cell))
     got = susceptibilities(chain, grid)
-    assert max(n * points for n, points in shapes) <= lineshape.BLOCK_POINTS
+    assert built == chain
+    assert len(shapes) > 1 and max(n * points for n, points in shapes) <= lineshape.BLOCK_POINTS
     assert sum(n * points for n, points in shapes) == sum(map(_n_lines, chain)) * grid.size
     for a, b in zip(want, got):
         for mode in a.chi:

@@ -12,7 +12,7 @@ from scipy.signal import hilbert
 from rbfilter import lineshape
 from rbfilter.constants import C_LIGHT, REFERENCE
 from rbfilter.errors import ConfigError, DataError
-from rbfilter.lineshape import CELL_KEYS, CellConfig, default_grid, susceptibility
+from rbfilter.lineshape import CELL_KEYS, CellConfig, default_grid, susceptibility, with_keys
 from rbfilter.optimize import ChainParams, build_cells
 from rbfilter.propagation import (
     Polarizer,
@@ -323,15 +323,16 @@ _FIELD_MT = st.floats(CELL_KEYS["b_field_mt"].lo, CELL_KEYS["b_field_mt"].hi)
 
 @settings(max_examples=25, deadline=None)
 @given(t_abs_c=_TEMPERATURE_C, t_far_c=_TEMPERATURE_C, b_abs_mt=_FIELD_MT, b_far_mt=_FIELD_MT,
-       angle_rad=st.floats(*CELL_KEYS["polarization_angle_deg"].field_range()),
+       angle_deg=st.floats(CELL_KEYS["polarization_angle_deg"].lo,
+                           CELL_KEYS["polarization_angle_deg"].hi),
        extinction=st.floats(1e-7, 1e-2))
 def test_dual_filter_is_light_direction_insensitive(t_abs_c, t_far_c, b_abs_mt, b_far_mt,
-                                                    angle_rad, extinction):
+                                                    angle_deg, extinction):
     """The paper's dual filter passes the same T whichever way the light runs:
     the reversed chain, entered along its first polarizer, matches the forward one."""
     grid = default_grid(801, -12.0, 12.0)
     absorption, far = build_cells(ChainParams(t_abs_c, t_far_c, b_abs_mt, b_far_mt))
-    chain = dual_filter(replace(absorption, polarization_angle_rad=angle_rad), far,
+    chain = dual_filter(with_keys(absorption, polarization_angle_deg=angle_deg), far,
                         extinction=extinction)
     forward = chain.transmission(grid)
     backward = cascade(chain.elements[::-1], grid, input_angle_rad=math.pi / 2.0)
