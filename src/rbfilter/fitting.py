@@ -1,11 +1,13 @@
 """Least-squares fitting of measured filter spectra to the cell model.
 
-The fit is one bounded least-squares solve (SciPy's ``least_squares``) over a
-subset of {temperature, field, Rb87 residual fraction, length}, with every
-parameter mapped onto the unit box of its documented physical range.  The
-Jacobian the solver returns at the optimum gives both the Gauss-Newton
-covariance and the degeneracy test: a direction the data cannot see marks the
-fit degenerate instead of silently returning garbage.
+The fit is one bounded least-squares solve, a box-projected
+Levenberg-Marquardt in NumPy (importing SciPy's least_squares took 0.6 s,
+half of a fit run; the tests keep it as the oracle), over a subset of
+{temperature, field, Rb87 residual fraction, length}, with every parameter
+mapped onto the unit box of its documented physical range.  The Jacobian at
+the optimum gives both the Gauss-Newton covariance and the degeneracy test: a
+direction the data cannot see marks the fit degenerate instead of silently
+returning garbage.
 """
 
 from __future__ import annotations
@@ -107,24 +109,65 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
         cell = with_keys(template, **dict(zip(free, x)))
         return model_transmission(cell, grid) - target
 
-    from scipy.optimize import least_squares
-
-    # dogbox, not trf: trf stalls on a range bound when the fit starts there
-    res = least_squares(residuals, (x0 - lo) / span, bounds=(0.0, 1.0), method="dogbox")
-    x_best = np.clip(lo + res.x * span, lo, hi)
-    n, p = res.fun.size, len(free)
-    rss = float(res.fun @ res.fun)
+    u, r, jac = _levenberg_marquardt(residuals, (x0 - lo) / span)
+    x_best = np.clip(lo + u * span, lo, hi)
+    n, p = r.size, len(free)
+    rss = float(r @ r)
 
     # singular values of the unit-box Jacobian: the smallest below 1e-6 sqrt(n)
     # means some parameter direction, swept over its whole range, moves the
     # model by less than 1e-6 rms; below 1e-6 of the largest, J is ill-conditioned
-    sv = np.linalg.svd(res.jac, compute_uv=False)
+    sv = np.linalg.svd(jac, compute_uv=False)
     degenerate = bool(sv.min() < 1e-6 * max(sv.max(), math.sqrt(n)))
     covariance = None
     if not degenerate:
-        jac = res.jac / span  # d(residual)/d(parameter) in natural units
+        jac = jac / span  # d(residual)/d(parameter) in natural units
         covariance = rss / max(n - p, 1) * np.linalg.inv(jac.T @ jac)
 
     params = dict(zip(free, (float(v) for v in x_best)))
     return FitResult(params=params, rms=math.sqrt(rss / n), covariance=covariance,
                      degenerate=degenerate, n_evaluations=n_eval)
+
+
+def _levenberg_marquardt(residuals, u: np.ndarray):
+    """Least squares of residuals(u) over [0, 1]^p by Levenberg-Marquardt,
+    each step clipped to the box.  J is a forward difference with step
+    sqrt(eps), inward at the upper bound.  The damping is scaled by J's column
+    norms and the step solves [J; sqrt(lam) D] step = [-r; 0] by lstsq, so a
+    column the data cannot see gets no step instead of a singular system.
+    Stops on a relative cost decrease or a step (relative to |u|) below 1e-8,
+    or on runaway damping.  Returns (u, r, J), with r and J evaluated at u.
+    """
+    h0 = math.sqrt(np.finfo(float).eps)
+
+    def jacobian(u, r):
+        jac = np.empty((r.size, u.size))
+        for k in range(u.size):
+            v = u.copy()
+            v[k] += h0 if u[k] + h0 <= 1.0 else -h0
+            jac[:, k] = (residuals(v) - r) / (v[k] - u[k])
+        return jac
+
+    r = residuals(u)
+    cost = float(r @ r)
+    jac = jacobian(u, r)
+    lam = 1e-3
+    while lam < 1e10:
+        damping = np.sqrt(lam) * np.linalg.norm(jac, axis=0)
+        step = np.linalg.lstsq(np.vstack([jac, np.diag(damping)]),
+                               np.concatenate([-r, np.zeros(u.size)]), rcond=None)[0]
+        u_new = np.clip(u + step, 0.0, 1.0)
+        if np.linalg.norm(u_new - u) <= 1e-8 * (1e-8 + np.linalg.norm(u)):
+            break
+        r_new = residuals(u_new)
+        cost_new = float(r_new @ r_new)
+        if cost_new < cost:
+            small = cost - cost_new <= 1e-8 * cost
+            u, r, cost = u_new, r_new, cost_new
+            jac = jacobian(u, r)
+            lam = max(0.1 * lam, 1e-10)
+            if small:
+                break
+        else:
+            lam *= 10.0
+    return u, r, jac

@@ -221,16 +221,79 @@ def _grid_axes(box: ParamBox, grid_budget: int) -> list[np.ndarray]:
     return [axis(0, n_tabs), axis(1, n_tfar), axis(2, n_babs), axis(3, n_bfar)]
 
 
-def minimize(*args, **kwargs):
-    """scipy.optimize.minimize, imported on the first call so that importing
-    rbfilter loads no SciPy.
+class _Budget(Exception):
+    """Raised in place of evaluation maxfev + 1."""
+
+
+def minimize(fun, x0, method, options):
+    """SciPy's non-adaptive, unbounded Nelder-Mead, step for step in NumPy:
+    importing scipy.optimize took 0.6 s, half of an optimize run.  The tests
+    hold it to scipy.optimize.minimize as the oracle: the same points in the
+    same order, cut after options["maxfev"] evaluations (even inside the
+    initial simplex or a shrink), stopped when every vertex is within xatol
+    and every value within fatol of the best.  It starts from
+    options["initial_simplex"]; x0 and method only keep SciPy's call.
+    Returns the best vertex and its value.
 
     optimize() looks this name up at call time, so replacing the module
-    attribute sees every Nelder-Mead restart.
+    attribute sees every restart.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    maxfev, xatol, fatol = options["maxfev"], options["xatol"], options["fatol"]
+    sim = np.array(options["initial_simplex"], dtype=float)
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
 
-    return scipy_minimize(*args, **kwargs)
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _Budget
+        calls += 1
+        return fun(np.copy(x))
+
+    def sort():
+        order = np.argsort(fsim)
+        return np.take(sim, order, 0), np.take(fsim, order, 0)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _Budget:
+        pass
+    sim, fsim = sort()
+    try:
+        while calls < maxfev:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = 2 * xbar - sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = 3 * xbar - 2 * sim[-1]
+                fxe = f(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:  # contract: outside the simplex if xr beats the worst vertex
+                if fxr < fsim[-1]:
+                    xc = 1.5 * xbar - 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc <= fxr
+                else:
+                    xc = 0.5 * xbar + 0.5 * sim[-1]
+                    fxc = f(xc)
+                    accept = fxc < fsim[-1]
+                if accept:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            sim, fsim = sort()
+    except _Budget:
+        sim, fsim = sort()
+    return sim[0], fsim[0]
 
 
 def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
@@ -299,18 +362,10 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
     for x0 in starts:
         if len(trace) >= budget:
             break
-        remaining = budget - len(trace)
-        minimize(
-            lambda u: -evaluate(box.lower() + u * scale),
-            (x0 - box.lower()) / scale,
-            method="Nelder-Mead",
-            options=dict(
-                maxfev=min(per_restart, remaining),
-                xatol=1e-6,
-                fatol=1e-10,
-                initial_simplex=initial_simplex((x0 - box.lower()) / scale, 0.05),
-            ),
-        )
+        u0 = (x0 - box.lower()) / scale
+        minimize(lambda u: -evaluate(box.lower() + u * scale), u0, method="Nelder-Mead",
+                 options=dict(maxfev=min(per_restart, budget - len(trace)), xatol=1e-6,
+                              fatol=1e-10, initial_simplex=initial_simplex(u0, 0.05)))
 
     best_i = max(range(len(trace)), key=lambda i: trace[i][1])
     best_x, best_val = trace[best_i]

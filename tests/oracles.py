@@ -237,3 +237,32 @@ def voigt_perpendicular_chi(chi_plus, chi_minus) -> np.ndarray:
     eps_xx = 1.0 + 0.5 * (chi_plus + chi_minus)
     eps_xy = 0.5j * (chi_plus - chi_minus)
     return eps_xx + eps_xy ** 2 / eps_xx - 1.0
+
+
+# ---------------------------------------------------------------------------
+# SciPy's solvers, which the package's NumPy solvers replace at run time
+
+def scipy_nelder_mead(fun, simplex: np.ndarray, **options):
+    """scipy.optimize.minimize(method="Nelder-Mead") from the given initial
+    simplex: (every point it evaluated, their values, its result)."""
+    from scipy.optimize import minimize
+
+    points, values = [], []
+
+    def recorded(x):
+        points.append(x.copy())
+        values.append(fun(x))
+        return values[-1]
+
+    result = minimize(recorded, simplex[0], method="Nelder-Mead",
+                      options=dict(options, initial_simplex=simplex))
+    return points, values, result
+
+
+def least_squares_dogbox(residuals, u0: np.ndarray):
+    """scipy.optimize.least_squares(method="dogbox") on the unit box, returning
+    (u, r, J) like fitting._levenberg_marquardt, with r and J at u."""
+    from scipy.optimize import least_squares
+
+    result = least_squares(residuals, u0, bounds=(0.0, 1.0), method="dogbox")
+    return result.x, result.fun, result.jac

@@ -304,10 +304,19 @@ def test_importing_the_cli_loads_no_thread_pool():
     pytest.param(["spectrum", "--cell", "faraday"], id="spectrum-faraday"),
     pytest.param(["cascade"], id="cascade"),
     pytest.param(["cascade", "--psi-sweep"], id="cascade-psi-sweep"),
+    pytest.param(["fit", "--data", "measured.csv", "--free", "temperature_c,b_field_mt",
+                  "--initial", "temperature_c=96,b_field_mt=12"], id="fit"),
+    pytest.param(["optimize"], id="optimize"),
 ])
-def test_commands_that_need_no_scipy_load_none(tmp_path, argv):
+def test_commands_that_need_no_scipy_load_none(tmp_path, monkeypatch, argv):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"noise": {"frames": 2000}, "grid": {"points": 101}}))
+    cfg.write_text(json.dumps({"noise": {"frames": 2000}, "grid": {"points": 101},
+                               "optimizer": {"budget": 100}}))
+    grid = np.linspace(-12.0, 12.0, 101)
+    absorption = load_config().cells["absorption"]
+    write_spectrum_csv(tmp_path / "measured.csv", grid,
+                       {"transmission": model_transmission(absorption, grid)})
+    monkeypatch.chdir(tmp_path)  # the child reads measured.csv from its working directory
     assert scipy_loaded_by(*argv, "--config", str(cfg), "--out", str(tmp_path)) == set()
 
 

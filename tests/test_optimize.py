@@ -21,6 +21,8 @@ from rbfilter.optimize import (
 )
 from rbfilter.propagation import dual_filter
 
+from oracles import scipy_nelder_mead
+
 
 def test_reference_point_lands_in_both_signal_windows():
     fom = score(PAPER_OPTIMUM)
@@ -186,6 +188,50 @@ def test_optimize_looks_up_minimize_at_call_time(monkeypatch):
     optimize(ParamBox(), budget=300, seed=0, restarts=3,
              objective_fn=lambda x: -abs(float(x[0]) - 100.0))
     assert methods == ["Nelder-Mead"] * 3
+
+
+def _rosenbrock(x):
+    return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
+
+
+def test_minimize_matches_scipy_nelder_mead():
+    """Every point and value of optimize.minimize equals SciPy's Nelder-Mead,
+    bit for bit, in order; run with -s to print the count compared.
+
+    Rosenbrock from a 4-D simplex converges on xatol and fatol, and a maxfev
+    of 3 cuts it inside the initial simplex.  On a constant objective every
+    contraction fails, so each iteration is a reflection, a contraction and a
+    shrink of n points: maxfev 9 cuts the first shrink after two of its four
+    points.  Both share values, so the unstable argsort orders ties as in
+    SciPy.  A quantized bowl, cut at every maxfev up to 80, puts the cut at
+    each kind of step.
+    """
+    import rbfilter.optimize as module
+
+    start = np.array([0.1, 0.7, 0.4, 0.95])
+    simplex = module.initial_simplex(start, 0.05)
+    runs = [(_rosenbrock, simplex, 4000), (_rosenbrock, simplex, 3),
+            (lambda x: 1.0, simplex, 9)]
+    runs += [(lambda x: float(np.round(10.0 * (x - 0.3) @ (x - 0.3))), simplex, m)
+             for m in range(1, 81)]
+    counts = []
+    for fun, sim, maxfev in runs:
+        options = dict(maxfev=maxfev, xatol=1e-6, fatol=1e-10)
+        want_x, want_f, ref = scipy_nelder_mead(fun, sim, **options)
+        got_x, got_f = [], []
+
+        def recorded(x):
+            got_x.append(x.copy())
+            got_f.append(fun(x))
+            return got_f[-1]
+
+        best_x, best_f = module.minimize(recorded, sim[0], method="Nelder-Mead",
+                                         options=dict(options, initial_simplex=sim))
+        assert np.array_equal(np.array(got_x), np.array(want_x)) and got_f == want_f, maxfev
+        assert np.array_equal(best_x, ref.x) and best_f == ref.fun
+        counts.append(len(want_x))
+    assert counts[0] < runs[0][2]  # converged, not cut
+    print(f"nelder-mead vs scipy: {sum(counts)} evaluations compared over {len(runs)} runs, identical")
 
 
 def test_package_attribute_optimize_is_the_submodule():
