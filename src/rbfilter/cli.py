@@ -28,6 +28,7 @@ from .errors import ConfigError, DataError, NumericalError
 from .fitting import FIT_PARAM_RANGES, fit_spectrum
 from .io import (
     read_measured_csv,
+    write_frames_csv,
     write_json_report,
     write_lines_csv,
     write_spectrum_csv,
@@ -200,25 +201,6 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-FRAMES_PER_CHUNK = 4096
-
-
-def _write_frames_csv(path: str, batch) -> None:
-    """One row per (frame, region); formatted a chunk of frames at a time, so
-    memory stays flat however many frames the batch holds."""
-    m = batch.layout.n_regions
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("frame,region,n_s,n_as\n")
-        for lo in range(0, batch.n_frames, FRAMES_PER_CHUNK):
-            hi = min(lo + FRAMES_PER_CHUNK, batch.n_frames)
-            rows = np.empty((hi - lo, m, 4), dtype=np.int64)
-            rows[..., 0] = np.arange(lo, hi)[:, None]
-            rows[..., 1] = np.arange(m)
-            rows[..., 2] = batch.n_s[lo:hi]
-            rows[..., 3] = batch.n_as[lo:hi]
-            fh.write("%d,%d,%d,%d\n" * rows.shape[0] * m % tuple(rows.ravel().tolist()))
-
-
 def cmd_photon_sim(args) -> int:
     cfg = _load(args)
     batch = simulate_frames(cfg.frames, cfg.noise, seed=cfg.seed, layout=cfg.layout)
@@ -233,7 +215,7 @@ def cmd_photon_sim(args) -> int:
     write_json_report(path, payload, cfg.resolved)
     if args.frames_csv:
         frames_path = _outpath(args, "frames.csv")
-        _write_frames_csv(frames_path, batch)
+        write_frames_csv(frames_path, batch)
         print(frames_path)
     print(map_path)
     print(path)

@@ -1,9 +1,10 @@
-"""File input/output: spectrum CSV, line-table CSV, JSON reports.
+"""File input/output: spectrum, line-table and frame CSV, JSON reports.
 
-CSV columns are written with %.16g so round trips through text preserve
-doubles to the last bit that matters; JSON reports always embed the package
-version, the fully resolved configuration, and its hash so a result file is
-reproducible on its own.
+Every CSV file is a header row, then one row per record ending in CRLF,
+floats written with %.16g so round trips through text preserve doubles to the
+last bit that matters; JSON reports always embed the package version, the
+fully resolved configuration, and its hash so a result file is reproducible
+on its own.
 """
 
 from __future__ import annotations
@@ -13,8 +14,24 @@ import json
 
 import numpy as np
 
+from . import __version__
+from .config import config_hash
 from .errors import DataError
 from .fitting import MeasuredSpectrum
+
+# rows (frames, in frames.csv) formatted at once: memory stays flat on any grid or batch
+CHUNK_ROWS = 4096
+
+
+def _write_csv(path: str, header: list[str], fmt: str, chunks) -> None:
+    """The header row, quoted where a name needs it, then each chunk: a flat
+    list of its fields in row order, each row formatted by fmt."""
+    line = fmt + "\r\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        for fields in chunks:
+            fh.write(line * (len(fields) // len(header)) % tuple(fields))
+            del fields  # freed before the next chunk is built, not after
 
 
 def write_spectrum_csv(path: str, detuning_ghz, columns: dict, *,
@@ -25,25 +42,17 @@ def write_spectrum_csv(path: str, detuning_ghz, columns: dict, *,
     first column is headed index_name, so another index can name itself.
     """
     detuning_ghz = np.asarray(detuning_ghz, dtype=float)
-    names = list(columns)
-    arrays = []
-    for name in names:
-        arr = np.asarray(columns[name], dtype=float)
+    arrays = [detuning_ghz]
+    for name, values in columns.items():
+        arr = np.asarray(values, dtype=float)
         if arr.shape != detuning_ghz.shape:
             raise DataError(
                 f"column {name!r} has shape {arr.shape}, grid has {detuning_ghz.shape}"
             )
         arrays.append(arr)
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([index_name] + names)
-            for i in range(detuning_ghz.size):
-                writer.writerow(
-                    [f"{detuning_ghz[i]:.16g}"] + [f"{a[i]:.16g}" for a in arrays]
-                )
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    _write_csv(path, [index_name, *columns], ",".join(["%.16g"] * len(arrays)),
+               (np.column_stack([a[lo:lo + CHUNK_ROWS] for a in arrays]).ravel().tolist()
+                for lo in range(0, detuning_ghz.size, CHUNK_ROWS)))
 
 
 def read_spectrum_csv(path: str) -> tuple[np.ndarray, dict]:
@@ -63,14 +72,13 @@ def read_spectrum_csv(path: str) -> tuple[np.ndarray, dict]:
     body = [r for r in rows[1:] if r]
     if not body:
         raise DataError(f"{path}: no data rows")
+    for n, row in enumerate(rows[1:], start=2):
+        if row and len(row) != len(header):
+            raise DataError(f"{path}: row {n} has {len(row)} fields, header has {len(header)}")
     try:
         data = np.array([[float(x) for x in row] for row in body])
     except ValueError as exc:
         raise DataError(f"{path}: non-numeric value: {exc}") from exc
-    if data.shape[1] != len(header):
-        raise DataError(
-            f"{path}: rows have {data.shape[1]} fields, header has {len(header)}"
-        )
     grid = data[:, 0]
     columns = {name: data[:, j + 1] for j, name in enumerate(header[1:])}
     return grid, columns
@@ -86,33 +94,34 @@ def read_measured_csv(path: str, column: str = "transmission") -> MeasuredSpectr
 
 
 def write_lines_csv(path: str, table) -> None:
-    """Write a resolved line table as offset/component/strength rows."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["offset_ghz", "component", "strength"])
-            for off, component, s in table.rows():
-                writer.writerow([f"{off:.16g}", component, f"{s:.16g}"])
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    """Write a resolved line table as offset/component/strength rows, one chunk."""
+    columns = (table.offset_ghz.tolist(), table.component.tolist(), table.strength.tolist())
+    _write_csv(path, ["offset_ghz", "component", "strength"], "%.16g,%s,%.16g",
+               [[field for row in zip(*columns) for field in row]])
+
+
+def write_frames_csv(path: str, batch) -> None:
+    """Write a CountsBatch as one (frame, region, n_s, n_as) row per region of
+    each frame, CHUNK_ROWS frames at a time."""
+    def chunks():
+        for lo in range(0, batch.n_frames, CHUNK_ROWS):
+            n_s, n_as = batch.n_s[lo:lo + CHUNK_ROWS], batch.n_as[lo:lo + CHUNK_ROWS]
+            frame, region = np.indices(n_s.shape)
+            yield np.stack([frame + lo, region, n_s, n_as], axis=-1).ravel().tolist()
+
+    _write_csv(path, ["frame", "region", "n_s", "n_as"], "%d,%d,%d,%d", chunks())
 
 
 def write_json_report(path: str, payload: dict, resolved_config: dict | None = None) -> None:
     """Write a JSON result file with version and config provenance attached."""
-    from . import __version__
-    from .config import config_hash
-
     doc = {"version": __version__}
     if resolved_config is not None:
         doc["config"] = resolved_config
         doc["config_hash"] = config_hash(resolved_config)
     doc.update(payload)
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, default=_jsonable)
-            fh.write("\n")
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc}") from exc
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, default=_jsonable)
+        fh.write("\n")
 
 
 def _jsonable(obj):

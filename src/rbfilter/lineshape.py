@@ -71,7 +71,9 @@ def _weideman_coefficients() -> tuple[tuple[float, ...], float]:
     return tuple(a[1:_WEIDEMAN_N + 1][::-1].tolist()), big_l
 
 
-# Both pieces work in place, so a block costs three temporaries of its size.
+# Both pieces work in place, so a block costs at most four temporaries of its size.
+# A Horner step multiplies into a second buffer: NumPy's in-place complex
+# multiply rounds differently on a 1-element array, making bytes slice-dependent.
 def _weideman(z: np.ndarray) -> np.ndarray:
     a, big_l = _weideman_coefficients()
     zz = 1j * z
@@ -79,9 +81,11 @@ def _weideman(z: np.ndarray) -> np.ndarray:
     zz += big_l
     zz /= lz  # (L + iz) / (L - iz)
     p = np.full_like(z, a[0])
+    q = np.empty_like(p)
     for c in a[1:]:
-        p *= zz
-        p += c
+        np.multiply(p, zz, out=q)
+        q += c
+        p, q = q, p
     # 2 p / (L - iz)^2 + 1 / (sqrt(pi) (L - iz))
     p *= 2.0
     p /= lz
@@ -94,9 +98,11 @@ def _asymptotic(z: np.ndarray) -> np.ndarray:
     u = 0.5 / z
     u /= z  # 1/(2 z^2) without z^2, which overflows for huge finite z
     s = np.full_like(z, _ASYMPTOTIC[-1])
+    t = np.empty_like(s)
     for c in _ASYMPTOTIC[-2::-1]:
-        s *= u
-        s += c
+        np.multiply(s, u, out=t)
+        t += c
+        s, t = t, s
     s /= z
     s *= 1j / _SQRT_PI
     return s
@@ -174,7 +180,6 @@ class CellConfig:
     rb85_fraction: float = 0.7217
     rb87_fraction: float = 0.2783
     buffer_pressure_pa: float = 0.0
-    buffer_broadening_mhz_per_pa: float = KR_BROADENING_MHZ_PER_PA
     polarization_angle_rad: float = math.pi / 2.0
     temperature_offset_k: float = 0.0
 
@@ -286,7 +291,7 @@ def _mode_lines(cell: CellConfig) -> dict[str, np.ndarray]:
 
         sigma_d = doppler_sigma_ghz(t_k, isotope.mass_kg, isotope.centroid_frequency_hz)
         gamma_hwhm = 0.5 * (
-            isotope.natural_linewidth_mhz + cell.buffer_broadening_mhz_per_pa * cell.buffer_pressure_pa
+            isotope.natural_linewidth_mhz + KR_BROADENING_MHZ_PER_PA * cell.buffer_pressure_pa
         ) * 1e-3
         centroid = REFERENCE.centroid_offset_ghz(isotope)
 

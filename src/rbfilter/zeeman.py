@@ -136,10 +136,6 @@ class LineTable:
     def strength_sum(self, component: str) -> float:
         return float(self.select(component)[1].sum())
 
-    def rows(self):
-        for k in range(self.n_lines):
-            yield (float(self.offset_ghz[k]), str(self.component[k]), float(self.strength[k]))
-
 
 @lru_cache(maxsize=512)
 def zeeman_lines(isotope_name: str, b_field_t: float, geometry: str = "longitudinal") -> LineTable:

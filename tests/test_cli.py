@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rbfilter
-from rbfilter import cli, lineshape, propagation
+from rbfilter import cli, io, lineshape, propagation
 from rbfilter.config import load_config
 from rbfilter.fitting import model_transmission
 from rbfilter.io import read_spectrum_csv, write_spectrum_csv
@@ -200,7 +200,7 @@ def test_optimize_scores_the_config_cells(tmp_path):
 
 def test_photon_sim_command(tmp_path):
     frames = 5000
-    assert frames % cli.FRAMES_PER_CHUNK != 0  # a short last chunk is written too
+    assert frames % io.CHUNK_ROWS != 0  # a short last chunk is written too
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"noise": {"frames": frames}}))
     assert run("photon-sim", "--out", str(tmp_path), "--config", str(cfg),
@@ -222,6 +222,35 @@ def test_photon_sim_command(tmp_path):
     frame, region = np.divmod(np.arange(frames * 10), 10)
     expected = np.column_stack([frame, region, batch.n_s.ravel(), batch.n_as.ravel()])
     assert lines[1:] == [",".join(map(str, row)) for row in expected.tolist()]
+
+
+def test_every_csv_parses_by_the_readme_recipe_and_ends_rows_in_crlf(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"points": 51}, "noise": {"frames": 300},
+                               "optimizer": {"budget": 100}}))
+    common = ("--out", str(tmp_path), "--config", str(cfg))
+    for argv in (["lines"], ["spectrum"], ["cascade", "--psi-sweep"], ["optimize", "--trace"],
+                 ["photon-sim", "--frames-csv"]):
+        assert run(*argv, *common) == 0
+    names = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert names == ["cascade_psi_sweep.csv", "correlation_map.csv", "frames.csv",
+                     "lines_rb85.csv", "lines_rb87.csv", "optimize_trace.csv",
+                     "spectrum_absorption.csv"]
+    for name in names:
+        path = tmp_path / name
+        data = np.genfromtxt(path, delimiter=",", names=True)
+        text = path.read_bytes()
+        assert data.size == text.count(b"\n") - 1 > 0, name
+        assert text.count(b"\r\n") == text.count(b"\n") and text.endswith(b"\r\n"), name
+
+
+@pytest.mark.parametrize("argv, name", [(["spectrum", "--grid-points", "51"],
+                                         "spectrum_absorption.csv"),
+                                        (["constants"], "constants.json")])
+def test_exit_3_when_the_output_path_is_a_directory(tmp_path, capsys, argv, name):
+    (tmp_path / name).mkdir()
+    assert run(*argv, "--out", str(tmp_path)) == 3
+    assert name in capsys.readouterr().err
 
 
 def test_photon_sim_seed_override_changes_sample_not_analytic(tmp_path):

@@ -383,7 +383,7 @@ def test_spectrum_csv_read_errors(tmp_path):
 
     ragged = tmp_path / "ragged.csv"
     ragged.write_text("detuning_ghz,transmission\n0,1\n1\n")
-    with pytest.raises(DataError):
+    with pytest.raises(DataError, match="row 3 has 1 fields, header has 2"):
         read_spectrum_csv(str(ragged))
 
 
