@@ -9,8 +9,10 @@ Subcommands:
   photon-sim  Monte Carlo photon statistics: JSON summary + correlation map CSV
   fit         least-squares fit of a measured spectrum, write a JSON report
 
-Exit codes: 0 success, 2 configuration error, 3 data/file error, 4 numerical
-failure.
+Each subcommand is cmd_x(cfg, args), run on the validated config; it returns
+the paths of the files it wrote into --out, which main prints one per line in
+write order.  Exit codes: 0 success, 2 configuration error, 3 data/file
+error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -49,15 +51,6 @@ from .zeeman import zeeman_lines
 PSI_SWEEP_DEG = (0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", metavar="PATH", help="JSON config file")
-    parser.add_argument("--preset", choices=["paper-optimum"],
-                        help="start from the built-in reference operating point")
-    parser.add_argument("--seed", type=int, metavar="U64", help="override RNG seed")
-    parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
-    parser.add_argument("--grid-points", type=int, metavar="N",
-                        help="override detuning-grid point count")
-
 
 def _load(args) -> RunConfig:
     """The config with --seed and --grid-points written into it, validated once."""
@@ -73,13 +66,15 @@ def _load(args) -> RunConfig:
     return validate_config(data)
 
 
-def _outpath(args, name: str) -> str:
+def _write(args, name: str, write, *data, **options) -> str:
+    """write(path, *data, **options) to the file name in --out; returns the path."""
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    path = os.path.join(args.out, name)
+    write(path, *data, **options)
+    return path
 
 
-def cmd_constants(args) -> int:
-    cfg = _load(args)
+def cmd_constants(cfg: RunConfig, args) -> list[str]:
     doc = {
         "reference_frequency_thz": REFERENCE.reference_frequency_hz * 1e-12,
         "reference_detunings_ghz": {
@@ -102,32 +97,19 @@ def cmd_constants(args) -> int:
         }
     temp = cfg.cells["absorption"].effective_temperature_k
     doc["vapor_pressure_pa_at_config_temperature"] = vapor_pressure_pa(temp)
-    path = _outpath(args, "constants.json")
-    write_json_report(path, doc, cfg.resolved)
-    print(path)
-    return 0
+    return [_write(args, "constants.json", write_json_report, doc, cfg.resolved)]
 
 
-def cmd_lines(args) -> int:
-    cfg = _load(args)
+def cmd_lines(cfg: RunConfig, args) -> list[str]:
     cell = cfg.cells[args.cell]
-    written = []
-    for iso in ("Rb85", "Rb87"):
-        if cell.fraction(iso) <= 0.0:
-            continue
-        table = zeeman_lines(iso, cell.b_field_t, cell.geometry)
-        path = _outpath(args, f"lines_{iso.lower()}.csv")
-        write_lines_csv(path, table)
-        written.append(path)
-    if not written:
+    isotopes = [iso for iso in ("Rb85", "Rb87") if cell.fraction(iso) > 0.0]
+    if not isotopes:
         raise ConfigError([f"cells.{args.cell}: both isotope fractions are zero"])
-    for p in written:
-        print(p)
-    return 0
+    return [_write(args, f"lines_{iso.lower()}.csv", write_lines_csv,
+                   zeeman_lines(iso, cell.b_field_t)) for iso in isotopes]
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _load(args)
+def cmd_spectrum(cfg: RunConfig, args) -> list[str]:
     cell = cfg.cells[args.cell]
     grid = cfg.grid()
     spectrum = susceptibility(cell, grid)
@@ -135,42 +117,30 @@ def cmd_spectrum(args) -> int:
     out = {"transmission": t, "transmission_db": transmission_db(t)}
     if cell.geometry == LONGITUDINAL:
         out["rotation_rad"], out["rotation_transmission"] = faraday_rotation(spectrum, grid)
-    path = _outpath(args, f"spectrum_{args.cell}.csv")
-    write_spectrum_csv(path, grid, out)
-    print(path)
-    return 0
+    return [_write(args, f"spectrum_{args.cell}.csv", write_spectrum_csv, grid, out)]
 
 
-def cmd_cascade(args) -> int:
-    cfg = _load(args)
+def cmd_cascade(cfg: RunConfig, args) -> list[str]:
     grid = cfg.grid()
     absorption = cfg.cells["absorption"]
     faraday = cfg.cells["faraday"]
-    if args.psi_sweep:
-        # the angle moves no line, so both susceptibilities serve every column
-        abs_spec, far_spec = susceptibilities([absorption, faraday], grid)
-        columns = {}
-        for deg in PSI_SWEEP_DEG:
-            cell = with_keys(absorption, polarization_angle_deg=deg)
-            chain = dual_filter(dataclasses.replace(abs_spec, cell=cell), far_spec,
-                                extinction=cfg.wollaston_extinction)
-            columns[f"transmission_psi_{deg:g}_deg"] = chain.transmission(grid)
-        path = _outpath(args, "cascade_psi_sweep.csv")
-        write_spectrum_csv(path, grid, columns)
-    else:
+    if not args.psi_sweep:
         chain = dual_filter(absorption, faraday, extinction=cfg.wollaston_extinction)
         t = chain.transmission(grid)
-        path = _outpath(args, "cascade.csv")
-        write_spectrum_csv(path, grid, {
-            "transmission": t,
-            "transmission_db": transmission_db(t),
-        })
-    print(path)
-    return 0
+        return [_write(args, "cascade.csv", write_spectrum_csv, grid,
+                       {"transmission": t, "transmission_db": transmission_db(t)})]
+    # the angle moves no line, so both susceptibilities serve every column
+    abs_spec, far_spec = susceptibilities([absorption, faraday], grid)
+    columns = {}
+    for deg in PSI_SWEEP_DEG:
+        cell = with_keys(absorption, polarization_angle_deg=deg)
+        chain = dual_filter(dataclasses.replace(abs_spec, cell=cell), far_spec,
+                            extinction=cfg.wollaston_extinction)
+        columns[f"transmission_psi_{deg:g}_deg"] = chain.transmission(grid)
+    return [_write(args, "cascade_psi_sweep.csv", write_spectrum_csv, grid, columns)]
 
 
-def cmd_optimize(args) -> int:
-    cfg = _load(args)
+def cmd_optimize(cfg: RunConfig, args) -> list[str]:
     result = optimize(
         cfg.optimizer_box,
         cfg.fom,
@@ -179,6 +149,14 @@ def cmd_optimize(args) -> int:
         restarts=cfg.optimizer_restarts,
         cells=(cfg.cells["absorption"], cfg.cells["faraday"]),
     )
+    written = []
+    if args.trace:
+        xs, objectives = zip(*result.trace)
+        columns = dict(zip(OPERATING_KEYS, np.array(xs).T))
+        written.append(_write(args, "optimize_trace.csv", write_spectrum_csv,
+                              np.arange(len(result.trace), dtype=float),
+                              {**columns, "objective": np.array(objectives)},
+                              index_name="evaluation"))
     payload = {
         "best_params": dataclasses.asdict(result.best_params),
         "objective": result.best_objective,
@@ -188,42 +166,23 @@ def cmd_optimize(args) -> int:
         "trace_length": len(result.trace),
         "wall_time_s": result.wall_time_s,
     }
-    path = _outpath(args, "optimize.json")
-    write_json_report(path, payload, cfg.resolved)
-    if args.trace:
-        trace_path = _outpath(args, "optimize_trace.csv")
-        xs, objectives = zip(*result.trace)
-        columns = dict(zip(OPERATING_KEYS, np.array(xs).T))
-        write_spectrum_csv(trace_path, np.arange(len(result.trace), dtype=float),
-                           {**columns, "objective": np.array(objectives)}, index_name="evaluation")
-        print(trace_path)
-    print(path)
-    return 0
+    return [*written, _write(args, "optimize.json", write_json_report, payload, cfg.resolved)]
 
 
-def cmd_photon_sim(args) -> int:
-    cfg = _load(args)
+def cmd_photon_sim(cfg: RunConfig, args) -> list[str]:
     batch = simulate_frames(cfg.frames, cfg.noise, seed=cfg.seed, layout=cfg.layout)
     summary, cmap = summary_and_map(batch)
     summary["analytic_pair_correlation"] = analytic_pair_correlation(cfg.noise, cfg.layout)
-    map_path = _outpath(args, "correlation_map.csv")
-    write_spectrum_csv(map_path, np.arange(cmap.shape[0], dtype=float),
-                       {f"region_{j}": cmap[:, j] for j in range(cmap.shape[1])},
-                       index_name="stokes_region")
-    payload = {"summary": summary, "correlation_map_csv": os.path.basename(map_path)}
-    path = _outpath(args, "photon_summary.json")
-    write_json_report(path, payload, cfg.resolved)
-    if args.frames_csv:
-        frames_path = _outpath(args, "frames.csv")
-        write_frames_csv(frames_path, batch)
-        print(frames_path)
-    print(map_path)
-    print(path)
-    return 0
+    written = [_write(args, "frames.csv", write_frames_csv, batch)] if args.frames_csv else []
+    written.append(_write(args, "correlation_map.csv", write_spectrum_csv,
+                          np.arange(cmap.shape[0], dtype=float),
+                          {f"region_{j}": cmap[:, j] for j in range(cmap.shape[1])},
+                          index_name="stokes_region"))
+    payload = {"summary": summary, "correlation_map_csv": os.path.basename(written[-1])}
+    return [*written, _write(args, "photon_summary.json", write_json_report, payload, cfg.resolved)]
 
 
-def cmd_fit(args) -> int:
-    cfg = _load(args)
+def cmd_fit(cfg: RunConfig, args) -> list[str]:
     measured = read_measured_csv(args.data, column=args.column)
     free = [s.strip() for s in args.free.split(",") if s.strip()]
     initial = {}
@@ -238,8 +197,8 @@ def cmd_fit(args) -> int:
             initial[key] = float(value)
         except ValueError:
             raise ConfigError([f"--initial {key}: not a number: {value!r}"]) from None
-    template = cfg.cells[args.cell]
-    result = fit_spectrum(measured, free, initial, template=template)
+    result = fit_spectrum(measured, free, initial, template=cfg.cells[args.cell],
+                          extinction=cfg.wollaston_extinction)
     payload = {
         "fitted_params": result.params,
         "rms_transmission_error": result.rms,
@@ -249,10 +208,7 @@ def cmd_fit(args) -> int:
         "free_params": list(result.params),
         "n_rows": measured.n_rows,
     }
-    path = _outpath(args, "fit.json")
-    write_json_report(path, payload, cfg.resolved)
-    print(path)
-    return 0
+    return [_write(args, "fit.json", write_json_report, payload, cfg.resolved)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,40 +218,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"rbfilter {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    # the flags every subcommand takes
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", metavar="PATH", help="JSON config file")
+    common.add_argument("--preset", choices=["paper-optimum"],
+                        help="start from the built-in reference operating point")
+    common.add_argument("--seed", type=int, metavar="U64", help="override RNG seed")
+    common.add_argument("--out", metavar="DIR", default=".", help="output directory")
+    common.add_argument("--grid-points", type=int, metavar="N",
+                        help="override detuning-grid point count")
 
-    p = sub.add_parser("constants", help="dump physical constants as JSON")
-    _add_common(p)
-    p.set_defaults(func=cmd_constants)
+    def command(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, parents=[common])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("lines", help="emit Zeeman line tables as CSV")
-    _add_common(p)
+    command("constants", cmd_constants, "dump physical constants as JSON")
+    p = command("lines", cmd_lines, "emit Zeeman line tables as CSV")
     p.add_argument("--cell", choices=["absorption", "faraday"], default="absorption")
-    p.set_defaults(func=cmd_lines)
-
-    p = sub.add_parser("spectrum", help="single-cell transmission spectrum as CSV")
-    _add_common(p)
+    p = command("spectrum", cmd_spectrum, "single-cell transmission spectrum as CSV")
     p.add_argument("--cell", choices=["absorption", "faraday"], default="absorption")
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("cascade", help="dual-filter chain transmission as CSV")
-    _add_common(p)
+    p = command("cascade", cmd_cascade, "dual-filter chain transmission as CSV")
     p.add_argument("--psi-sweep", action="store_true",
                    help="sweep the absorption-cell polarization angle 0..90 deg")
-    p.set_defaults(func=cmd_cascade)
-
-    p = sub.add_parser("optimize", help="search the operating-parameter box")
-    _add_common(p)
+    p = command("optimize", cmd_optimize, "search the operating-parameter box")
     p.add_argument("--trace", action="store_true", help="also dump the evaluation trace CSV")
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("photon-sim", help="Monte Carlo photon-statistics run")
-    _add_common(p)
+    p = command("photon-sim", cmd_photon_sim, "Monte Carlo photon-statistics run")
     p.add_argument("--frames-csv", action="store_true",
                    help="also export per-frame counts (frame, region, n_s, n_as)")
-    p.set_defaults(func=cmd_photon_sim)
-
-    p = sub.add_parser("fit", help="fit a measured transmission spectrum")
-    _add_common(p)
+    p = command("fit", cmd_fit, "fit a measured transmission spectrum")
     p.add_argument("--data", required=True, metavar="CSV", help="measured spectrum file")
     p.add_argument("--column", default="transmission", help="data column to fit")
     p.add_argument("--free", required=True, metavar="LIST",
@@ -304,17 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="initial guesses for free parameters")
     p.add_argument("--cell", choices=["absorption", "faraday"], default="absorption",
                    help="template cell for the model")
-    p.set_defaults(func=cmd_fit)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand on its validated config; print the paths it wrote,
+    one per line in write order, and return the exit code."""
+    args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="raise", invalid="raise", divide="ignore", under="ignore"):
-            return args.func(args)
+            for path in args.func(_load(args), args):
+                print(path)
+            return 0
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

@@ -63,19 +63,22 @@ class FitResult:
     n_evaluations: int
 
 
-def model_transmission(cell: CellConfig, grid_ghz) -> np.ndarray:
-    """The observable the fit matches: the cell's own filter transmission."""
-    return cell_transmission(cell, grid_ghz)
+def model_transmission(cell: CellConfig, grid_ghz, extinction: float = 0.0) -> np.ndarray:
+    """The observable the fit matches: the cell's own filter transmission,
+    a longitudinal cell's behind an analyzer of the given extinction."""
+    return cell_transmission(cell, grid_ghz, extinction=extinction)
 
 
 def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
-                 initial: dict[str, float], template: CellConfig | None = None) -> FitResult:
+                 initial: dict[str, float], template: CellConfig | None = None,
+                 extinction: float = 0.0) -> FitResult:
     """Unweighted least squares over the named free parameters.
 
     Each parameter is a cell key in config units (temperature_c in Celsius,
     length_cm in cm).  initial holds a starting value for every free parameter
     and nothing else; one ConfigError lists every problem with either.  Fixed
-    parameters come from the template cell.
+    parameters come from the template cell; extinction is the analyzer's, as
+    in model_transmission.
     """
     free = list(free)
     errors = [] if free else ["fit: free parameter set is empty"]
@@ -107,7 +110,7 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
         n_eval += 1
         x = np.clip(lo + u * span, lo, hi)
         cell = with_keys(template, **dict(zip(free, x)))
-        return model_transmission(cell, grid) - target
+        return model_transmission(cell, grid, extinction) - target
 
     u, r, jac = _levenberg_marquardt(residuals, (x0 - lo) / span)
     x_best = np.clip(lo + u * span, lo, hi)

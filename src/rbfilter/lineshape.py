@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import C_LIGHT, ISOTOPES, K_BOLTZMANN, REFERENCE, number_density_m3
+from .constants import C_LIGHT, ISOTOPES, K_BOLTZMANN, REFERENCE, TORR_TO_PA, number_density_m3
 from .errors import ConfigError, DataError
 from .zeeman import zeeman_lines
 
@@ -43,7 +43,7 @@ MODES = {LONGITUDINAL: ("sigma+", "sigma-"), TRANSVERSE: ("pi", "sigma+", "sigma
 
 # Rb D1 pressure broadening by Kr buffer gas, FWHM rate.
 # Rotondaro & Perram, JQSRT 57, 497 (1997): 17.2 MHz/torr.
-KR_BROADENING_MHZ_PER_PA = 17.2 / 133.322368
+KR_BROADENING_MHZ_PER_PA = 17.2 / TORR_TO_PA
 # complex entries per (lines x points) Voigt block: bounds its temporaries on
 # any accepted grid; each column is summed alone, so the result does not
 # depend on it
@@ -282,7 +282,7 @@ def _mode_lines(cell: CellConfig) -> dict[str, np.ndarray]:
         frac = cell.fraction(name)
         if frac <= 0.0:
             continue
-        table = zeeman_lines(name, cell.b_field_t, cell.geometry)
+        table = zeeman_lines(name, cell.b_field_t)
         density = number_density_m3(t_k, frac)
         omega0 = 2.0 * math.pi * isotope.centroid_frequency_hz
         gamma_ang = 2.0 * math.pi * isotope.natural_linewidth_mhz * 1e6

@@ -225,21 +225,25 @@ class _Budget(Exception):
     """Raised in place of evaluation maxfev + 1."""
 
 
-def minimize(fun, x0, method, options):
+# Nelder-Mead stops once every vertex (unit-box coordinates) and every value
+# is this close to the best
+XATOL = 1e-6
+FATOL = 1e-10
+
+
+def minimize(fun, simplex, maxfev: int):
     """SciPy's non-adaptive, unbounded Nelder-Mead, step for step in NumPy:
     importing scipy.optimize took 0.6 s, half of an optimize run.  The tests
     hold it to scipy.optimize.minimize as the oracle: the same points in the
-    same order, cut after options["maxfev"] evaluations (even inside the
-    initial simplex or a shrink), stopped when every vertex is within xatol
-    and every value within fatol of the best.  It starts from
-    options["initial_simplex"]; x0 and method only keep SciPy's call.
-    Returns the best vertex and its value.
+    same order from the same initial simplex, cut after maxfev evaluations
+    (even inside the initial simplex or a shrink), stopped when every vertex
+    is within XATOL and every value within FATOL of the best.  Returns the
+    best vertex and its value.
 
     optimize() looks this name up at call time, so replacing the module
     attribute sees every restart.
     """
-    maxfev, xatol, fatol = options["maxfev"], options["xatol"], options["fatol"]
-    sim = np.array(options["initial_simplex"], dtype=float)
+    sim = np.array(simplex, dtype=float)
     n = sim.shape[1]
     fsim = np.full(n + 1, np.inf)
     calls = 0
@@ -263,8 +267,8 @@ def minimize(fun, x0, method, options):
     sim, fsim = sort()
     try:
         while calls < maxfev:
-            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            if (np.max(np.abs(sim[1:] - sim[0])) <= XATOL
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
                 break
             xbar = np.add.reduce(sim[:-1], 0) / n
             xr = 2 * xbar - sim[-1]
@@ -363,9 +367,8 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
         if len(trace) >= budget:
             break
         u0 = (x0 - box.lower()) / scale
-        minimize(lambda u: -evaluate(box.lower() + u * scale), u0, method="Nelder-Mead",
-                 options=dict(maxfev=min(per_restart, budget - len(trace)), xatol=1e-6,
-                              fatol=1e-10, initial_simplex=initial_simplex(u0, 0.05)))
+        minimize(lambda u: -evaluate(box.lower() + u * scale), initial_simplex(u0, 0.05),
+                 min(per_restart, budget - len(trace)))
 
     best_i = max(range(len(trace)), key=lambda i: trace[i][1])
     best_x, best_val = trace[best_i]

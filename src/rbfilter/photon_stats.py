@@ -115,18 +115,16 @@ class NoiseModel:
 
 
 def filtered_preset() -> tuple[NoiseModel, RegionLayout]:
-    """Dual-filter operating conditions.
+    """Dual-filter operating conditions, which are NoiseModel's defaults.
 
-    Efficiencies are the paper's quoted filter transmissions (0.65 Stokes /
-    0.40 anti-Stokes, criterion 05's targets) times camera efficiency 0.8; the
-    cascade at PAPER_OPTIMUM transmits 0.669 (-2.3 GHz) and 0.278 (+7.8 GHz)
-    instead.  Fluorescence, leakage and the four-wave-mixing background are
-    blocked, leaving only the intensifier term.  Analytic C = 0.385, from the
-    quoted values.
+    Efficiencies 0.52 / 0.32 are the paper's quoted filter transmissions
+    (0.65 Stokes / 0.40 anti-Stokes, criterion 05's targets) times camera
+    efficiency 0.8; the cascade at PAPER_OPTIMUM transmits 0.669 (-2.3 GHz) and
+    0.278 (+7.8 GHz) instead.  Fluorescence, leakage and the four-wave-mixing background are
+    blocked, leaving only the intensifier term (1.5 per frame); n_sig is 0.5.
+    Analytic C = 0.385, from the quoted values.
     """
-    return NoiseModel(n_sig=0.5, eta_s=0.52, eta_as=0.32,
-                      b_fluorescence=0.0, b_leakage=0.0,
-                      intensifier_per_frame=1.5), RegionLayout()
+    return NoiseModel(), RegionLayout()
 
 
 def unfiltered_preset() -> tuple[NoiseModel, RegionLayout]:

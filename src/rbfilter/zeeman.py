@@ -113,7 +113,6 @@ class LineTable:
 
     isotope: str
     b_field_t: float
-    geometry: str
     offset_ghz: np.ndarray
     component: np.ndarray
     strength: np.ndarray
@@ -141,7 +140,10 @@ class LineTable:
 def zeeman_lines(isotope_name: str, b_field_t: float, geometry: str = "longitudinal") -> LineTable:
     """Dipole lines between field-dressed eigenstates, equal ground-state populations.
 
-    Cached per (isotope, field, geometry), which makes optimizer scoring cheap.
+    Cached per (isotope, field), which makes optimizer scoring cheap.  The
+    lines do not depend on the beam geometry, so geometry is unused: it stays
+    only because the benchmark's probes still pass it (the ROADMAP benchmark
+    item removes it).
     """
     isotope = ISOTOPES[isotope_name]
     eg, vg = np.linalg.eigh(build_hamiltonian(isotope, GROUND, b_field_t))
@@ -159,7 +161,6 @@ def zeeman_lines(isotope_name: str, b_field_t: float, geometry: str = "longitudi
     return LineTable(
         isotope=isotope_name,
         b_field_t=b_field_t,
-        geometry=geometry,
         offset_ghz=np.concatenate(offsets),
         component=np.concatenate(comps),
         strength=np.concatenate(strengths),

@@ -16,6 +16,7 @@ from rbfilter.config import load_config
 from rbfilter.fitting import model_transmission
 from rbfilter.io import read_spectrum_csv, write_spectrum_csv
 from rbfilter.lineshape import CellConfig, TRANSVERSE
+from rbfilter.optimize import PAPER_OPTIMUM
 from rbfilter.photon_stats import simulate_frames
 
 
@@ -283,6 +284,58 @@ def test_fit_command_round_trip(tmp_path):
     assert doc["degenerate"] is False
     assert doc["free_params"] == ["temperature_c"]
     assert doc["n_rows"] == 201
+
+
+@pytest.mark.parametrize("config", [["--preset", "paper-optimum"],
+                                    {"chain": {"wollaston_extinction": 0.01}}],
+                         ids=["preset-extinction", "extinction-0.01"])
+def test_fit_recovers_the_faraday_cell_from_its_spectrum(tmp_path, config):
+    """fit models a longitudinal cell behind the config's analyzer, as
+    spectrum does, so the noiseless spectrum gives back the cell exactly."""
+    if isinstance(config, dict):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        config = ["--config", str(tmp_path / "cfg.json")]
+    common = [*config, "--out", str(tmp_path), "--cell", "faraday"]
+    assert run("spectrum", *common) == 0
+    assert run("fit", *common, "--data", str(tmp_path / "spectrum_faraday.csv"),
+               "--free", "temperature_c,b_field_mt", "--initial", "temperature_c=96,b_field_mt=12") == 0
+    fitted = json.loads((tmp_path / "fit.json").read_text())["fitted_params"]
+    assert fitted["temperature_c"] == pytest.approx(PAPER_OPTIMUM.t_far_c, rel=1e-6)
+    assert fitted["b_field_mt"] == pytest.approx(PAPER_OPTIMUM.b_far_mt, rel=1e-6)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["constants"], id="constants"),
+    pytest.param(["lines", "--cell", "absorption"], id="lines"),
+    pytest.param(["spectrum", "--cell", "faraday"], id="spectrum"),
+    pytest.param(["cascade", "--psi-sweep"], id="cascade"),
+    pytest.param(["optimize", "--trace"], id="optimize"),
+    pytest.param(["photon-sim", "--frames-csv"], id="photon-sim"),
+    pytest.param(["fit", "--data", "measured.csv", "--free", "temperature_c",
+                  "--initial", "temperature_c=95"], id="fit"),
+])
+def test_stdout_is_each_file_written_in_write_order(tmp_path, monkeypatch, capsys, argv):
+    """A command prints the path of every file it creates in --out, one per
+    line, in the order it wrote them, and nothing else."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"frames": 2000}, "grid": {"points": 101},
+                               "optimizer": {"budget": 100}}))
+    grid = np.linspace(-12.0, 12.0, 101)
+    write_spectrum_csv(tmp_path / "measured.csv", grid,
+                       {"transmission": model_transmission(load_config().cells["absorption"], grid)})
+    monkeypatch.chdir(tmp_path)
+    written = []
+
+    def recording_open(path, mode="r", *args, **kwargs):
+        if "w" in mode:
+            written.append(str(path))
+        return open(path, mode, *args, **kwargs)
+
+    # every writer in rbfilter.io opens its file through this name
+    monkeypatch.setattr(io, "open", recording_open, raising=False)
+    assert run(*argv, "--config", str(cfg), "--out", "out") == 0
+    assert capsys.readouterr().out.splitlines() == written
+    assert sorted(written) == sorted(str(p) for p in Path("out").iterdir())
 
 
 def test_preset_flag_accepted(tmp_path):

@@ -41,9 +41,9 @@ def model_calls(monkeypatch):
     """Counts every call the fit makes to the model."""
     calls = []
 
-    def counted(cell, grid):
+    def counted(cell, grid, extinction=0.0):
         calls.append(cell)
-        return model_transmission(cell, grid)
+        return model_transmission(cell, grid, extinction)
 
     monkeypatch.setattr(rbfilter.fitting, "model_transmission", counted)
     return calls
@@ -269,7 +269,7 @@ def test_default_template_is_the_reference_absorption_cell(monkeypatch, truth):
     class Stop(Exception):
         pass
 
-    def capture(cell, grid):
+    def capture(cell, grid, extinction=0.0):
         seen.append(cell)
         raise Stop
 

@@ -13,7 +13,7 @@ from rbfilter import lineshape
 from rbfilter.constants import C_LIGHT, REFERENCE
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.lineshape import CELL_KEYS, CellConfig, default_grid, susceptibility, with_keys
-from rbfilter.optimize import ChainParams, build_cells
+from rbfilter.optimize import PAPER_OPTIMUM, ChainParams, build_cells
 from rbfilter.propagation import (
     Polarizer,
     cascade,
@@ -24,6 +24,7 @@ from rbfilter.propagation import (
     opaque_region_width,
     transmission_db,
 )
+from rbfilter.zeeman import zeeman_lines
 
 from oracles import voigt_perpendicular_chi
 from strategies import cell_configs
@@ -396,3 +397,12 @@ def test_kramers_kronig_hilbert_reconstruction():
             re_kk = -np.imag(hilbert(chi.imag))
             peak = np.max(np.abs(chi.real))
             assert np.max(np.abs(re_kk[central] - chi.real[central])) < 0.02 * peak
+
+
+def test_a_cold_dual_filter_builds_one_line_table_per_isotope_and_field():
+    """Both cells of the paper optimum sit at 10 mT, one transverse and one
+    longitudinal: the lines do not depend on the geometry, so Rb85 and Rb87
+    cost one table each."""
+    zeeman_lines.cache_clear()
+    dual_filter(*build_cells(PAPER_OPTIMUM)).transmission(GRID)
+    assert zeeman_lines.cache_info().misses == 2
