@@ -1,10 +1,12 @@
 """File input/output: spectrum, line-table and frame CSV, JSON reports.
 
 Every CSV file is a header row, then one row per record ending in CRLF,
-floats written with %.16g so round trips through text preserve doubles to the
-last bit that matters; JSON reports always embed the package version, the
-fully resolved configuration, and its hash so a result file is reproducible
-on its own.
+written in blocks of at most CHUNK_ROWS rows, so a file of any length needs a
+few blocks of memory.  Floats are written with %.16g, so round trips through
+text preserve doubles to the last bit that matters; the integer rows of
+frames.csv are laid out as ASCII bytes in NumPy, the same bytes %d writes.
+JSON reports always embed the package version, the fully resolved
+configuration, and its hash so a result file is reproducible on its own.
 """
 
 from __future__ import annotations
@@ -19,19 +21,18 @@ from .config import config_hash
 from .errors import DataError
 from .fitting import MeasuredSpectrum
 
-# rows (frames, in frames.csv) formatted at once: memory stays flat on any grid or batch
+# rows formatted at once, in every file: memory stays flat on any grid or batch
 CHUNK_ROWS = 4096
 
 
-def _write_csv(path: str, header: list[str], fmt: str, chunks) -> None:
-    """The header row, quoted where a name needs it, then each chunk: a flat
-    list of its fields in row order, each row formatted by fmt."""
-    line = fmt + "\r\n"
+def _write_csv(path: str, header: list[str], chunks) -> None:
+    """The header row, quoted where a name needs it, then each chunk: the text
+    of its rows, each ending in CRLF."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerow(header)
-        for fields in chunks:
-            fh.write(line * (len(fields) // len(header)) % tuple(fields))
-            del fields  # freed before the next chunk is built, not after
+        for text in chunks:
+            fh.write(text)
+            del text  # freed before the next chunk is built, not after
 
 
 def write_spectrum_csv(path: str, detuning_ghz, columns: dict, *,
@@ -50,9 +51,14 @@ def write_spectrum_csv(path: str, detuning_ghz, columns: dict, *,
                 f"column {name!r} has shape {arr.shape}, grid has {detuning_ghz.shape}"
             )
         arrays.append(arr)
-    _write_csv(path, [index_name, *columns], ",".join(["%.16g"] * len(arrays)),
-               (np.column_stack([a[lo:lo + CHUNK_ROWS] for a in arrays]).ravel().tolist()
-                for lo in range(0, detuning_ghz.size, CHUNK_ROWS)))
+    line = ",".join(["%.16g"] * len(arrays)) + "\r\n"
+
+    def chunks():
+        for lo in range(0, detuning_ghz.size, CHUNK_ROWS):
+            block = np.column_stack([a[lo:lo + CHUNK_ROWS] for a in arrays])
+            yield line * len(block) % tuple(block.ravel().tolist())
+
+    _write_csv(path, [index_name, *columns], chunks())
 
 
 def read_spectrum_csv(path: str) -> tuple[np.ndarray, dict]:
@@ -95,21 +101,52 @@ def read_measured_csv(path: str, column: str = "transmission") -> MeasuredSpectr
 
 def write_lines_csv(path: str, table) -> None:
     """Write a resolved line table as offset/component/strength rows, one chunk."""
-    columns = (table.offset_ghz.tolist(), table.component.tolist(), table.strength.tolist())
-    _write_csv(path, ["offset_ghz", "component", "strength"], "%.16g,%s,%.16g",
-               [[field for row in zip(*columns) for field in row]])
+    rows = zip(table.offset_ghz.tolist(), table.component.tolist(), table.strength.tolist())
+    _write_csv(path, ["offset_ghz", "component", "strength"],
+               ["".join("%.16g,%s,%.16g\r\n" % row for row in rows)])
+
+
+def _digits(values: np.ndarray) -> np.ndarray:
+    """(n, width) ASCII decimal digits of n non-negative integers, right-aligned
+    with NUL on the left."""
+    values = values.astype(np.int64, copy=False)[:, None]
+    powers = 10 ** np.arange(len(str(int(values.max()))) - 1, -1, -1, dtype=np.int64)
+    digits = (values // powers % 10 + ord("0")).astype(np.uint8)
+    digits[(values < powers) & (powers > 1)] = 0  # leading zeros; a lone 0 stays
+    return digits
+
+
+def _ascii_rows(fields: list[np.ndarray]) -> str:
+    """CSV text of the rows whose fields are (rows, width) arrays of NUL-padded
+    ASCII digits: all rows are laid out in one uint8 array, then the NULs are
+    masked out."""
+    ends = np.cumsum([f.shape[1] + 1 for f in fields])
+    text = np.zeros((len(fields[0]), ends[-1] + 1), np.uint8)
+    for f, end in zip(fields, ends):
+        text[:, end - 1 - f.shape[1]:end - 1] = f
+        text[:, end - 1] = ord(",")
+    text[:, -2:] = (ord("\r"), ord("\n"))
+    return text[text != 0].tobytes().decode("ascii")
 
 
 def write_frames_csv(path: str, batch) -> None:
     """Write a CountsBatch as one (frame, region, n_s, n_as) row per region of
-    each frame, CHUNK_ROWS frames at a time."""
-    def chunks():
-        for lo in range(0, batch.n_frames, CHUNK_ROWS):
-            n_s, n_as = batch.n_s[lo:lo + CHUNK_ROWS], batch.n_as[lo:lo + CHUNK_ROWS]
-            frame, region = np.indices(n_s.shape)
-            yield np.stack([frame + lo, region, n_s, n_as], axis=-1).ravel().tolist()
+    each frame, in blocks of whole frames of at most CHUNK_ROWS rows (one frame
+    when a frame has more).  A frame's digits are built once and repeated over
+    its regions."""
+    m = batch.layout.n_regions
+    step = max(1, CHUNK_ROWS // m)
+    region = _digits(np.arange(m))
 
-    _write_csv(path, ["frame", "region", "n_s", "n_as"], "%d,%d,%d,%d", chunks())
+    def chunks():
+        for lo in range(0, batch.n_frames, step):
+            frames = np.arange(lo, min(lo + step, batch.n_frames))
+            yield _ascii_rows([np.repeat(_digits(frames), m, axis=0),
+                               np.tile(region, (frames.size, 1)),
+                               _digits(batch.n_s[lo:lo + step].ravel()),
+                               _digits(batch.n_as[lo:lo + step].ravel())])
+
+    _write_csv(path, ["frame", "region", "n_s", "n_as"], chunks())
 
 
 def write_json_report(path: str, payload: dict, resolved_config: dict | None = None) -> None:

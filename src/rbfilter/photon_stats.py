@@ -27,9 +27,9 @@ function, one piece per block.  Pieces merge by the pairwise update of Chan,
 Golub & LeVeque (Am. Stat. 37, 242 (1983)); the map merges all pieces, and
 each jackknife estimate all pieces outside one block.  Besides the full count
 arrays, int16, kept for callers and the CLI's per-frame export, each worker
-holds chunk-sized temporaries: CHUNK_FRAMES x n_regions int64 draws and
-float64 piece copies, 2.6 MB each at 10 regions and 262 MB each at the
-validator's 1000 regions.
+holds one slice of DRAW_ENTRIES int64 draws (256 kB) and float64 copies of one
+piece, the part of one block in one chunk: 1.6 MB each at 10 regions and 1e6
+frames, 16 MB each at the validator's 1e8 counts per arm.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ from .errors import ConfigError, DataError
 CHUNK_FRAMES = 1 << 15
 # counts are stored as int16: a region's count per frame is a handful of photons
 COUNT_MAX = int(np.iinfo(np.int16).max)
+# entries per sampler call in _draw_chunk, whose int64 draws are its only temporary
+DRAW_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -198,22 +200,35 @@ def _draw_chunk(rng: np.random.Generator, noise: NoiseModel, b: float,
                 n_s: np.ndarray, n_as: np.ndarray) -> None:
     """Fill one chunk's (frames, regions) slices of both count arrays.
 
-    Each int64 draw is checked before it is cast into the int16 arrays: a
-    binomial count is at most the pair number, so the largest pair number plus
-    the largest Poisson background bounds every count of an arm.
+    Each sampler draws the whole chunk before the next starts (thermal pairs,
+    Stokes thinning, anti-Stokes thinning, the two Poisson backgrounds), in
+    slices of at most DRAW_ENTRIES entries written straight into the int16
+    arrays; NumPy's samplers take the bit stream element by element, so the
+    slicing leaves the stream as if each sampler drew the chunk at once.  The
+    pair numbers wait in n_as until both binomials have read them.  Each int64
+    draw is checked before it is cast: a binomial count is at most the pair
+    number, so the chunk's largest pair number plus the largest Poisson
+    background bounds every count of an arm.
     """
-    n_pair = sample_thermal(rng, noise.n_sig, n_s.shape)
-    pair_max = int(n_pair.max())
-    _check_fits(pair_max, noise)
-    n_s[:] = rng.binomial(n_pair, noise.eta_s)
-    # mirror pairing: signal drawn for Stokes region i lands in AS region m-1-i
-    n_as[:] = rng.binomial(n_pair, noise.eta_as)[:, ::-1]
-    del n_pair
+    step = max(1, DRAW_ENTRIES // n_s.shape[1])
+    slices = [slice(lo, lo + step) for lo in range(0, n_s.shape[0], step)]
+    pair_max = 0
+    for rows in slices:
+        n_pair = sample_thermal(rng, noise.n_sig, n_as[rows].shape)
+        pair_max = max(pair_max, int(n_pair.max()))
+        _check_fits(pair_max, noise)
+        n_as[rows] = n_pair
+    for rows in slices:
+        n_s[rows] = rng.binomial(n_as[rows], noise.eta_s)
+    for rows in slices:
+        # mirror pairing: signal drawn for Stokes region i lands in AS region m-1-i
+        n_as[rows] = rng.binomial(n_as[rows], noise.eta_as)[:, ::-1]
     if b > 0:
         for counts in (n_s, n_as):
-            background = rng.poisson(b, size=counts.shape)
-            _check_fits(pair_max + int(background.max()), noise)
-            counts += background
+            for rows in slices:
+                background = rng.poisson(b, size=counts[rows].shape)
+                _check_fits(pair_max + int(background.max()), noise)
+                counts[rows] += background
 
 
 def _draw_and_reduce(rng: np.random.Generator, noise: NoiseModel, b: float,
@@ -239,8 +254,8 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
     counts again.
     Counts are int16, 2 bytes each; a model whose counts could pass 32767
     raises DataError rather than wrap.  Memory is the two count arrays plus,
-    per worker, CHUNK_FRAMES x n_regions int64 draws and float64 piece copies
-    (2.6 MB each at 10 regions, 262 MB each at 1000).
+    per worker, one slice of DRAW_ENTRIES int64 draws and the float64 copies
+    of one piece (at most frames / 50 rows, and at most CHUNK_FRAMES).
     """
     if frames < 1:
         raise ConfigError([f"need at least one frame, got {frames}"])

@@ -95,7 +95,8 @@ def jones_transfer(cell: CellOrSpectrum, grid_ghz) -> np.ndarray:
     A longitudinal cell is diagonal in the circular basis (a_+, a_-).  A
     transverse cell is R(-phi) diag(a_pi, a_perp) R(phi): diagonal in the
     linear basis of its field, which lies at phi = polarization_angle_rad;
-    a_perp takes the exact n_perp^2 - 1 = eps_xx + eps_xy^2 / eps_xx - 1.
+    a_perp takes the exact n_perp^2 - 1 = chi_mean + eps_xy^2 / eps_xx, with
+    eps_xx = 1 + chi_mean and chi_mean = (chi_+ + chi_-) / 2.
     """
     spec = _spectrum(cell, grid_ghz)
     cell = spec.cell
@@ -112,9 +113,10 @@ def jones_transfer(cell: CellOrSpectrum, grid_ghz) -> np.ndarray:
         mats[:, 1, 1] = s
     else:
         a_pi = np.exp(1j * k * spec.chi["pi"])
-        eps_xx = 1.0 + 0.5 * (spec.chi["sigma+"] + spec.chi["sigma-"])
+        chi_mean = 0.5 * (spec.chi["sigma+"] + spec.chi["sigma-"])
         eps_xy = 0.5j * (spec.chi["sigma+"] - spec.chi["sigma-"])
-        a_perp = np.exp(1j * k * (eps_xx + eps_xy ** 2 / eps_xx - 1.0))
+        # n_perp^2 - 1 with eps_xx = 1 + chi_mean, written so that no 1 is added and taken away
+        a_perp = np.exp(1j * k * (chi_mean + eps_xy ** 2 / (1.0 + chi_mean)))
         c, s = math.cos(cell.polarization_angle_rad), math.sin(cell.polarization_angle_rad)
         mats[:, 0, 0] = c * c * a_pi + s * s * a_perp
         mats[:, 0, 1] = mats[:, 1, 0] = c * s * (a_pi - a_perp)

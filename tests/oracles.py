@@ -204,6 +204,15 @@ def simulate_frames_serial(frames: int, noise, seed: int, n_regions: int,
     return np.concatenate(stokes), np.concatenate(anti_stokes)
 
 
+def frames_csv_bytes(n_s, n_as) -> bytes:
+    """frames.csv as Python's %d writes it: the header, then one
+    frame,region,n_s,n_as row per region of each frame, every row ending in CRLF."""
+    frame, region = np.indices(np.shape(n_s))
+    fields = np.stack([frame, region, n_s, n_as], axis=-1).ravel().tolist()
+    return ("frame,region,n_s,n_as\r\n" + "%d,%d,%d,%d\r\n" * (len(fields) // 4)
+            % tuple(fields)).encode("ascii")
+
+
 # ---------------------------------------------------------------------------
 # Fit covariance from a central-difference Jacobian (Gauss-Newton)
 
@@ -233,10 +242,13 @@ def covariance_central_differences(residuals, x: np.ndarray, span: np.ndarray) -
 # the x-y plane sees n_perp^2 = eps_xx + eps_xy^2 / eps_xx.
 
 def voigt_perpendicular_chi(chi_plus, chi_minus) -> np.ndarray:
-    """n_perp^2 - 1, the exact susceptibility of the sigma mode of a transverse cell."""
-    eps_xx = 1.0 + 0.5 * (chi_plus + chi_minus)
+    """n_perp^2 - 1, the exact susceptibility of the sigma mode of a transverse cell,
+    as (eps_xx (eps_xx - 1) + eps_xy^2) / eps_xx with eps_xx - 1 kept as chi_mean:
+    forming eps_xx - 1 from eps_xx would round chi_mean to the ulp of 1."""
+    chi_mean = 0.5 * (chi_plus + chi_minus)
+    eps_xx = 1.0 + chi_mean
     eps_xy = 0.5j * (chi_plus - chi_minus)
-    return eps_xx + eps_xy ** 2 / eps_xx - 1.0
+    return (eps_xx * chi_mean + eps_xy ** 2) / eps_xx
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,13 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import frames_csv_bytes
 
 from rbfilter import __version__
 from rbfilter.config import (
@@ -24,12 +26,19 @@ from rbfilter.lineshape import CELL_KEYS
 from rbfilter.io import (
     read_measured_csv,
     read_spectrum_csv,
+    write_frames_csv,
     write_json_report,
     write_lines_csv,
     write_spectrum_csv,
 )
 from rbfilter.optimize import PAPER_OPTIMUM, build_cells
-from rbfilter.photon_stats import filtered_preset
+from rbfilter.photon_stats import (
+    COUNT_MAX,
+    CountsBatch,
+    RegionLayout,
+    filtered_preset,
+    simulate_frames,
+)
 from rbfilter.zeeman import zeeman_lines
 
 
@@ -410,6 +419,49 @@ def test_lines_csv_layout(tmp_path):
     assert components <= {"sigma+", "sigma-", "pi"}
     strengths = [float(r.split(",")[2]) for r in rows[1:]]
     assert sum(strengths) == pytest.approx(0.5, rel=1e-9)
+
+
+def _counts_batch(frames, n_regions, high, dtype=np.int16, seed=0):
+    rng = np.random.default_rng(seed)
+    n_s, n_as = (rng.integers(0, high, size=(frames, n_regions), endpoint=True).astype(dtype)
+                 for _ in range(2))
+    return CountsBatch(n_s=n_s, n_as=n_as, layout=RegionLayout(n_regions))
+
+
+@pytest.mark.parametrize("batch", [
+    _counts_batch(1, 10, 9),
+    _counts_batch(3000, 1, 20),
+    _counts_batch(700, 13, 300),
+    # blocks of 315 frames at 13 regions: frame 1000 lies inside the fourth
+    _counts_batch(1100, 13, 5),
+    # every count 0, then COUNT_MAX beside 0
+    _counts_batch(40, 10, 0),
+    CountsBatch(n_s=np.array([[0, COUNT_MAX], [COUNT_MAX, 0]], dtype=np.int16),
+                n_as=np.array([[COUNT_MAX, COUNT_MAX], [0, 0]], dtype=np.int16),
+                layout=RegionLayout(2)),
+    # built by hand with int64 counts, past the int16 range
+    _counts_batch(50, 7, 10 ** 12, dtype=np.int64),
+], ids=["one-frame", "one-region", "13-regions", "frame-crosses-1000-in-a-block",
+        "all-zero", "zero-and-count-max", "int64-counts"])
+def test_frames_csv_bytes_match_the_percent_d_rows(tmp_path, batch):
+    p = tmp_path / "frames.csv"
+    write_frames_csv(str(p), batch)
+    assert p.read_bytes() == frames_csv_bytes(batch.n_s, batch.n_as)
+
+
+def test_frames_csv_writer_memory_stays_flat_at_200_regions(tmp_path):
+    """Blocks of CHUNK_ROWS rows, not frames: at 200 regions the writer's peak
+    is a few blocks of bytes, not a Python list of the fields of 4096 frames
+    (26 MB once, for these 200,000 rows)."""
+    noise, _ = filtered_preset()
+    batch = simulate_frames(1000, noise, seed=5, layout=RegionLayout(200))
+    tracemalloc.start()
+    try:
+        write_frames_csv(str(tmp_path / "frames.csv"), batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6
 
 
 # ------------------------------------------------------------ JSON I/O

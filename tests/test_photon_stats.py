@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -123,6 +124,20 @@ def test_simulate_frames_matches_serial_oracle(monkeypatch, frames, one_worker):
     n_s, n_as = simulate_frames_serial(frames, noise, 19, layout.n_regions, CHUNK_FRAMES)
     assert batch.n_s.dtype == np.int16 and batch.n_as.dtype == np.int16
     assert np.array_equal(batch.n_s, n_s) and np.array_equal(batch.n_as, n_as)
+
+
+def test_draw_memory_is_bounded_by_entries_not_chunk_frames():
+    """At 200 regions a chunk's int64 draws would be 52 MB per sampler; drawn
+    in slices of DRAW_ENTRIES straight into the int16 counts, the peak above
+    the counts stays a few MB per worker."""
+    noise, _ = filtered_preset()
+    tracemalloc.start()
+    try:
+        batch = simulate_frames(2 * CHUNK_FRAMES, noise, seed=7, layout=RegionLayout(200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - batch.n_s.nbytes - batch.n_as.nbytes <= 24e6
 
 
 @pytest.mark.parametrize("one_worker", [False, True], ids=["all-cpus", "one-worker"])

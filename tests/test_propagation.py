@@ -212,6 +212,20 @@ def test_transverse_perp_amplitude_is_exact(cell):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
 
 
+def test_transverse_perp_amplitude_at_zero_field_is_exp_i_k_chi_mean():
+    """At B = 0, eps_xy = 0 (up to summation order: its square is below 1e-30)
+    and n_perp^2 - 1 is (chi_+ + chi_-)/2 itself: the perpendicular amplitude
+    must carry no rounding from forming 1 + chi and taking 1 away again, which
+    costs k ulp(1) of phase."""
+    cell = CellConfig(geometry="transverse", b_field_t=0.0, polarization_angle_rad=math.pi / 2)
+    spec = susceptibility(cell, GRID)
+    assert np.max(np.abs(spec.chi["sigma+"] - spec.chi["sigma-"])) < 1e-15
+    k = REFERENCE.detuning_to_omega(GRID) * cell.length_m / (2.0 * C_LIGHT)
+    chi_mean = 0.5 * (spec.chi["sigma+"] + spec.chi["sigma-"])
+    np.testing.assert_allclose(jones_transfer(spec, GRID)[:, 0, 0], np.exp(1j * k * chi_mean),
+                               rtol=0.0, atol=1e-13)
+
+
 @pytest.mark.parametrize("temperature_c, bound_t, bound_phase_rad",
                          [(100.0, 3.5e-5, 5.6e-3), (140.0, 1.7e-4, 0.15)])
 def test_sigma_mode_approximation_bound(temperature_c, bound_t, bound_phase_rad):
