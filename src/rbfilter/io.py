@@ -131,20 +131,25 @@ def _ascii_rows(fields: list[np.ndarray]) -> str:
 
 def write_frames_csv(path: str, batch) -> None:
     """Write a CountsBatch as one (frame, region, n_s, n_as) row per region of
-    each frame, in blocks of whole frames of at most CHUNK_ROWS rows (one frame
-    when a frame has more).  A frame's digits are built once and repeated over
-    its regions."""
+    each frame.  The counts are read in the batch's runs of frames (a simulated
+    batch draws them chunk by chunk, so the file never needs the whole arrays),
+    each in blocks of whole frames of at most CHUNK_ROWS rows (one frame when a
+    frame has more).  A frame's digits are built once and repeated over its
+    regions."""
     m = batch.layout.n_regions
     step = max(1, CHUNK_ROWS // m)
     region = _digits(np.arange(m))
 
     def chunks():
-        for lo in range(0, batch.n_frames, step):
-            frames = np.arange(lo, min(lo + step, batch.n_frames))
-            yield _ascii_rows([np.repeat(_digits(frames), m, axis=0),
-                               np.tile(region, (frames.size, 1)),
-                               _digits(batch.n_s[lo:lo + step].ravel()),
-                               _digits(batch.n_as[lo:lo + step].ravel())])
+        first = 0
+        for n_s, n_as in batch._chunks():
+            for lo in range(0, len(n_s), step):
+                frames = np.arange(first + lo, first + min(lo + step, len(n_s)))
+                yield _ascii_rows([np.repeat(_digits(frames), m, axis=0),
+                                   np.tile(region, (frames.size, 1)),
+                                   _digits(n_s[lo:lo + step].ravel()),
+                                   _digits(n_as[lo:lo + step].ravel())])
+            first += len(n_s)
 
     _write_csv(path, ["frame", "region", "n_s", "n_as"], chunks())
 

@@ -25,11 +25,18 @@ so a block spanning two chunks is two pieces.  A batch built from plain
 arrays, and correlation_standard_error, read the counts once through the same
 function, one piece per block.  Pieces merge by the pairwise update of Chan,
 Golub & LeVeque (Am. Stat. 37, 242 (1983)); the map merges all pieces, and
-each jackknife estimate all pieces outside one block.  Besides the full count
-arrays, int16, kept for callers and the CLI's per-frame export, each worker
-holds one slice of DRAW_ENTRIES int64 draws (256 kB) and float64 copies of one
-piece, the part of one block in one chunk: 1.6 MB each at 10 regions and 1e6
-frames, 16 MB each at the validator's 1e8 counts per arm.
+each jackknife estimate all pieces outside one block.
+
+A simulated batch keeps those moments and the arguments that drew it, not
+its counts.  The counts are a pure function of the arguments, so they are
+drawn again, chunk by chunk from the same seeds, when asked for: the whole
+int16 arrays on the first read of n_s or n_as, or one chunk at a time for the
+CLI's per-frame export.  Each worker holds its own chunk's int16 counts of
+both arms (4 B per entry: 1.3 MB at 10 regions), one slice of DRAW_ENTRIES
+int64 draws (256 kB) and float64 copies of one piece, the part of one block
+in one chunk: 1.6 MB each at 10 regions and 1e6 frames, 16 MB each at the
+validator's 1e8 counts per arm.  No count array grows with the frame count;
+the pieces grow with the blocks, up to a chunk.
 """
 
 from __future__ import annotations
@@ -37,7 +44,9 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -148,7 +157,7 @@ class CountsBatch:
     n_s: np.ndarray   # (frames, regions) integer counts, Stokes arm (int16 when simulated)
     n_as: np.ndarray  # (frames, regions) integer counts, anti-Stokes arm
     layout: RegionLayout
-    # piece moments kept by simulate_frames, whose count arrays are read-only
+    # piece moments kept by simulate_frames
     _moments: _PieceMoments | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -168,6 +177,10 @@ class CountsBatch:
     @property
     def n_frames(self) -> int:
         return int(self.n_s.shape[0])
+
+    def _chunks(self):
+        """(n_s, n_as) in row order, in consecutive runs of frames."""
+        yield self.n_s, self.n_as
 
 
 def sample_thermal(rng: np.random.Generator, nbar: float, size) -> np.ndarray:
@@ -231,61 +244,114 @@ def _draw_chunk(rng: np.random.Generator, noise: NoiseModel, b: float,
                 counts[rows] += background
 
 
-def _draw_and_reduce(rng: np.random.Generator, noise: NoiseModel, b: float,
-                     n_s: np.ndarray, n_as: np.ndarray, pair: np.ndarray,
-                     edges: np.ndarray, lo: int) -> _PieceMoments:
-    """Draw one chunk (rows lo.. of the stream) and reduce it to the moments of
-    its pieces while its rows are still in cache."""
-    _draw_chunk(rng, noise, b, n_s, n_as)
-    return _piece_moments(n_s, n_as, pair, edges, lo)
+def _drawn(frames: int, noise: NoiseModel, seed: int, layout: RegionLayout, reduce):
+    """reduce(n_s, n_as, lo) of each chunk of the stream, in row order.
+
+    Chunk i holds rows lo = i * CHUNK_FRAMES onward and draws from its own
+    generator, SeedSequence(seed).spawn(n_chunks)[i], into int16 arrays of its
+    own, so the chunks run on a thread per available CPU (NumPy's samplers
+    release the GIL) and the stream depends only on the arguments, not on the
+    CPU count.  reduce runs in the worker, while the chunk is in cache; a
+    chunk is submitted only when the oldest result is taken, so at most one
+    chunk per worker is in flight.
+    """
+    b = noise.background_per_region(layout)
+    starts = range(0, frames, CHUNK_FRAMES)
+    seeds = np.random.SeedSequence(seed).spawn(len(starts))
+    workers = min(_cpu_count(), len(starts))
+
+    def job(lo, seed_seq):
+        n_s = np.empty((min(CHUNK_FRAMES, frames - lo), layout.n_regions), dtype=np.int16)
+        n_as = np.empty_like(n_s)
+        _draw_chunk(np.random.default_rng(seed_seq), noise, b, n_s, n_as)
+        return reduce(n_s, n_as, lo)
+
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pending = deque()
+        for lo, seed_seq in zip(starts, seeds):
+            if len(pending) == workers:
+                yield pending.popleft().result()
+            # a context copy per job carries the caller's np.errstate into the worker
+            pending.append(pool.submit(contextvars.copy_context().run, job, lo, seed_seq))
+        while pending:
+            yield pending.popleft().result()
 
 
 def simulate_frames(frames: int, noise: NoiseModel, seed: int,
                     layout: RegionLayout | None = None) -> CountsBatch:
     """Draw a reproducible stream of camera frames.
 
-    Frames are drawn in chunks of CHUNK_FRAMES; chunk i has its own generator
-    from SeedSequence(seed).spawn(n_chunks)[i] and writes its own rows, so the
-    chunks run on a thread per available CPU (NumPy's samplers release the
-    GIL) and the stream depends only on the arguments, not on the CPU count.
-    The worker that draws a chunk also reduces it to piece moments, cut at the
-    jackknife's block edges; the batch keeps every worker's pieces in row order
-    and its count arrays are read-only, so the correlation functions read no
-    counts again.
+    Frames are drawn in chunks of CHUNK_FRAMES, each from its own spawned
+    seed, on a thread per available CPU (see _drawn).  The worker that draws
+    a chunk reduces it to piece moments, cut at the jackknife's block edges,
+    and drops it; the batch keeps every worker's pieces in row order, so the
+    correlation functions read no counts.  Its n_s and n_as are drawn again,
+    from the same seeds, when first read, and are then kept read-only.
     Counts are int16, 2 bytes each; a model whose counts could pass 32767
-    raises DataError rather than wrap.  Memory is the two count arrays plus,
-    per worker, one slice of DRAW_ENTRIES int64 draws and the float64 copies
-    of one piece (at most frames / 50 rows, and at most CHUNK_FRAMES).
+    raises DataError here rather than wrap.  Memory is, per worker, one
+    chunk's counts, one slice of DRAW_ENTRIES int64 draws and the float64
+    copies of one piece (at most frames / 50 rows, and at most CHUNK_FRAMES).
     """
     if frames < 1:
         raise ConfigError([f"need at least one frame, got {frames}"])
     layout = layout or RegionLayout()
-    n_s = np.empty((frames, layout.n_regions), dtype=np.int16)
-    n_as = np.empty_like(n_s)
-    b = noise.background_per_region(layout)
     pair = _partners(layout)
     edges = _block_edges(frames)
-    starts = range(0, frames, CHUNK_FRAMES)
-    seeds = np.random.SeedSequence(seed).spawn(len(starts))
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(_cpu_count(), len(seeds))) as pool:
-        jobs = []
-        for lo, seed_seq in zip(starts, seeds):
-            rows = slice(lo, lo + CHUNK_FRAMES)
-            # a context copy per job carries the caller's np.errstate into the worker
-            jobs.append(pool.submit(contextvars.copy_context().run, _draw_and_reduce,
-                                    np.random.default_rng(seed_seq), noise, b,
-                                    n_s[rows], n_as[rows], pair, edges, lo))
-    parts = [job.result() for job in jobs]
+    parts = list(_drawn(frames, noise, seed, layout,
+                        lambda n_s, n_as, lo: _piece_moments(n_s, n_as, pair, edges, lo)))
     moments = _PieceMoments(*(np.concatenate(f) for f in zip(*(part[:-1] for part in parts))),
                             sum(part.sxy_within for part in parts))
-    n_s.flags.writeable = False
-    n_as.flags.writeable = False
-    batch = CountsBatch(n_s=n_s, n_as=n_as, layout=layout)
-    batch._moments = moments
-    return batch
+    return _SimulatedBatch(frames, noise, seed, layout, moments)
+
+
+class _SimulatedBatch(CountsBatch):
+    """The batch simulate_frames returns: its piece moments and the arguments
+    that drew it.  The counts are drawn again on first read of n_s or n_as."""
+
+    def __init__(self, frames: int, noise: NoiseModel, seed: int, layout: RegionLayout,
+                 moments: _PieceMoments):
+        self._frames, self._noise, self._seed = frames, noise, seed
+        self.layout = layout
+        self._moments = moments
+
+    def __repr__(self) -> str:
+        return (f"simulate_frames({self._frames}, {self._noise!r}, seed={self._seed}, "
+                f"layout={self.layout!r})")
+
+    @property
+    def n_frames(self) -> int:
+        return self._frames
+
+    @property
+    def n_s(self) -> np.ndarray:
+        return self._counts[0]
+
+    @property
+    def n_as(self) -> np.ndarray:
+        return self._counts[1]
+
+    @cached_property
+    def _counts(self) -> tuple[np.ndarray, np.ndarray]:
+        n_s = np.empty((self._frames, self.layout.n_regions), dtype=np.int16)
+        n_as = np.empty_like(n_s)
+        lo = 0
+        for s, a in self._chunks():
+            n_s[lo:lo + len(s)] = s
+            n_as[lo:lo + len(s)] = a
+            lo += len(s)
+        n_s.flags.writeable = False
+        n_as.flags.writeable = False
+        return n_s, n_as
+
+    def _chunks(self):
+        """The kept counts once read, else each chunk drawn again in row order."""
+        if "_counts" in vars(self):
+            yield self._counts
+        else:
+            yield from _drawn(self._frames, self._noise, self._seed, self.layout,
+                              lambda n_s, n_as, lo: (n_s, n_as))
 
 
 def correlation_coefficient(x, y) -> float:
@@ -355,6 +421,7 @@ def _piece_moments(x: np.ndarray, y: np.ndarray, pair: np.ndarray, edges: np.nda
         sxy_pair[k] = cross[rows, pair]
         sxx[k] = np.einsum("ij,ij->j", xb, xb)
         syy[k] = np.einsum("ij,ij->j", yb, yb)
+        del xb, yb  # freed before the next piece's copies are made
     block = np.searchsorted(edges, lo + cuts[:-1], side="right") - 1
     return _PieceMoments(np.diff(cuts).astype(float), block, mean_x, mean_y, sxx, syy,
                          sxy_pair, sxy_within)

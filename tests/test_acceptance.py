@@ -12,6 +12,7 @@ import numpy as np
 from scipy.signal import argrelmax, hilbert
 
 from oracles import breit_rabi_energies_hz, faddeeva_quadrature
+from strategies import criterion_07_model
 
 from rbfilter.constants import G_J_GROUND, RB85, RB87
 from rbfilter.fitting import MeasuredSpectrum, fit_spectrum, model_transmission
@@ -24,7 +25,6 @@ from rbfilter.lineshape import (
 )
 from rbfilter.optimize import PAPER_OPTIMUM, optimize, score
 from rbfilter.photon_stats import (
-    NoiseModel,
     RegionLayout,
     analytic_pair_correlation,
     filtered_preset,
@@ -191,14 +191,7 @@ def test_criterion_07_photon_statistics_match_analytic_model():
     layout = RegionLayout()
     worst_dev = 0.0
     for k in range(20):
-        noise = NoiseModel(
-            n_sig=float(rng.uniform(0.05, 1.0)),
-            eta_s=float(rng.uniform(0.1, 0.9)),
-            eta_as=float(rng.uniform(0.1, 0.9)),
-            b_fluorescence=float(rng.uniform(0.0, 0.8)),
-            b_leakage=float(rng.uniform(0.0, 0.8)),
-            intensifier_per_frame=float(rng.uniform(0.0, 3.0)),
-        )
+        noise = criterion_07_model(rng)
         batch = simulate_frames(100_000, noise, seed=1000 + k, layout=layout)
         s = pair_correlation_summary(batch)
         dev = abs(s["mean_on_pair"] - analytic_pair_correlation(noise, layout))

@@ -225,6 +225,33 @@ def test_photon_sim_command(tmp_path):
     assert lines[1:] == [",".join(map(str, row)) for row in expected.tolist()]
 
 
+def _photon_sim_peak_rss_mb(tmp_path, frames) -> float:
+    """Peak RSS of a fresh photon-sim --frames-csv process at this frame count.
+
+    The child reads its own VmHWM, the high-water mark of the address space it
+    runs in: its ru_maxrss would start from this test process's RSS, which
+    the kernel folds in at exec.
+    """
+    cfg = tmp_path / f"frames-{frames}.json"
+    cfg.write_text(json.dumps({"noise": {"frames": frames}}))
+    code = ("import sys; from rbfilter.cli import main; rc = main(sys.argv[1:]); "
+            "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0]); sys.exit(rc)")
+    src = str(Path(rbfilter.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code, "photon-sim", "--frames-csv",
+                           "--config", str(cfg), "--out", str(tmp_path / str(frames))],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return int(done.stdout.split()[-1]) / 1024  # VmHWM is in kB
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's /proc")
+def test_photon_sim_frames_csv_memory_does_not_grow_with_frames(tmp_path):
+    """frames.csv is written as each chunk is drawn again: four times the frames
+    (whose count arrays would be 12 MB more) peak within a few MB."""
+    assert _photon_sim_peak_rss_mb(tmp_path, 400_000) <= _photon_sim_peak_rss_mb(tmp_path, 100_000) + 6
+
+
 def test_every_csv_parses_by_the_readme_recipe_and_ends_rows_in_crlf(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"grid": {"points": 51}, "noise": {"frames": 300},

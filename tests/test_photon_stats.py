@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import jackknife_se_loop, pearson_map_direct, simulate_frames_serial
+from strategies import criterion_07_model, frame_arrays_held
 
 from rbfilter import photon_stats
 from rbfilter.config import MAX_COUNTS_PER_ARM
@@ -126,18 +127,41 @@ def test_simulate_frames_matches_serial_oracle(monkeypatch, frames, one_worker):
     assert np.array_equal(batch.n_s, n_s) and np.array_equal(batch.n_as, n_as)
 
 
-def test_draw_memory_is_bounded_by_entries_not_chunk_frames():
-    """At 200 regions a chunk's int64 draws would be 52 MB per sampler; drawn
-    in slices of DRAW_ENTRIES straight into the int16 counts, the peak above
-    the counts stays a few MB per worker."""
+def test_simulation_memory_does_not_grow_with_frames(monkeypatch):
+    """A simulated batch keeps piece moments, not counts: each of two workers
+    holds one chunk's int16 counts (26 MB at 200 regions), its int64 draws in
+    slices of DRAW_ENTRIES, and float64 copies of one piece of each arm.  Of
+    these only the pieces grow with the frame count, as its blocks (frames / 50
+    rows) do, until they reach a chunk."""
+    monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 2)
     noise, _ = filtered_preset()
-    tracemalloc.start()
-    try:
-        batch = simulate_frames(2 * CHUNK_FRAMES, noise, seed=7, layout=RegionLayout(200))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - batch.n_s.nbytes - batch.n_as.nbytes <= 24e6
+    layout = RegionLayout(200)
+    batches, peak = {}, {}
+    for chunks in (2, 6):
+        tracemalloc.start()
+        try:
+            batches[chunks] = simulate_frames(chunks * CHUNK_FRAMES, noise, seed=7, layout=layout)
+            summary_and_map(batches[chunks])
+            peak[chunks] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    chunk_counts = 2 * CHUNK_FRAMES * 200 * 4
+    # two workers' float64 copies of one piece of each arm
+    pieces = {k: 2 * 2 * 8 * 200 * int(np.diff(photon_stats._block_edges(k * CHUNK_FRAMES)).max())
+              for k in peak}
+    for k in peak:
+        # a chunk's int64 draws at once would be 52 MB per sampler and worker,
+        # the count arrays 26 MB per chunk
+        assert peak[k] <= chunk_counts + pieces[k] + 10e6
+    # the count arrays would add 105 MB; the slack covers the two workers'
+    # pieces overlapping at one frame count and not at the other
+    assert peak[6] - peak[2] <= pieces[6] - pieces[2] + 8e6
+
+    assert not any(frame_arrays_held(batch) for batch in batches.values())
+    batch = batches[2]
+    n_s = batch.n_s
+    assert len(frame_arrays_held(batch)) == 2 and batch.n_s is n_s
+    assert n_s.shape == (2 * CHUNK_FRAMES, 200) and not n_s.flags.writeable
 
 
 @pytest.mark.parametrize("one_worker", [False, True], ids=["all-cpus", "one-worker"])
@@ -484,6 +508,24 @@ def test_monte_carlo_matches_analytic_presets():
         assert dev < 4.0 * summary["se_on_pair"]
         # unpaired regions are statistically independent
         assert summary["max_abs_off_pair"] < 5.0 / math.sqrt(batch.n_frames)
+
+
+def test_se_on_pair_is_calibrated():
+    """The z-scores (C_MC - C_analytic) / se_on_pair of 40 seeds of models drawn
+    as criterion 07 draws them spread as a unit normal would: criterion 07 and
+    the benchmark's gate divide by se_on_pair, which comes from the piece
+    moments alone.  The sample spread of 40 unit normals leaves [0.7, 1.35]
+    with a chance of 0.4 %."""
+    rng = np.random.default_rng(2027)
+    layout = RegionLayout()
+    z = []
+    for k in range(40):
+        noise = criterion_07_model(rng)
+        summary = pair_correlation_summary(simulate_frames(20_000, noise, seed=3000 + k,
+                                                           layout=layout))
+        z.append((summary["mean_on_pair"] - analytic_pair_correlation(noise, layout))
+                 / summary["se_on_pair"])
+    assert 0.7 <= np.std(z, ddof=1) <= 1.35
 
 
 def test_correlation_map_structure():
