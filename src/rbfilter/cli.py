@@ -37,7 +37,12 @@ from .io import (
 )
 from .lineshape import LONGITUDINAL, with_keys
 from .optimize import OPERATING_KEYS, optimize
-from .photon_stats import analytic_pair_correlation, simulate_frames, summary_and_map
+from .photon_stats import (
+    analytic_pair_correlation,
+    correlation_map,
+    pair_correlation_summary,
+    simulate_frames,
+)
 from .propagation import (
     cell_transmission,
     dual_filter,
@@ -171,7 +176,7 @@ def cmd_optimize(cfg: RunConfig, args) -> list[str]:
 
 def cmd_photon_sim(cfg: RunConfig, args) -> list[str]:
     batch = simulate_frames(cfg.frames, cfg.noise, seed=cfg.seed, layout=cfg.layout)
-    summary, cmap = summary_and_map(batch)
+    summary, cmap = pair_correlation_summary(batch), correlation_map(batch)
     summary["analytic_pair_correlation"] = analytic_pair_correlation(cfg.noise, cfg.layout)
     written = [_write(args, "frames.csv", write_frames_csv, batch)] if args.frames_csv else []
     written.append(_write(args, "correlation_map.csv", write_spectrum_csv,

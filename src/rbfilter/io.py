@@ -141,15 +141,13 @@ def write_frames_csv(path: str, batch) -> None:
     region = _digits(np.arange(m))
 
     def chunks():
-        first = 0
-        for n_s, n_as in batch._chunks():
+        for n_s, n_as, first in batch._runs(lambda *run: run):
             for lo in range(0, len(n_s), step):
                 frames = np.arange(first + lo, first + min(lo + step, len(n_s)))
                 yield _ascii_rows([np.repeat(_digits(frames), m, axis=0),
                                    np.tile(region, (frames.size, 1)),
                                    _digits(n_s[lo:lo + step].ravel()),
                                    _digits(n_as[lo:lo + step].ravel())])
-            first += len(n_s)
 
     _write_csv(path, ["frame", "region", "n_s", "n_as"], chunks())
 

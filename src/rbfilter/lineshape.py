@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -169,7 +169,8 @@ class CellConfig:
     set-point reading and the vapor temperature that fixes the absolute optical
     depth; it defaults to 0 and is reported verbatim.  The accepted ranges of a
     run's cells are CELL_KEYS; direct construction checks only what the physics
-    needs (a positive length, a known geometry, a non-negative buffer pressure).
+    needs (finite numbers, a positive length, a known geometry, a non-negative
+    buffer pressure).
     """
 
     name: str = "cell"
@@ -184,12 +185,14 @@ class CellConfig:
     temperature_offset_k: float = 0.0
 
     def __post_init__(self):
-        errors = []
-        if self.length_m <= 0.0:
+        errors = [f"{self.name}: {f.name} must be finite, got {getattr(self, f.name)}"
+                  for f in fields(self)
+                  if f.type == "float" and not math.isfinite(getattr(self, f.name))]
+        if not self.length_m > 0.0:
             errors.append(f"{self.name}: length must be positive, got {self.length_m} m")
         if self.geometry not in GEOMETRIES:
             errors.append(f"{self.name}: geometry must be '{LONGITUDINAL}' or '{TRANSVERSE}'")
-        if self.buffer_pressure_pa < 0.0:
+        if not self.buffer_pressure_pa >= 0.0:
             errors.append(f"{self.name}: buffer pressure must be non-negative")
         if errors:
             raise ConfigError(errors)

@@ -60,7 +60,10 @@ class FomSpec:
         errors = []
         if len(self.signal_detunings_ghz) != 2 or len(self.noise_detunings_ghz) != 2:
             errors.append("fom: exactly two signal and two noise detunings required")
-        if self.min_suppression_db <= 0:
+        if not all(map(math.isfinite, (*self.signal_detunings_ghz, *self.noise_detunings_ghz,
+                                       self.min_suppression_db))):
+            errors.append("fom: detunings and min_suppression_db must be finite")
+        if not self.min_suppression_db > 0:
             errors.append(f"fom: min_suppression_db must be positive, got {self.min_suppression_db}")
         if not 0.0 < self.wollaston_extinction < 1.0:
             errors.append(f"fom: wollaston_extinction must lie in (0, 1), got {self.wollaston_extinction}")

@@ -18,25 +18,25 @@ thermal variable keeps thermal statistics, so its variance is n'(1+n')).
 
 The correlation map and the delete-one-block jackknife come from piece
 moments: per run of rows inside one jackknife block, the frame count, the
-column means and the centred second moments, plus the block it lies in.
-simulate_frames computes them in the worker that draws each chunk, while its
-rows are in cache: the chunk is cut at the block edges (``_piece_moments``),
-so a block spanning two chunks is two pieces.  A batch built from plain
-arrays, and correlation_standard_error, read the counts once through the same
-function, one piece per block.  Pieces merge by the pairwise update of Chan,
-Golub & LeVeque (Am. Stat. 37, 242 (1983)); the map merges all pieces, and
-each jackknife estimate all pieces outside one block.
+column means and the centred second moments, plus the block it lies in.  A
+batch has one reader, CountsBatch._runs(reduce): reduce(n_s, n_as, lo) of each
+run of frames from row lo, in row order.  Plain arrays are one run; a
+simulated batch's runs are its chunks, each drawn again from its seed, with
+reduce run by the worker thread that drew it.  CountsBatch._moments cuts each
+run at the block edges (_piece_moments), so a block spanning two chunks is two
+pieces, and keeps the pieces joined in row order.  Pieces merge by the
+pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242 (1983)); the map
+merges all pieces, and each jackknife estimate all pieces outside one block.
 
-A simulated batch keeps those moments and the arguments that drew it, not
-its counts.  The counts are a pure function of the arguments, so they are
-drawn again, chunk by chunk from the same seeds, when asked for: the whole
-int16 arrays on the first read of n_s or n_as, or one chunk at a time for the
-CLI's per-frame export.  Each worker holds its own chunk's int16 counts of
-both arms (4 B per entry: 1.3 MB at 10 regions), one slice of DRAW_ENTRIES
-int64 draws (256 kB) and float64 copies of one piece, the part of one block
-in one chunk: 1.6 MB each at 10 regions and 1e6 frames, 16 MB each at the
-validator's 1e8 counts per arm.  No count array grows with the frame count;
-the pieces grow with the blocks, up to a chunk.
+A simulated batch keeps its moments and the arguments that drew it, not its
+counts, which are drawn again when asked for: the whole int16 arrays on the
+first read of n_s or n_as, or one chunk at a time for the CLI's per-frame
+export.  Memory per worker: one chunk's int16 counts of both arms (4 B per
+entry: 1.3 MB at 10 regions), one slice of DRAW_ENTRIES int64 draws (256 kB)
+and float64 copies of one piece, the part of one block in one chunk (at most
+frames / 50 rows and CHUNK_FRAMES rows): 1.6 MB each at 10 regions and 1e6
+frames, 16 MB each at the validator's 1e8 counts per arm.  No count array
+grows with the frame count; the pieces grow with the blocks, up to a chunk.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import contextvars
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -101,8 +101,9 @@ class NoiseModel:
     intensifier_per_frame: float = 1.5
 
     def __post_init__(self):
-        errors = []
-        if self.n_sig < 0:
+        errors = [f"noise.{f.name} must be finite, got {getattr(self, f.name)}"
+                  for f in fields(self) if not math.isfinite(getattr(self, f.name))]
+        if not self.n_sig >= 0:
             errors.append(f"noise.n_sig must be >= 0, got {self.n_sig}")
         for label, eta in (("eta_s", self.eta_s), ("eta_as", self.eta_as)):
             if not 0.0 <= eta <= 1.0:
@@ -110,7 +111,7 @@ class NoiseModel:
         for label, b in (("b_fluorescence", self.b_fluorescence),
                          ("b_leakage", self.b_leakage),
                          ("intensifier_per_frame", self.intensifier_per_frame)):
-            if b < 0:
+            if not b >= 0:
                 errors.append(f"noise.{label} must be >= 0, got {b}")
         if errors:
             raise ConfigError(errors)
@@ -157,8 +158,6 @@ class CountsBatch:
     n_s: np.ndarray   # (frames, regions) integer counts, Stokes arm (int16 when simulated)
     n_as: np.ndarray  # (frames, regions) integer counts, anti-Stokes arm
     layout: RegionLayout
-    # piece moments kept by simulate_frames
-    _moments: _PieceMoments | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for counts in (self.n_s, self.n_as):
@@ -178,9 +177,20 @@ class CountsBatch:
     def n_frames(self) -> int:
         return int(self.n_s.shape[0])
 
-    def _chunks(self):
-        """(n_s, n_as) in row order, in consecutive runs of frames."""
-        yield self.n_s, self.n_as
+    def _runs(self, reduce):
+        """reduce(n_s, n_as, lo) of each run of frames from row lo, in row
+        order: here one run, the whole arrays."""
+        yield reduce(self.n_s, self.n_as, 0)
+
+    @cached_property
+    def _moments(self) -> _PieceMoments:
+        """The piece moments of every run, joined in row order."""
+        pair, edges = _partners(self.layout), _block_edges(self.n_frames)
+        parts, sxy_within = [], 0
+        for part in self._runs(lambda n_s, n_as, lo: _piece_moments(n_s, n_as, pair, edges, lo)):
+            parts.append(part[:-1])
+            sxy_within = sxy_within + part.sxy_within  # one (m, m) sum, not one per run
+        return _PieceMoments(*map(np.concatenate, zip(*parts)), sxy_within)
 
 
 def sample_thermal(rng: np.random.Generator, nbar: float, size) -> np.ndarray:
@@ -285,36 +295,27 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
 
     Frames are drawn in chunks of CHUNK_FRAMES, each from its own spawned
     seed, on a thread per available CPU (see _drawn).  The worker that draws
-    a chunk reduces it to piece moments, cut at the jackknife's block edges,
-    and drops it; the batch keeps every worker's pieces in row order, so the
-    correlation functions read no counts.  Its n_s and n_as are drawn again,
-    from the same seeds, when first read, and are then kept read-only.
-    Counts are int16, 2 bytes each; a model whose counts could pass 32767
-    raises DataError here rather than wrap.  Memory is, per worker, one
-    chunk's counts, one slice of DRAW_ENTRIES int64 draws and the float64
-    copies of one piece (at most frames / 50 rows, and at most CHUNK_FRAMES).
+    a chunk reduces it to piece moments and drops it; the batch keeps the
+    moments, so the correlation functions read no counts.  Its n_s and n_as
+    are drawn again, from the same seeds, when first read, and are then kept
+    read-only.  Counts are int16, 2 bytes each; a model whose counts could
+    pass 32767 raises DataError here rather than wrap.  Memory per worker is
+    in the module docstring.
     """
     if frames < 1:
         raise ConfigError([f"need at least one frame, got {frames}"])
-    layout = layout or RegionLayout()
-    pair = _partners(layout)
-    edges = _block_edges(frames)
-    parts = list(_drawn(frames, noise, seed, layout,
-                        lambda n_s, n_as, lo: _piece_moments(n_s, n_as, pair, edges, lo)))
-    moments = _PieceMoments(*(np.concatenate(f) for f in zip(*(part[:-1] for part in parts))),
-                            sum(part.sxy_within for part in parts))
-    return _SimulatedBatch(frames, noise, seed, layout, moments)
+    batch = _SimulatedBatch(frames, noise, seed, layout or RegionLayout())
+    batch._moments  # drawn here, under the caller's errstate, so a DataError raises here
+    return batch
 
 
 class _SimulatedBatch(CountsBatch):
-    """The batch simulate_frames returns: its piece moments and the arguments
-    that drew it.  The counts are drawn again on first read of n_s or n_as."""
+    """The batch simulate_frames returns: the arguments that drew it and its
+    piece moments.  Its runs are its chunks, each drawn again from its seed."""
 
-    def __init__(self, frames: int, noise: NoiseModel, seed: int, layout: RegionLayout,
-                 moments: _PieceMoments):
+    def __init__(self, frames: int, noise: NoiseModel, seed: int, layout: RegionLayout):
         self._frames, self._noise, self._seed = frames, noise, seed
         self.layout = layout
-        self._moments = moments
 
     def __repr__(self) -> str:
         return (f"simulate_frames({self._frames}, {self._noise!r}, seed={self._seed}, "
@@ -332,26 +333,23 @@ class _SimulatedBatch(CountsBatch):
     def n_as(self) -> np.ndarray:
         return self._counts[1]
 
+    def _runs(self, reduce):
+        return _drawn(self._frames, self._noise, self._seed, self.layout, reduce)
+
     @cached_property
     def _counts(self) -> tuple[np.ndarray, np.ndarray]:
         n_s = np.empty((self._frames, self.layout.n_regions), dtype=np.int16)
         n_as = np.empty_like(n_s)
-        lo = 0
-        for s, a in self._chunks():
+
+        def fill(s, a, lo):  # each worker writes the rows of its own chunk
             n_s[lo:lo + len(s)] = s
-            n_as[lo:lo + len(s)] = a
-            lo += len(s)
+            n_as[lo:lo + len(a)] = a
+
+        for _ in self._runs(fill):
+            pass
         n_s.flags.writeable = False
         n_as.flags.writeable = False
         return n_s, n_as
-
-    def _chunks(self):
-        """The kept counts once read, else each chunk drawn again in row order."""
-        if "_counts" in vars(self):
-            yield self._counts
-        else:
-            yield from _drawn(self._frames, self._noise, self._seed, self.layout,
-                              lambda n_s, n_as, lo: (n_s, n_as))
 
 
 def correlation_coefficient(x, y) -> float:
@@ -496,17 +494,9 @@ def _partners(layout: RegionLayout) -> np.ndarray:
     return np.array([j for _, j in layout.pairs()])
 
 
-def _batch_moments(batch: CountsBatch) -> _PieceMoments:
-    """The piece moments simulate_frames kept, else one pass over the counts."""
-    if batch._moments is not None:
-        return batch._moments
-    return _piece_moments(batch.n_s, batch.n_as, _partners(batch.layout),
-                          _block_edges(batch.n_frames))
-
-
 def correlation_map(batch: CountsBatch) -> np.ndarray:
     """C_ij between every Stokes region i and anti-Stokes region j."""
-    return _moment_map(_batch_moments(batch))
+    return _moment_map(batch._moments)
 
 
 def analytic_pair_correlation(noise: NoiseModel, layout: RegionLayout | None = None) -> float:
@@ -524,26 +514,18 @@ def analytic_pair_correlation(noise: NoiseModel, layout: RegionLayout | None = N
 
 def pair_correlation_summary(batch: CountsBatch) -> dict:
     """Mean on-pair and off-pair correlations with jackknife errors."""
-    return summary_and_map(batch)[0]
-
-
-def summary_and_map(batch: CountsBatch) -> tuple[dict, np.ndarray]:
-    """pair_correlation_summary(batch) and correlation_map(batch) from one set
-    of piece moments."""
     partner = _partners(batch.layout)
-    mom = _batch_moments(batch)
-    cmap = _moment_map(mom)
+    cmap = _moment_map(batch._moments)
     m = batch.layout.n_regions
     pair_mask = np.zeros((m, m), dtype=bool)
     pair_mask[np.arange(m), partner] = True
     on = cmap[pair_mask]
     off = cmap[~pair_mask]
-    se = _jackknife_se(mom, partner)
-    summary = {
+    se = _jackknife_se(batch._moments, partner)
+    return {
         "n_frames": batch.n_frames,
         "mean_on_pair": float(on.mean()),
         "se_on_pair": float(np.mean(se) / math.sqrt(len(se))),
         "mean_abs_off_pair": float(np.abs(off).mean()) if off.size else 0.0,
         "max_abs_off_pair": float(np.abs(off).max()) if off.size else 0.0,
     }
-    return summary, cmap

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rbfilter
-from rbfilter import cli, io, lineshape, propagation
+from rbfilter import cli, io, lineshape, photon_stats, propagation
 from rbfilter.config import load_config
 from rbfilter.fitting import model_transmission
 from rbfilter.io import read_spectrum_csv, write_spectrum_csv
@@ -223,6 +223,33 @@ def test_photon_sim_command(tmp_path):
     frame, region = np.divmod(np.arange(frames * 10), 10)
     expected = np.column_stack([frame, region, batch.n_s.ravel(), batch.n_as.ravel()])
     assert lines[1:] == [",".join(map(str, row)) for row in expected.tolist()]
+
+
+@pytest.mark.parametrize("flags, draws", [([], 4), (["--frames-csv"], 8)],
+                         ids=["summary", "frames-csv"])
+def test_photon_sim_draws_each_chunk_once_per_pass(tmp_path, monkeypatch, flags, draws):
+    """The preset's 1e5 frames are 4 chunks.  simulate_frames draws each once
+    and reduces it to piece moments, which nothing computes again after it
+    returns; --frames-csv draws every chunk a second time for the file."""
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            calls.append(name)
+            return out
+        return call
+
+    monkeypatch.setattr(photon_stats, "_draw_chunk", counted("draw", photon_stats._draw_chunk))
+    monkeypatch.setattr(photon_stats, "_piece_moments",
+                        counted("moments", photon_stats._piece_moments))
+    monkeypatch.setattr(cli, "simulate_frames", counted("returned", cli.simulate_frames))
+    assert run("photon-sim", "--preset", "paper-optimum", "--seed", "5", *flags,
+               "--out", str(tmp_path)) == 0
+    returned = calls.index("returned")
+    assert calls[:returned].count("draw") == 4 and "moments" in calls[:returned]
+    assert calls.count("draw") == draws
+    assert "moments" not in calls[returned:]
 
 
 def _photon_sim_peak_rss_mb(tmp_path, frames) -> float:

@@ -2,7 +2,7 @@
 
 import math
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -199,6 +199,14 @@ def test_cell_config_collects_all_errors():
         CellConfig(length_m=-1.0, geometry="diagonal", buffer_pressure_pa=-3.0)
     assert len(info.value.errors) == 3
     assert CellConfig(temperature_offset_k=9.0).effective_temperature_k == 382.15
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(CellConfig) if f.type == "float"])
+def test_cell_config_rejects_nan_and_infinities(name, value):
+    """An infinite length would give T = nan."""
+    with pytest.raises(ConfigError, match=f"cell: {name} must be finite"):
+        CellConfig(**{name: value})
 
 
 def test_with_keys_sets_each_named_key_in_config_units_and_nothing_else():

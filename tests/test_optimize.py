@@ -1,6 +1,7 @@
 """Figure-of-merit scoring and the operating-point search."""
 
 import inspect
+import math
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -86,6 +87,15 @@ def test_fom_spec_validation():
         FomSpec(min_suppression_db=-5.0)
     with pytest.raises(ConfigError):
         FomSpec(wollaston_extinction=0.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(FomSpec)])
+def test_fom_spec_rejects_nan_and_infinities(name, value):
+    """A NaN suppression bar would drop the constraint; an infinite one scores -inf."""
+    default = getattr(FomSpec(), name)
+    with pytest.raises(ConfigError):
+        FomSpec(**{name: (value, default[1]) if isinstance(default, tuple) else value})
 
 
 def test_param_box_validation():

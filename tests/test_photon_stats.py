@@ -2,7 +2,9 @@
 
 import hashlib
 import math
+import sys
 import tracemalloc
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -27,7 +29,6 @@ from rbfilter.photon_stats import (
     pair_correlation_summary,
     sample_thermal,
     simulate_frames,
-    summary_and_map,
     unfiltered_preset,
 )
 
@@ -57,6 +58,14 @@ def test_noise_model_validation():
         NoiseModel(eta_s=1.2)
     with pytest.raises(ConfigError):
         NoiseModel(b_leakage=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", [f.name for f in fields(NoiseModel)])
+def test_noise_model_rejects_nan_and_infinities(name, value):
+    """NaN passes no comparison, so a NaN background would simulate as none."""
+    with pytest.raises(ConfigError, match=f"noise.{name} must be finite"):
+        NoiseModel(**{name: value})
 
 
 # ---------------------------------------------------- thermal sampling
@@ -127,6 +136,23 @@ def test_simulate_frames_matches_serial_oracle(monkeypatch, frames, one_worker):
     assert np.array_equal(batch.n_s, n_s) and np.array_equal(batch.n_as, n_as)
 
 
+def test_counts_written_in_place_by_more_workers_than_cpus(monkeypatch):
+    """Each worker writes its own chunk's rows of the shared count arrays; a
+    short switch interval interleaves the eight workers' writes."""
+    monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 8)
+    noise, _ = filtered_preset()
+    frames = 9 * CHUNK_FRAMES + 3
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        batch = simulate_frames(frames, noise, seed=23, layout=RegionLayout(n_regions=2))
+        counts = batch.n_s, batch.n_as
+    finally:
+        sys.setswitchinterval(interval)
+    n_s, n_as = simulate_frames_serial(frames, noise, 23, 2, CHUNK_FRAMES)
+    assert np.array_equal(counts[0], n_s) and np.array_equal(counts[1], n_as)
+
+
 def test_simulation_memory_does_not_grow_with_frames(monkeypatch):
     """A simulated batch keeps piece moments, not counts: each of two workers
     holds one chunk's int16 counts (26 MB at 200 regions), its int64 draws in
@@ -141,7 +167,7 @@ def test_simulation_memory_does_not_grow_with_frames(monkeypatch):
         tracemalloc.start()
         try:
             batches[chunks] = simulate_frames(chunks * CHUNK_FRAMES, noise, seed=7, layout=layout)
-            summary_and_map(batches[chunks])
+            pair_correlation_summary(batches[chunks])
             peak[chunks] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -306,9 +332,10 @@ def test_jackknife_and_map_match_loop_oracle(noise, layout, frames):
         expected.mean() / math.sqrt(layout.n_regions), rel=1e-10, abs=0.0)
     assert summary["mean_on_pair"] == pytest.approx(
         np.mean([cmap[i, j] for i, j in layout.pairs()]), rel=1e-10, abs=0.0)
-    one_pass = summary_and_map(batch)
-    assert one_pass[0] == summary
-    assert one_pass[1].tobytes() == cmap.tobytes()
+
+
+def _summary_and_map(batch):
+    return pair_correlation_summary(batch), correlation_map(batch)
 
 
 def _or_error(fn, batch):
@@ -342,13 +369,13 @@ def test_moments_kept_by_simulate_frames_match_the_array_path(frames, n_regions,
     with mock.patch.object(photon_stats, "_piece_moments", counting):
         _or_error(pair_correlation_summary, batch)
         _or_error(correlation_map, batch)
-        kept = _or_error(summary_and_map, batch)
+        kept = _or_error(_summary_and_map, batch)
         assert reads == []  # the moments simulate_frames kept: no pass over the counts
         plain = CountsBatch(n_s=np.array(batch.n_s), n_as=np.array(batch.n_as), layout=layout)
-        read = _or_error(summary_and_map, plain)
+        read = _or_error(_summary_and_map, plain)
         assert reads == [batch.n_s.shape]
 
-    again = _or_error(summary_and_map, other)
+    again = _or_error(_summary_and_map, other)
     if isinstance(kept, str) or isinstance(read, str):
         assert kept == read == again
         return
@@ -381,15 +408,14 @@ def test_jackknife_zero_variance_after_one_deletion_is_error():
         correlation_standard_error(np.ones(5), np.ones(6))
 
 
-def _cut_and_join(x, y, pair, bounds):
-    """Piece moments of x and y cut at the given row bounds, joined in row order
-    as simulate_frames joins its workers' pieces."""
-    edges = photon_stats._block_edges(x.shape[0])
-    parts = [photon_stats._piece_moments(x[a:b], y[a:b], pair, edges, a)
-             for a, b in zip(bounds, bounds[1:])]
-    return photon_stats._PieceMoments(
-        *(np.concatenate(f) for f in zip(*(part[:-1] for part in parts))),
-        sum(part.sxy_within for part in parts))
+def _cut_and_join(x, y, layout, bounds):
+    """The piece moments of a batch whose runs of frames end at the given row
+    bounds, as a simulated batch's chunks do."""
+    class CutBatch(CountsBatch):
+        def _runs(self, reduce):
+            return (reduce(self.n_s[a:b], self.n_as[a:b], a) for a, b in zip(bounds, bounds[1:]))
+
+    return CutBatch(n_s=x, n_as=y, layout=layout)._moments
 
 
 def _map_and_se(mom, pair):
@@ -406,10 +432,11 @@ def test_pieces_cut_anywhere_match_one_piece_per_block(frames, n_regions, seed, 
     rng = np.random.default_rng(seed)
     x = rng.poisson(2.0, (frames, n_regions))
     y = x[:, ::-1] // 2 + rng.poisson(1.0, (frames, n_regions))
-    pair = photon_stats._partners(RegionLayout(n_regions=n_regions))
+    layout = RegionLayout(n_regions=n_regions)
+    pair = photon_stats._partners(layout)
     cuts = data.draw(st.sets(st.integers(1, frames - 1), max_size=12))
     bounds = [0, *sorted(cuts), frames]
-    pieces = _cut_and_join(x, y, pair, bounds)
+    pieces = _cut_and_join(x, y, layout, bounds)
 
     # every piece lies inside the block of its first row
     edges = photon_stats._block_edges(frames)
@@ -436,14 +463,14 @@ def test_jackknife_zero_variance_survives_a_block_cut_into_pieces():
     x = np.full(1000, 7, dtype=np.int64)
     x[100:120] = rng.poisson(2.0, 20) + 1
     y = rng.poisson(3.0, 1000)
-    pair = np.arange(1)
-    pieces = _cut_and_join(x[:, None], y[:, None], pair, [0, 105, 113, 1000])
+    pair, layout = np.arange(1), RegionLayout(n_regions=1)
+    pieces = _cut_and_join(x[:, None], y[:, None], layout, [0, 105, 113, 1000])
     assert list(pieces.block[4:9]) == [4, 5, 5, 5, 6]
     assert np.isfinite(photon_stats._moment_map(pieces)).all()
     with pytest.raises(DataError):
         photon_stats._jackknife_se(pieces, pair)
     with pytest.raises(DataError):
-        photon_stats._jackknife_se(_cut_and_join(y[:, None], x[:, None], pair,
+        photon_stats._jackknife_se(_cut_and_join(y[:, None], x[:, None], layout,
                                                  [0, 105, 113, 1000]), pair)
 
 
