@@ -163,7 +163,6 @@ def _reference_frequency_hz() -> float:
 class FrequencyConvention:
     """Affine map between detuning (GHz) and absolute angular frequency (rad/s)."""
 
-    reference_label: str = "Rb87 D1 F=2 -> F'=2"
     reference_frequency_hz: float = _reference_frequency_hz()
 
     def detuning_to_omega(self, detuning_ghz):

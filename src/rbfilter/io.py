@@ -100,10 +100,12 @@ def read_measured_csv(path: str, column: str = "transmission") -> MeasuredSpectr
 
 
 def write_lines_csv(path: str, table) -> None:
-    """Write a resolved line table as offset/component/strength rows, one chunk."""
-    rows = zip(table.offset_ghz.tolist(), table.component.tolist(), table.strength.tolist())
+    """Write a resolved line table as offset/component/strength rows, one chunk,
+    each component's lines in turn."""
     _write_csv(path, ["offset_ghz", "component", "strength"],
-               ["".join("%.16g,%s,%.16g\r\n" % row for row in rows)])
+               ["".join("%.16g,%s,%.16g\r\n" % (offset, name, strength)
+                        for name, (offsets, strengths) in table.lines.items()
+                        for offset, strength in zip(offsets.tolist(), strengths.tolist()))])
 
 
 def _digits(values: np.ndarray) -> np.ndarray:

@@ -37,9 +37,9 @@ from .zeeman import zeeman_lines
 
 LONGITUDINAL = "longitudinal"
 TRANSVERSE = "transverse"
-GEOMETRIES = (LONGITUDINAL, TRANSVERSE)
 # the line components each geometry's beam drives: the one geometry -> modes map
 MODES = {LONGITUDINAL: ("sigma+", "sigma-"), TRANSVERSE: ("pi", "sigma+", "sigma-")}
+GEOMETRIES = tuple(MODES)
 
 # Rb D1 pressure broadening by Kr buffer gas, FWHM rate.
 # Rotondaro & Perram, JQSRT 57, 497 (1997): 17.2 MHz/torr.
@@ -299,7 +299,7 @@ def _mode_lines(cell: CellConfig) -> dict[str, np.ndarray]:
         centroid = REFERENCE.centroid_offset_ghz(isotope)
 
         for mode, parts in rows.items():
-            offsets, strengths = table.select(mode)
+            offsets, strengths = table.lines[mode]
             parts.append(np.stack([centroid + offsets, prefactor * strengths,
                                    np.full(offsets.size, sigma_d),
                                    np.full(offsets.size, gamma_hwhm)]))

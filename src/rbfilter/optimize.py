@@ -28,9 +28,7 @@ import numpy as np
 from .constants import DEFAULT_DETUNINGS
 from .errors import ConfigError, NumericalError
 from .lineshape import CELL_KEYS, CellConfig, LONGITUDINAL, TRANSVERSE, with_keys
-from .propagation import WOLLASTON_EXTINCTION, dual_filter
-
-_T_FLOOR = 1.0e-15
+from .propagation import T_FLOOR, WOLLASTON_EXTINCTION, dual_filter
 
 # Each searched parameter under its optimizer.box name, in config units: the
 # cell it sets (0 absorption, 1 faraday) and that cell's key.  The only place
@@ -122,8 +120,8 @@ class ParamBox:
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower(), self.upper())
 
-    def contains(self, params: ChainParams, tol: float = 1e-12) -> bool:
-        x = params.as_array()
+    def contains(self, params: ChainParams) -> bool:
+        x, tol = params.as_array(), 1e-12
         return bool(np.all(x >= self.lower() - tol) and np.all(x <= self.upper() + tol))
 
 
@@ -176,7 +174,7 @@ def score(params: ChainParams, spec: FomSpec | None = None,
 
     signal = {d: t_at[d] for d in spec.signal_detunings_ghz}
     supp = {
-        d: -10.0 * math.log10(spec.wollaston_extinction * max(t_at[d], _T_FLOOR))
+        d: -10.0 * math.log10(spec.wollaston_extinction * max(t_at[d], T_FLOOR))
         for d in spec.noise_detunings_ghz
     }
     shortfall = sum(max(0.0, spec.min_suppression_db - s) for s in supp.values())

@@ -36,17 +36,16 @@ from .lineshape import (
     susceptibility,
 )
 
-MIN_DB = -150.0
+# the least transmission a log is taken of: -150 dB
+T_FLOOR = 1.0e-15
 # extinction of the Wollaston polarizers of the paper's chain
 WOLLASTON_EXTINCTION = 1.0e-5
 CellOrSpectrum = CellConfig | ComplexSpectrum
 
 
-def transmission_db(t, floor_db: float = MIN_DB) -> np.ndarray:
-    """Intensity transmission in dB, clipped at floor_db to keep logs finite."""
-    t = np.asarray(t, dtype=float)
-    floor = 10.0 ** (floor_db / 10.0)
-    return 10.0 * np.log10(np.maximum(t, floor))
+def transmission_db(t) -> np.ndarray:
+    """Intensity transmission in dB, clipped at T_FLOOR to keep logs finite."""
+    return 10.0 * np.log10(np.maximum(np.asarray(t, dtype=float), T_FLOOR))
 
 
 def _spectrum(source: CellOrSpectrum, grid_ghz) -> ComplexSpectrum:

@@ -105,35 +105,21 @@ def _dipole_projectors(two_i: int) -> dict[int, np.ndarray]:
 class LineTable:
     """Zeeman-resolved transition lines of one isotope at one field.
 
+    lines maps each component, sigma-, pi and sigma+ in that order, to its
+    (offset_ghz, strength) arrays, kept as zeeman_lines computes them.
     offset_ghz is measured from the isotope's D1 centroid.  strength is the
     population-weighted squared dipole amplitude in units of the reduced matrix
-    element squared; summed over all lines and polarizations it equals 1/2
-    independent of B.
+    element squared; each component's strengths sum to 1/6 and all of them to
+    1/2, independent of B.
     """
 
     isotope: str
     b_field_t: float
-    offset_ghz: np.ndarray
-    component: np.ndarray
-    strength: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.offset_ghz)
-        if not (len(self.component) == len(self.strength) == n):
-            raise ValueError("line table columns must have equal length")
-        if np.any(self.strength < 0):
-            raise ValueError("line strengths must be non-negative")
+    lines: dict[str, tuple[np.ndarray, np.ndarray]]
 
     @property
     def n_lines(self) -> int:
-        return len(self.offset_ghz)
-
-    def select(self, component: str) -> tuple[np.ndarray, np.ndarray]:
-        mask = self.component == component
-        return self.offset_ghz[mask], self.strength[mask]
-
-    def strength_sum(self, component: str) -> float:
-        return float(self.select(component)[1].sum())
+        return sum(offsets.size for offsets, _ in self.lines.values())
 
 
 @lru_cache(maxsize=512)
@@ -150,18 +136,10 @@ def zeeman_lines(isotope_name: str, b_field_t: float, geometry: str = "longitudi
     ee, ve = np.linalg.eigh(build_hamiltonian(isotope, EXCITED, b_field_t))
     pop = 1.0 / eg.size
 
-    offsets, comps, strengths = [], [], []
+    lines = {}
     for q, p in _dipole_projectors(int(round(2 * isotope.nuclear_spin))).items():
         # amplitude matrix M[e, g] = <e| T_q |g> between dressed states
         s = pop * np.abs(ve.T @ p @ vg) ** 2
         idx_e, idx_g = np.nonzero(s > 1e-12)
-        offsets.append((ee[idx_e] - eg[idx_g]) * 1e-9)
-        comps.append(np.full(idx_e.shape, _COMPONENT_NAME[q]))
-        strengths.append(s[idx_e, idx_g])
-    return LineTable(
-        isotope=isotope_name,
-        b_field_t=b_field_t,
-        offset_ghz=np.concatenate(offsets),
-        component=np.concatenate(comps),
-        strength=np.concatenate(strengths),
-    )
+        lines[_COMPONENT_NAME[q]] = (ee[idx_e] - eg[idx_g]) * 1e-9, s[idx_e, idx_g]
+    return LineTable(isotope=isotope_name, b_field_t=b_field_t, lines=lines)

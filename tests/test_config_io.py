@@ -1,5 +1,6 @@
 """Config loading/validation and CSV/JSON file round trips."""
 
+import itertools
 import json
 import math
 import re
@@ -421,6 +422,26 @@ def test_lines_csv_layout(tmp_path):
     assert components <= {"sigma+", "sigma-", "pi"}
     strengths = [float(r.split(",")[2]) for r in rows[1:]]
     assert sum(strengths) == pytest.approx(0.5, rel=1e-9)
+
+
+@pytest.mark.parametrize("b_field_t", [1.0e-2, 0.0])
+@pytest.mark.parametrize("isotope", ["Rb85", "Rb87"])
+def test_lines_csv_rows_run_sigma_minus_then_pi_then_sigma_plus(tmp_path, isotope, b_field_t):
+    """Every sigma- line, then every pi line, then every sigma+ line, each row
+    the exact digits of its component's arrays."""
+    p = tmp_path / f"lines_{isotope.lower()}.csv"
+    table = zeeman_lines(isotope, b_field_t)
+    write_lines_csv(str(p), table)
+    header, body = p.read_bytes().decode().split("\r\n", 1)
+    assert header == "offset_ghz,component,strength"
+    rows = [r.split(",") for r in body.split("\r\n")[:-1]]
+    order = ("sigma-", "pi", "sigma+")
+    assert [name for name, _ in itertools.groupby(r[1] for r in rows)] == list(order)
+    assert body == "".join("%.16g,%s,%.16g\r\n" % (offset, name, strength) for name in order
+                           for offset, strength in zip(*table.lines[name]))
+    for name in order:
+        strengths = [float(r[2]) for r in rows if r[1] == name]
+        assert math.fsum(strengths) == pytest.approx(1 / 6, rel=1e-12)
 
 
 def _counts_batch(frames, n_regions, high, dtype=np.int16, seed=0):

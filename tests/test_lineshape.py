@@ -13,6 +13,7 @@ from rbfilter.errors import ConfigError, DataError
 from rbfilter.lineshape import (
     CELL_KEYS,
     LONGITUDINAL,
+    MODES,
     TRANSVERSE,
     CellConfig,
     default_grid,
@@ -262,11 +263,10 @@ def test_susceptibility_looks_up_faddeeva_at_call_time(monkeypatch):
 
 
 def _n_lines(cell: CellConfig) -> int:
-    """Lines in the Voigt block of one cell (a longitudinal cell drops its pi lines)."""
-    return sum(len(zeeman_lines(name, cell.b_field_t, cell.geometry).select(pol)[0])
+    """Lines in the Voigt block of one cell: its modes' lines of each isotope it holds."""
+    return sum(zeeman_lines(name, cell.b_field_t).lines[mode][0].size
                for name in ("Rb85", "Rb87") if cell.fraction(name) > 0.0
-               for pol in ("sigma+", "sigma-", "pi")
-               if cell.geometry == "transverse" or pol != "pi")
+               for mode in MODES[cell.geometry])
 
 
 _CHAIN = (CellConfig(name="absorption", temperature_k=373.15, b_field_t=1e-2, geometry="transverse",

@@ -90,11 +90,10 @@ def test_strength_sum_rule(isotope_name, b_field):
     is 1/2.
     """
     table = zeeman_lines(isotope_name, b_field)
-    components = sorted(set(table.component))
-    assert components == ["pi", "sigma+", "sigma-"]
-    for comp in components:
-        assert table.strength_sum(comp) == pytest.approx(1 / 6, rel=1e-12)
-    assert float(table.strength.sum()) == pytest.approx(0.5, rel=1e-12)
+    assert list(table.lines) == ["sigma-", "pi", "sigma+"]
+    for _, strengths in table.lines.values():
+        assert strengths.sum() == pytest.approx(1 / 6, rel=1e-12)
+    assert sum(s.sum() for _, s in table.lines.values()) == pytest.approx(0.5, rel=1e-12)
 
 
 @pytest.mark.parametrize("isotope_name", ["Rb85", "Rb87"])
@@ -102,7 +101,7 @@ def test_strength_sums_field_independent(isotope_name):
     sums = []
     for b in (1e-5, 1e-3, 5e-2, 0.2):
         table = zeeman_lines(isotope_name, b)
-        sums.append([table.strength_sum(c) for c in ("pi", "sigma+", "sigma-")])
+        sums.append([table.lines[c][1].sum() for c in ("pi", "sigma+", "sigma-")])
     sums = np.array(sums)
     assert np.ptp(sums, axis=0).max() < 1e-12
 
@@ -110,7 +109,7 @@ def test_strength_sums_field_independent(isotope_name):
 def test_all_components_present_with_positive_strengths():
     table = zeeman_lines("Rb87", 1e-2)
     for comp in ("sigma+", "sigma-", "pi"):
-        offsets, strengths = table.select(comp)
+        offsets, strengths = table.lines[comp]
         assert offsets.size > 0
         assert np.all(strengths >= 0)
         assert np.all(np.isfinite(offsets))
@@ -118,10 +117,10 @@ def test_all_components_present_with_positive_strengths():
 
 def test_zero_field_lines_match_hyperfine_transitions():
     """At B=0 the line offsets collapse onto the four F -> F' combinations."""
-    table = zeeman_lines("Rb87", 0.0)
-    centers = np.unique(np.round(table.offset_ghz, 4))
+    offsets = np.concatenate([o for o, _ in zeeman_lines("Rb87", 0.0).lines.values()])
+    centers = np.unique(np.round(offsets, 4))
     assert centers.size == 4
-    span = table.offset_ghz.max() - table.offset_ghz.min()
+    span = offsets.max() - offsets.min()
     want = (RB87.a_ground_mhz * 2 + RB87.a_excited_mhz * 2) * 1e-3
     assert span == pytest.approx(want, rel=1e-9)
 
@@ -139,10 +138,10 @@ def test_zeeman_physics_over_valid_field_range(isotope_name, b_field):
         want = breit_rabi_energies_hz(isotope.nuclear_spin, a_mhz, g_j, isotope.g_i, b_field)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), manifold
     table = zeeman_lines(isotope_name, b_field)
-    assert np.all(np.isfinite(table.offset_ghz))
-    for comp in ("pi", "sigma+", "sigma-"):
-        assert table.strength_sum(comp) == pytest.approx(1 / 6, abs=1e-12)
-    assert float(table.strength.sum()) == pytest.approx(0.5, abs=1e-12)
+    for offsets, strengths in table.lines.values():
+        assert np.all(np.isfinite(offsets))
+        assert strengths.sum() == pytest.approx(1 / 6, abs=1e-12)
+    assert sum(s.sum() for _, s in table.lines.values()) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_zeeman_lines_cache_counts_a_repeat_as_a_hit():
