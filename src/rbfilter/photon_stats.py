@@ -16,27 +16,29 @@ every Monte Carlo run:
 where b_S, b_AS are the total per-region Poisson background means (a thinned
 thermal variable keeps thermal statistics, so its variance is n'(1+n')).
 
-The correlation map and the delete-one-block jackknife come from piece
-moments: per run of rows inside one jackknife block, the frame count, the
-column means and the centred second moments, plus the block it lies in.  A
-batch has one reader, CountsBatch._runs(reduce): reduce(n_s, n_as, lo) of each
-run of frames from row lo, in row order.  Plain arrays are one run; a
-simulated batch's runs are its chunks, each drawn again from its seed, with
-reduce run by the worker thread that drew it.  CountsBatch._moments cuts each
-run at the block edges (_piece_moments), so a block spanning two chunks is two
-pieces, and keeps the pieces joined in row order.  Pieces merge by the
-pairwise update of Chan, Golub & LeVeque (Am. Stat. 37, 242 (1983)); the map
-merges all pieces, and each jackknife estimate all pieces outside one block.
+The correlation map and the delete-one-block jackknife come from exact
+integer sums per jackknife block: n, Σx, Σy, Σx², Σy² and each region's
+on-pair Σxy, plus one (m, m) Σxy for the map.  A batch has one reader,
+CountsBatch._runs(reduce): reduce(n_s, n_as, lo) of each run of at most
+CHUNK_FRAMES frames from row lo, in row order.  Plain arrays are read in runs
+of CHUNK_FRAMES rows; a simulated batch's runs are its chunks, each drawn
+again from its seed, with reduce run by the worker thread that drew it.
+_run_sums reads a run in sub-blocks that never cross a block edge, so every
+sum is exact in int64 (counts lie in [0, COUNT_MAX]) and none depends on where
+the rows are cut, on the chunking or on the worker count.  The jackknife drops
+a block by subtracting its sums from the totals; each comoment is formed from
+sums shifted by the rounded means (_comoment), so its one float step does not
+cancel.
 
-A simulated batch keeps its moments and the arguments that drew it, not its
-counts, which are drawn again when asked for: the whole int16 arrays on the
-first read of n_s or n_as, or one chunk at a time for the CLI's per-frame
+A simulated batch keeps its block sums and the arguments that drew it, not
+its counts, which are drawn again when asked for: the whole int16 arrays on
+the first read of n_s or n_as, or one chunk at a time for the CLI's per-frame
 export.  Memory per worker: one chunk's int16 counts of both arms (4 B per
-entry: 1.3 MB at 10 regions), one slice of DRAW_ENTRIES int64 draws (256 kB)
-and float64 copies of one piece, the part of one block in one chunk (at most
-frames / 50 rows and CHUNK_FRAMES rows): 1.6 MB each at 10 regions and 1e6
-frames, 16 MB each at the validator's 1e8 counts per arm.  No count array
-grows with the frame count; the pieces grow with the blocks, up to a chunk.
+entry: 1.3 MB at 10 regions), one slice of DRAW_ENTRIES int64 draws (256 kB),
+float64 copies of one sub-block of each arm, DRAW_ENTRIES entries or 256
+rows, whichever is more (256 kB each at 10 regions, 2 MB at 1000), and at many
+regions the run's (m, m) Σxy and one sub-block's product (8 MB each at 1000).
+Nothing grows with the frame count.
 """
 
 from __future__ import annotations
@@ -120,11 +122,6 @@ class NoiseModel:
         return (self.b_fluorescence + self.b_leakage
                 + self.intensifier_per_frame / (2.0 * layout.n_regions))
 
-    def mean_counts_per_frame(self, layout: RegionLayout) -> float:
-        m = layout.n_regions
-        sig = m * (self.eta_s + self.eta_as) * self.n_sig
-        return sig + 2.0 * m * self.background_per_region(layout)
-
 
 def filtered_preset() -> tuple[NoiseModel, RegionLayout]:
     """Dual-filter operating conditions, which are NoiseModel's defaults.
@@ -164,14 +161,15 @@ class CountsBatch:
             if not (isinstance(counts, np.ndarray) and np.issubdtype(counts.dtype, np.integer)):
                 raise DataError("photon counts must be an integer array, got "
                                 f"{getattr(counts, 'dtype', type(counts).__name__)}")
+            # the range in which the block sums are exact
+            if counts.size and (counts.min() < 0 or counts.max() > COUNT_MAX):
+                raise DataError(f"photon counts must lie in [0, {COUNT_MAX}]")
         if self.n_s.shape != self.n_as.shape or self.n_s.ndim != 2:
             raise DataError("count arrays must share shape (frames, regions)")
         if self.n_s.shape[1] != self.layout.n_regions:
             raise DataError("count arrays disagree with layout region count")
         if self.n_s.shape[0] < 1:
             raise DataError("empty frame stream")
-        if self.n_s.min() < 0 or self.n_as.min() < 0:
-            raise DataError("negative photon counts")
 
     @property
     def n_frames(self) -> int:
@@ -179,18 +177,14 @@ class CountsBatch:
 
     def _runs(self, reduce):
         """reduce(n_s, n_as, lo) of each run of frames from row lo, in row
-        order: here one run, the whole arrays."""
-        yield reduce(self.n_s, self.n_as, 0)
+        order: here runs of CHUNK_FRAMES rows, as a simulated batch's chunks."""
+        return (reduce(self.n_s[lo:lo + CHUNK_FRAMES], self.n_as[lo:lo + CHUNK_FRAMES], lo)
+                for lo in range(0, self.n_frames, CHUNK_FRAMES))
 
     @cached_property
-    def _moments(self) -> _PieceMoments:
-        """The piece moments of every run, joined in row order."""
-        pair, edges = _partners(self.layout), _block_edges(self.n_frames)
-        parts, sxy_within = [], 0
-        for part in self._runs(lambda n_s, n_as, lo: _piece_moments(n_s, n_as, pair, edges, lo)):
-            parts.append(part[:-1])
-            sxy_within = sxy_within + part.sxy_within  # one (m, m) sum, not one per run
-        return _PieceMoments(*map(np.concatenate, zip(*parts)), sxy_within)
+    def _moments(self) -> _BlockSums:
+        """The exact block sums of every run."""
+        return _sums(self._runs, self.n_frames, _partners(self.layout))
 
 
 def sample_thermal(rng: np.random.Generator, nbar: float, size) -> np.ndarray:
@@ -295,8 +289,8 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
 
     Frames are drawn in chunks of CHUNK_FRAMES, each from its own spawned
     seed, on a thread per available CPU (see _drawn).  The worker that draws
-    a chunk reduces it to piece moments and drops it; the batch keeps the
-    moments, so the correlation functions read no counts.  Its n_s and n_as
+    a chunk reduces it to block sums and drops it; the batch keeps the
+    sums, so the correlation functions read no counts.  Its n_s and n_as
     are drawn again, from the same seeds, when first read, and are then kept
     read-only.  Counts are int16, 2 bytes each; a model whose counts could
     pass 32767 raises DataError here rather than wrap.  Memory per worker is
@@ -311,7 +305,7 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
 
 class _SimulatedBatch(CountsBatch):
     """The batch simulate_frames returns: the arguments that drew it and its
-    piece moments.  Its runs are its chunks, each drawn again from its seed."""
+    block sums.  Its runs are its chunks, each drawn again from its seed."""
 
     def __init__(self, frames: int, noise: NoiseModel, seed: int, layout: RegionLayout):
         self._frames, self._noise, self._seed = frames, noise, seed
@@ -365,18 +359,13 @@ def correlation_coefficient(x, y) -> float:
     return float(((x - x.mean()) * (y - y.mean())).mean() / math.sqrt(vx * vy))
 
 
-class _PieceMoments(NamedTuple):
-    """Moments of two (frames, columns) count arrays x and y over consecutive
-    runs of rows (pieces), none of which crosses a jackknife block edge."""
+class _BlockSums(NamedTuple):
+    """Exact integer sums of two (frames, columns) count arrays x and y over
+    each jackknife block."""
 
-    count: np.ndarray      # (P,) frames per piece
-    block: np.ndarray      # (P,) jackknife block each piece lies in
-    mean_x: np.ndarray     # (P, m) piece means
-    mean_y: np.ndarray     # (P, m)
-    sxx: np.ndarray        # (P, m) sums of squared deviations from the piece means
-    syy: np.ndarray        # (P, m)
-    sxy_pair: np.ndarray   # (P, m) centred cross moment of x[:, i] with y[:, pair[i]]
-    sxy_within: np.ndarray  # (m, m) centred cross moments of x with y, summed over pieces
+    count: np.ndarray  # (B,) frames per block
+    sums: np.ndarray   # (B, 5, m) int64: Σx, Σy, Σx², Σy² and Σ x[:, i] y[:, pair[i]]
+    sxy: np.ndarray    # (m, m) int64: Σ x[:, i] y[:, j] over all frames
 
 
 JACKKNIFE_BLOCKS = 50
@@ -388,55 +377,64 @@ def _block_edges(n: int) -> np.ndarray:
     return np.linspace(0, n, n_blocks + 1, dtype=int)
 
 
-def _piece_moments(x: np.ndarray, y: np.ndarray, pair: np.ndarray, edges: np.ndarray,
-                   lo: int = 0) -> _PieceMoments:
-    """One pass over x and y, rows lo.. of a stream, cut into pieces at the
-    block edges that fall inside them.
+def _run_sums(x: np.ndarray, y: np.ndarray, pair: np.ndarray, edges: np.ndarray, lo: int):
+    """Sums of x and y, rows lo.. of a stream and at most CHUNK_FRAMES rows:
+    the first block they touch, the (blocks, 5, m) sums of each block they
+    touch, and the (m, m) Σxy.
 
-    Moments are float and centred on each piece's own means, so no integer sum
-    can overflow; integer counts make every piece sum exact (they stay far
-    below 2**53), which keeps the centred moments of a constant stream exactly 0.
+    The rows are read in sub-blocks of DRAW_ENTRIES entries or 256 rows,
+    whichever is more, that never cross a block edge, each copied to float64.
+    Every sub-block sum of counts up to COUNT_MAX is an integer below 2**53, so
+    it is exact whatever order BLAS adds in, and it is added to its block's
+    int64 sums.  The (m, m) cross sum stays in float64 for the whole run, below
+    CHUNK_FRAMES * COUNT_MAX**2 < 2**53, and is converted once.
     """
     n, m = x.shape
-    cuts = np.concatenate(([0], edges[(edges > lo) & (edges < lo + n)] - lo, [n]))
-    n_pieces = cuts.size - 1
-    mean_x, mean_y, sxx, syy, sxy_pair = (np.zeros((n_pieces, m)) for _ in range(5))
-    sxy_within = np.zeros((m, m))
-    rows = np.arange(m)
-    ones = np.ones(np.diff(cuts).max())
-    for k in range(n_pieces):
-        a, b = cuts[k], cuts[k + 1]
-        xb = x[a:b].astype(float)
-        yb = y[a:b].astype(float)
-        # column sums as a BLAS product: several times faster than .mean(axis=0)
-        # on narrow rows, and still exact for integer counts
-        mean_x[k] = ones[:b - a] @ xb / (b - a)
-        mean_y[k] = ones[:b - a] @ yb / (b - a)
-        xb -= mean_x[k]
-        yb -= mean_y[k]
-        cross = xb.T @ yb
-        sxy_within += cross
-        sxy_pair[k] = cross[rows, pair]
-        sxx[k] = np.einsum("ij,ij->j", xb, xb)
-        syy[k] = np.einsum("ij,ij->j", yb, yb)
-        del xb, yb  # freed before the next piece's copies are made
-    block = np.searchsorted(edges, lo + cuts[:-1], side="right") - 1
-    return _PieceMoments(np.diff(cuts).astype(float), block, mean_x, mean_y, sxx, syy,
-                         sxy_pair, sxy_within)
+    cuts = np.concatenate(([lo], edges[(edges > lo) & (edges < lo + n)], [lo + n])) - lo
+    sums = np.zeros((cuts.size - 1, 5, m), dtype=np.int64)
+    sxy = np.zeros((m, m))
+    # BLAS needs a few hundred rows for the (m, m) product to run at speed
+    step = max(DRAW_ENTRIES // m, 256)
+    ones = np.ones(step)
+    cols = np.arange(m)
+    for k in range(cuts.size - 1):
+        for a in range(cuts[k], cuts[k + 1], step):
+            b = min(a + step, cuts[k + 1])
+            xs, ys = x[a:b].astype(float), y[a:b].astype(float)
+            cross = xs.T @ ys
+            sxy += cross
+            # column sums as a BLAS product: several times faster than .sum(axis=0)
+            # on narrow rows
+            sums[k] += np.stack([ones[:b - a] @ xs, ones[:b - a] @ ys,
+                                 np.einsum("ij,ij->j", xs, xs), np.einsum("ij,ij->j", ys, ys),
+                                 cross[cols, pair]]).astype(np.int64)
+            del xs, ys, cross  # freed before the next sub-block's copies are made
+    return np.searchsorted(edges, lo, side="right") - 1, sums, sxy.astype(np.int64)
 
 
-def _merge(keep: np.ndarray, count: np.ndarray, mean_a: np.ndarray, mean_b: np.ndarray,
-           s_ab: np.ndarray) -> np.ndarray:
-    """Centred co-moments over the pieces that each row of the 0/1 matrix keep selects.
+def _sums(runs, n: int, pair: np.ndarray) -> _BlockSums:
+    """The block sums of an n-frame stream from runs(reduce), its reader."""
+    edges = _block_edges(n)
+    sums = np.zeros((edges.size - 1, 5, pair.size), dtype=np.int64)
+    sxy = 0
+    for first, part, part_xy in runs(lambda x, y, lo: _run_sums(x, y, pair, edges, lo)):
+        sums[first:first + len(part)] += part
+        part_xy += sxy  # in place: no third (m, m) array beside the total and the run's
+        sxy = part_xy
+    return _BlockSums(np.diff(edges), sums, sxy)
 
-    Chan et al.: the within-piece moments add, plus each piece's count times the
-    product of its mean offsets from the merged means.
-    """
-    weight = keep * count
-    total = weight.sum(axis=1)[:, None]
-    da = mean_a - (weight @ mean_a / total)[:, None, :]
-    db = mean_b - (weight @ mean_b / total)[:, None, :]
-    return keep @ s_ab + np.einsum("gb,gbi,gbi->gi", weight, da, db)
+
+def _comoment(sxy, sx, sy, n, mul=np.multiply):
+    """Σ(x - x̄)(y - ȳ) over n frames from the exact sums Σxy, Σx and Σy: with
+    cx, cy the rounded means, u = Σx - n cx and v = Σy - n cy, the int64
+    Σ(x - cx)(y - cy) = Σxy - cy Σx - cx v less u v / n.  As u² / n ≤ Σ(x - x̄)²
+    and v² / n ≤ Σ(y - ȳ)², that one float step errs by a few ulps of the
+    Pearson denominator at most; a constant stream gives exactly 0."""
+    cx, cy = (2 * sx + n) // (2 * n), (2 * sy + n) // (2 * n)
+    u, v = sx - n * cx, sy - n * cy
+    shifted = sxy - mul(sx, cy)
+    shifted -= mul(cx, v)
+    return shifted - mul(u / n, v)
 
 
 def _pearson(sxy: np.ndarray, sxx: np.ndarray, syy: np.ndarray) -> np.ndarray:
@@ -445,28 +443,25 @@ def _pearson(sxy: np.ndarray, sxx: np.ndarray, syy: np.ndarray) -> np.ndarray:
     return sxy / np.sqrt(sxx * syy)
 
 
-def _moment_map(mom: _PieceMoments) -> np.ndarray:
-    """C_ij over all frames from the piece moments."""
-    n = mom.count
-    dx = mom.mean_x - n @ mom.mean_x / n.sum()
-    dy = mom.mean_y - n @ mom.mean_y / n.sum()
-    sxx = mom.sxx.sum(axis=0) + n @ (dx * dx)
-    syy = mom.syy.sum(axis=0) + n @ (dy * dy)
-    sxy = mom.sxy_within + (n[:, None] * dx).T @ dy
-    return _pearson(sxy, sxx[:, None], syy[None, :])
+def _moment_map(mom: _BlockSums) -> np.ndarray:
+    """C_ij over all frames from the block sums."""
+    n = int(mom.count.sum())
+    sx, sy, sxx, syy = mom.sums[:, :4].sum(axis=0)
+    return _pearson(_comoment(mom.sxy, sx, sy, n, np.multiply.outer),
+                    _comoment(sxx, sx, sx, n)[:, None], _comoment(syy, sy, sy, n)[None, :])
 
 
-def _jackknife_se(mom: _PieceMoments, pair: np.ndarray) -> np.ndarray:
+def _jackknife_se(mom: _BlockSums, pair: np.ndarray) -> np.ndarray:
     """Delete-one-block jackknife standard error of r(x[:, i], y[:, pair[i]])."""
-    n_blocks = _block_edges(int(mom.count.sum())).size - 1
-    # row k keeps every piece outside block k
-    keep = (mom.block != np.arange(n_blocks)[:, None]).astype(float)
-    if (keep @ mom.count).min() < 2:
+    n_blocks = mom.count.size
+    # row k sums every block but block k
+    n = (mom.count.sum() - mom.count)[:, None]
+    if n.min() < 2:
         raise DataError("correlation undefined: a deleted block leaves fewer than 2 frames")
-    mean_y = mom.mean_y[:, pair]
-    stats = _pearson(_merge(keep, mom.count, mom.mean_x, mean_y, mom.sxy_pair),
-                     _merge(keep, mom.count, mom.mean_x, mom.mean_x, mom.sxx),
-                     _merge(keep, mom.count, mean_y, mean_y, mom.syy[:, pair]))
+    sx, sy, sxx, syy, sxy = np.moveaxis(mom.sums.sum(axis=0) - mom.sums, 1, 0)
+    sy, syy = sy[:, pair], syy[:, pair]
+    stats = _pearson(_comoment(sxy, sx, sy, n), _comoment(sxx, sx, sx, n),
+                     _comoment(syy, sy, sy, n))
     spread = ((stats - stats.mean(axis=0)) ** 2).sum(axis=0)
     return np.sqrt((n_blocks - 1) / n_blocks * spread)
 
@@ -481,12 +476,12 @@ def correlation_standard_error(x, y):
     """
     x = np.asarray(x)
     y = np.asarray(y)
-    if x.shape != y.shape or x.ndim not in (1, 2) or x.shape[0] < 1:
+    if x.shape != y.shape or x.ndim not in (1, 2) or x.size == 0:
         raise DataError("jackknife needs two equal-shape (frames,) or (frames, k) count streams")
     n = x.shape[0]
     pair = np.arange(x.size // n)
-    se = _jackknife_se(_piece_moments(x.reshape(n, -1), y.reshape(n, -1), pair,
-                                      _block_edges(n)), pair)
+    batch = CountsBatch(x.reshape(n, -1), y.reshape(n, -1), RegionLayout(pair.size))
+    se = _jackknife_se(_sums(batch._runs, n, pair), pair)
     return float(se[0]) if x.ndim == 1 else se
 
 

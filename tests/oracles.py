@@ -8,6 +8,8 @@ two routes can disagree.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -172,6 +174,48 @@ def pearson_map_direct(xs, ys) -> np.ndarray:
     dx = xs - xs.mean(axis=0)
     dy = ys - ys.mean(axis=0)
     return (dx.T @ dy / xs.shape[0]) / np.outer(xs.std(axis=0), ys.std(axis=0))
+
+
+# ---------------------------------------------------------------------------
+# The same map and jackknife in exact arithmetic: Fraction comoments of the
+# integer counts, with every square root and the spread taken to 40 digits.
+# ---------------------------------------------------------------------------
+
+
+def _comoment_exact(a: list[int], b: list[int]) -> Fraction:
+    n = len(a)
+    return Fraction(n * sum(p * q for p, q in zip(a, b)) - sum(a) * sum(b), n)
+
+
+def _pearson_exact(a: list[int], b: list[int]) -> Decimal:
+    sxy = _comoment_exact(a, b)
+    r2 = sxy ** 2 / (_comoment_exact(a, a) * _comoment_exact(b, b))
+    root = (Decimal(r2.numerator) / Decimal(r2.denominator)).sqrt()
+    return root if sxy >= 0 else -root
+
+
+def pearson_map_exact(xs, ys) -> np.ndarray:
+    """pearson_map_direct of integer counts, each entry rounded once."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return np.array([[float(_pearson_exact(a, b)) for b in np.asarray(ys).T.tolist()]
+                         for a in np.asarray(xs).T.tolist()])
+
+
+def jackknife_se_exact(x, y, n_batches: int = 50) -> float:
+    """jackknife_se_loop of two integer count streams, rounded once."""
+    x, y = np.asarray(x).tolist(), np.asarray(y).tolist()
+    n = len(x)
+    if n < 2 * n_batches:
+        n_batches = max(2, n // 2)
+    edges = np.linspace(0, n, n_batches + 1, dtype=int).tolist()
+    with localcontext() as ctx:
+        ctx.prec = 40
+        stats = [_pearson_exact(x[:lo] + x[hi:], y[:lo] + y[hi:])
+                 for lo, hi in zip(edges, edges[1:])]
+        mean = sum(stats) / n_batches
+        spread = sum((s - mean) ** 2 for s in stats)
+        return float((Decimal(n_batches - 1) / n_batches * spread).sqrt())
 
 
 # ---------------------------------------------------------------------------

@@ -229,7 +229,7 @@ def test_photon_sim_command(tmp_path):
                          ids=["summary", "frames-csv"])
 def test_photon_sim_draws_each_chunk_once_per_pass(tmp_path, monkeypatch, flags, draws):
     """The preset's 1e5 frames are 4 chunks.  simulate_frames draws each once
-    and reduces it to piece moments, which nothing computes again after it
+    and reduces it to block sums, which nothing computes again after it
     returns; --frames-csv draws every chunk a second time for the file."""
     calls = []
 
@@ -241,8 +241,7 @@ def test_photon_sim_draws_each_chunk_once_per_pass(tmp_path, monkeypatch, flags,
         return call
 
     monkeypatch.setattr(photon_stats, "_draw_chunk", counted("draw", photon_stats._draw_chunk))
-    monkeypatch.setattr(photon_stats, "_piece_moments",
-                        counted("moments", photon_stats._piece_moments))
+    monkeypatch.setattr(photon_stats, "_run_sums", counted("moments", photon_stats._run_sums))
     monkeypatch.setattr(cli, "simulate_frames", counted("returned", cli.simulate_frames))
     assert run("photon-sim", "--preset", "paper-optimum", "--seed", "5", *flags,
                "--out", str(tmp_path)) == 0

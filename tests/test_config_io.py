@@ -462,8 +462,8 @@ def _counts_batch(frames, n_regions, high, dtype=np.int16, seed=0):
     CountsBatch(n_s=np.array([[0, COUNT_MAX], [COUNT_MAX, 0]], dtype=np.int16),
                 n_as=np.array([[COUNT_MAX, COUNT_MAX], [0, 0]], dtype=np.int16),
                 layout=RegionLayout(2)),
-    # built by hand with int64 counts, past the int16 range
-    _counts_batch(50, 7, 10 ** 12, dtype=np.int64),
+    # built by hand with int64 counts, up to the count limit
+    _counts_batch(50, 7, COUNT_MAX, dtype=np.int64),
 ], ids=["one-frame", "one-region", "13-regions", "frame-crosses-1000-in-a-block",
         "all-zero", "zero-and-count-max", "int64-counts"])
 def test_frames_csv_bytes_match_the_percent_d_rows(tmp_path, batch):

@@ -10,7 +10,13 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import jackknife_se_loop, pearson_map_direct, simulate_frames_serial
+from oracles import (
+    jackknife_se_exact,
+    jackknife_se_loop,
+    pearson_map_direct,
+    pearson_map_exact,
+    simulate_frames_serial,
+)
 from strategies import criterion_07_model, frame_arrays_held
 
 from rbfilter import photon_stats
@@ -154,14 +160,16 @@ def test_counts_written_in_place_by_more_workers_than_cpus(monkeypatch):
 
 
 def test_simulation_memory_does_not_grow_with_frames(monkeypatch):
-    """A simulated batch keeps piece moments, not counts: each of two workers
-    holds one chunk's int16 counts (26 MB at 200 regions), its int64 draws in
-    slices of DRAW_ENTRIES, and float64 copies of one piece of each arm.  Of
-    these only the pieces grow with the frame count, as its blocks (frames / 50
-    rows) do, until they reach a chunk."""
+    """A simulated batch keeps block sums, not counts: each of two workers
+    holds one chunk's int16 counts (6.6 MB at 50 regions), its int64 draws in
+    slices of DRAW_ENTRIES, and float64 copies of one sub-block of each arm,
+    DRAW_ENTRIES entries or 256 rows.  None of these grows with the frame
+    count: copies of a whole block (frames / 50 rows) would add 6 MB at 6
+    chunks, and the count arrays 39 MB."""
     monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 2)
     noise, _ = filtered_preset()
-    layout = RegionLayout(200)
+    m = 50
+    layout = RegionLayout(m)
     batches, peak = {}, {}
     for chunks in (2, 6):
         tracemalloc.start()
@@ -171,23 +179,18 @@ def test_simulation_memory_does_not_grow_with_frames(monkeypatch):
             peak[chunks] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    chunk_counts = 2 * CHUNK_FRAMES * 200 * 4
-    # two workers' float64 copies of one piece of each arm
-    pieces = {k: 2 * 2 * 8 * 200 * int(np.diff(photon_stats._block_edges(k * CHUNK_FRAMES)).max())
-              for k in peak}
+    chunk_counts = 2 * CHUNK_FRAMES * m * 4
+    sub_blocks = 2 * 2 * 8 * max(photon_stats.DRAW_ENTRIES, 256 * m)
     for k in peak:
-        # a chunk's int64 draws at once would be 52 MB per sampler and worker,
-        # the count arrays 26 MB per chunk
-        assert peak[k] <= chunk_counts + pieces[k] + 10e6
-    # the count arrays would add 105 MB; the slack covers the two workers'
-    # pieces overlapping at one frame count and not at the other
-    assert peak[6] - peak[2] <= pieces[6] - pieces[2] + 8e6
+        # the slack holds each worker's int64 draws, a few slices at once
+        assert peak[k] <= chunk_counts + sub_blocks + 3e6
+    assert peak[6] - peak[2] <= 1e6
 
     assert not any(frame_arrays_held(batch) for batch in batches.values())
     batch = batches[2]
     n_s = batch.n_s
     assert len(frame_arrays_held(batch)) == 2 and batch.n_s is n_s
-    assert n_s.shape == (2 * CHUNK_FRAMES, 200) and not n_s.flags.writeable
+    assert n_s.shape == (2 * CHUNK_FRAMES, m) and not n_s.flags.writeable
 
 
 @pytest.mark.parametrize("one_worker", [False, True], ids=["all-cpus", "one-worker"])
@@ -237,6 +240,36 @@ def test_counts_batch_validation():
     with pytest.raises(DataError):
         CountsBatch(n_s=np.zeros((4, 5), dtype=np.int64),
                     n_as=np.zeros((4, 5), dtype=np.int64), layout=layout)
+
+
+@pytest.mark.parametrize("top, accepted", [(photon_stats.COUNT_MAX, True),
+                                          (photon_stats.COUNT_MAX + 1, False)])
+def test_counts_are_checked_against_the_count_limit(top, accepted):
+    """The block sums are exact only for counts in [0, COUNT_MAX]; int64 counts
+    can pass it, and both entry points check."""
+    layout = RegionLayout(n_regions=2)
+    rng = np.random.default_rng(4)
+    x = rng.integers(0, 3, (60, 2))
+    y = rng.integers(0, 3, (60, 2))
+    x[7, 1] = top
+    for n_s, n_as in ((x, y), (y, x)):
+        if accepted:
+            assert np.isfinite(correlation_map(CountsBatch(n_s=n_s, n_as=n_as, layout=layout))).all()
+            assert np.isfinite(correlation_standard_error(n_s, n_as)).all()
+            continue
+        with pytest.raises(DataError, match=f"must lie in \\[0, {photon_stats.COUNT_MAX}\\]"):
+            CountsBatch(n_s=n_s, n_as=n_as, layout=layout)
+        with pytest.raises(DataError, match="must lie in"):
+            correlation_standard_error(n_s, n_as)
+        with pytest.raises(DataError, match="must lie in"):
+            correlation_standard_error(n_s[:, 1], n_as[:, 1])
+
+
+def test_correlation_standard_error_rejects_non_integer_and_negative_counts():
+    with pytest.raises(DataError, match="integer array"):
+        correlation_standard_error(np.full(10, 0.5), np.arange(10))
+    with pytest.raises(DataError, match="must lie in"):
+        correlation_standard_error(np.arange(10) - 1, np.arange(10))
 
 
 @pytest.mark.parametrize("counts", [
@@ -360,32 +393,51 @@ def test_moments_kept_by_simulate_frames_match_the_array_path(frames, n_regions,
     assert not batch.n_s.flags.writeable and not batch.n_as.flags.writeable
 
     reads = []
-    real = photon_stats._piece_moments
+    real = photon_stats._run_sums
 
     def counting(*args):
         reads.append(args[0].shape)
         return real(*args)
 
-    with mock.patch.object(photon_stats, "_piece_moments", counting):
+    with mock.patch.object(photon_stats, "_run_sums", counting):
         _or_error(pair_correlation_summary, batch)
         _or_error(correlation_map, batch)
         kept = _or_error(_summary_and_map, batch)
-        assert reads == []  # the moments simulate_frames kept: no pass over the counts
+        assert reads == []  # the sums simulate_frames kept: no pass over the counts
         plain = CountsBatch(n_s=np.array(batch.n_s), n_as=np.array(batch.n_as), layout=layout)
         read = _or_error(_summary_and_map, plain)
-        assert reads == [batch.n_s.shape]
+        # the plain arrays are read once, in runs of at most CHUNK_FRAMES rows
+        assert sum(shape[0] for shape in reads) == frames
+        assert max(shape[0] for shape in reads) <= CHUNK_FRAMES
 
     again = _or_error(_summary_and_map, other)
     if isinstance(kept, str) or isinstance(read, str):
         assert kept == read == again
         return
-    assert kept[0] == again[0] and kept[1].tobytes() == again[1].tobytes()
-    assert kept[0].keys() == read[0].keys()
-    for key in read[0]:
-        assert kept[0][key] == pytest.approx(read[0][key], rel=1e-10, abs=0.0), key
-    # merged pieces sum the cross moments in another order: ~1e-16 absolute, so
-    # entries near 0 get an absolute tolerance
-    np.testing.assert_allclose(kept[1], read[1], rtol=1e-10, atol=1e-14)
+    # exact integer sums: the same bits from the worker's chunks and from the arrays
+    for other_result in (read, again):
+        assert kept[0] == other_result[0]
+        assert kept[1].tobytes() == other_result[1].tobytes()
+
+
+@pytest.mark.parametrize("noise, frames, seed", [
+    (filtered_preset()[0], 300, 1),
+    (unfiltered_preset()[0], 257, 2),
+    (HIGH_COUNT, 200, 3),
+], ids=["filtered", "unfiltered", "high-count"])
+def test_map_and_se_are_within_a_few_ulps_of_exact_arithmetic(noise, frames, seed):
+    """Against comoments in exact rational arithmetic, every map entry and
+    every SE is within 2 ulps of 1: |C| <= 1, an entry near 0 is a difference
+    of two sums, and the SE is the spread of 50 estimates that each round as
+    a map entry does."""
+    layout = RegionLayout(n_regions=3)
+    batch = simulate_frames(frames, noise, seed=seed, layout=layout)
+    partner = [j for _, j in layout.pairs()]
+    exact_se = [jackknife_se_exact(batch.n_s[:, i], batch.n_as[:, j]) for i, j in layout.pairs()]
+    se = correlation_standard_error(batch.n_s, batch.n_as[:, partner])
+    cmap = correlation_map(batch)
+    assert np.abs(cmap - pearson_map_exact(batch.n_s, batch.n_as)).max() <= 2 * np.spacing(1.0)
+    assert np.abs(se - exact_se).max() <= 2 * np.spacing(1.0)
 
 
 def test_jackknife_zero_variance_after_one_deletion_is_error():
@@ -406,10 +458,12 @@ def test_jackknife_zero_variance_after_one_deletion_is_error():
         correlation_standard_error([1, 2, 4], [0, 3, 1])
     with pytest.raises(DataError):
         correlation_standard_error(np.ones(5), np.ones(6))
+    with pytest.raises(DataError, match="equal-shape"):
+        correlation_standard_error(np.zeros((5, 0), dtype=int), np.zeros((5, 0), dtype=int))
 
 
 def _cut_and_join(x, y, layout, bounds):
-    """The piece moments of a batch whose runs of frames end at the given row
+    """The block sums of a batch whose runs of frames end at the given row
     bounds, as a simulated batch's chunks do."""
     class CutBatch(CountsBatch):
         def _runs(self, reduce):
@@ -435,25 +489,26 @@ def test_pieces_cut_anywhere_match_one_piece_per_block(frames, n_regions, seed, 
     layout = RegionLayout(n_regions=n_regions)
     pair = photon_stats._partners(layout)
     cuts = data.draw(st.sets(st.integers(1, frames - 1), max_size=12))
-    bounds = [0, *sorted(cuts), frames]
-    pieces = _cut_and_join(x, y, layout, bounds)
-
-    # every piece lies inside the block of its first row
+    pieces = _cut_and_join(x, y, layout, [0, *sorted(cuts), frames])
     edges = photon_stats._block_edges(frames)
-    first = np.cumsum(pieces.count) - pieces.count
-    assert pieces.count.sum() == frames and (pieces.count > 0).all()
-    assert (edges[pieces.block] <= first).all()
-    assert (first + pieces.count <= edges[pieces.block + 1]).all()
+    blocks = _cut_and_join(x, y, layout, list(edges))  # one run per block
 
-    blocks = _map_and_se(photon_stats._piece_moments(x, y, pair, edges), pair)
-    joined = _map_and_se(pieces, pair)
-    if isinstance(blocks, str) or isinstance(joined, str):
-        assert joined == blocks
+    assert pieces.count.tolist() == np.diff(edges).tolist()
+    assert pieces.sums.dtype == pieces.sxy.dtype == np.int64
+    for field in ("count", "sums", "sxy"):
+        assert np.array_equal(getattr(pieces, field), getattr(blocks, field)), field
+    assert np.array_equal(pieces.sxy, x.T @ y)
+    first = blocks.sums[0]
+    assert np.array_equal(first[:4], [x[:edges[1]].sum(0), y[:edges[1]].sum(0),
+                                      (x[:edges[1]] ** 2).sum(0), (y[:edges[1]] ** 2).sum(0)])
+    assert np.array_equal(first[4], (x[:edges[1]] * y[:edges[1], pair]).sum(0))
+
+    joined, whole = _map_and_se(pieces, pair), _map_and_se(blocks, pair)
+    if isinstance(whole, str) or isinstance(joined, str):
+        assert joined == whole
         return
-    # the pieces of a block sum their cross moments in another order: ~1e-18
-    # absolute, so map entries near 0 get an absolute tolerance
-    np.testing.assert_allclose(joined[0], blocks[0], rtol=1e-12, atol=1e-15)
-    np.testing.assert_allclose(joined[1], blocks[1], rtol=1e-12, atol=0.0)
+    assert joined[0].tobytes() == whole[0].tobytes()
+    assert joined[1].tobytes() == whole[1].tobytes()
 
 
 def test_jackknife_zero_variance_survives_a_block_cut_into_pieces():
@@ -465,7 +520,8 @@ def test_jackknife_zero_variance_survives_a_block_cut_into_pieces():
     y = rng.poisson(3.0, 1000)
     pair, layout = np.arange(1), RegionLayout(n_regions=1)
     pieces = _cut_and_join(x[:, None], y[:, None], layout, [0, 105, 113, 1000])
-    assert list(pieces.block[4:9]) == [4, 5, 5, 5, 6]
+    assert np.array_equal(pieces.sums, _cut_and_join(x[:, None], y[:, None], layout,
+                                                     [0, 1000]).sums)
     assert np.isfinite(photon_stats._moment_map(pieces)).all()
     with pytest.raises(DataError):
         photon_stats._jackknife_se(pieces, pair)
@@ -476,23 +532,31 @@ def test_jackknife_zero_variance_survives_a_block_cut_into_pieces():
 
 def test_moments_stay_exact_in_the_validator_range():
     """The validator accepts 1e8 frames and the high-count corner with 1e3
-    fluorescence and leakage per region; magnitudes are computed, not run."""
+    fluorescence and leakage per region; magnitudes are computed, not run.
+    Counts are integers in [0, COUNT_MAX], which CountsBatch and
+    correlation_standard_error check."""
     noise = NoiseModel(n_sig=100.0, eta_s=1.0, eta_as=1.0, b_fluorescence=1e3,
                        b_leakage=1e3, intensifier_per_frame=1e4)
     layout = RegionLayout(n_regions=1)
-    frames = 10**8
+    frames = MAX_COUNTS_PER_ARM
+    assert frames == 10**8
     mean = noise.n_sig + noise.background_per_region(layout)
-    var = noise.n_sig * (1.0 + noise.n_sig) + noise.background_per_region(layout)
-    # raw integer moments N * sum(x^2) would overflow int64: centred float moments needed
-    assert frames * frames * (var + mean**2) > np.iinfo(np.int64).max
-    # block sums of integer counts stay exact in float64 even 50 sd above the mean,
-    # which keeps a constant stream's centred moment exactly 0
-    assert frames // 50 * (mean + 50.0 * math.sqrt(var)) < 2.0**53
-    # the largest centred moment rounds to far less than the 0.5 that separates a
-    # varying integer stream from a constant one
-    assert np.spacing(frames * var) < 1e-3
+    high = mean + 50.0 * math.sqrt(noise.n_sig * (1.0 + noise.n_sig)
+                                   + noise.background_per_region(layout))
+    top = photon_stats.COUNT_MAX
+    # int64 block sums: Σx² and Σxy over every frame, 50 sd above the mean and
+    # at the count limit itself
+    assert frames * high**2 < frames * top**2 < 2**63
+    # float64 sums before the int64 ones: a sub-block of DRAW_ENTRIES entries, and
+    # the (m, m) Σxy of one run of CHUNK_FRAMES rows, are integers below 2**53
+    assert max(photon_stats.DRAW_ENTRIES, CHUNK_FRAMES) * top**2 < 2**53
+    # the shifted comoment Σxy - cy Σx - cx v: each of its three terms, and so
+    # every partial sum, is at most frames * top**2 in size
+    assert 3 * frames * top**2 < 2**63
+    # its one float step subtracts u v / n with |u|, |v| <= n / 2: below 2**53
+    assert frames / 4 < 2.0**53
 
-    # the same corner, run small, keeps float moments and finite results
+    # the same corner, run small, gives finite float errors
     batch = simulate_frames(2_000, noise, seed=8, layout=layout)
     se = correlation_standard_error(batch.n_s, batch.n_as)
     assert se.dtype == np.float64 and np.isfinite(se).all()
@@ -584,7 +648,10 @@ def test_filtering_restores_correlations():
 
 def test_unfiltered_frame_brightness():
     noise, layout = unfiltered_preset()
-    assert noise.mean_counts_per_frame(layout) == pytest.approx(29.98, abs=1e-10)
+    m = layout.n_regions
+    expected = (m * (noise.eta_s + noise.eta_as) * noise.n_sig
+                + 2 * m * (noise.b_fluorescence + noise.b_leakage) + noise.intensifier_per_frame)
+    assert expected == pytest.approx(29.98, abs=1e-10)
     batch = simulate_frames(20_000, noise, seed=4, layout=layout)
     per_frame = (batch.n_s.sum() + batch.n_as.sum()) / batch.n_frames
     assert per_frame == pytest.approx(29.98, abs=0.3)
