@@ -171,6 +171,4 @@ def _jsonable(obj):
         return obj.tolist()
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")

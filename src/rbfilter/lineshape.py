@@ -1,19 +1,19 @@
 """Complex Voigt lineshapes and the linear susceptibility of a thermal Rb cell.
 
 The Faddeeva function w(z) = exp(-z^2) erfc(-iz) is computed with NumPy
-alone: the rational approximation of J. A. C. Weideman, SIAM J. Numer. Anal.
-31, 1497 (1994), with 40 terms for |z| < 8, and the asymptotic series
-i/(sqrt(pi) z) sum_k (2k-1)!!/(2z^2)^k, 12 terms by Horner's rule, beyond.
-Against scipy.special.wofz it is within 1e-13 relative (worst measured 4.5e-14,
-over the upper half-plane out to |Re z| = 3.5e4, both sides of |z| = 8 and the
-strip -5 <= Im z < 0, where near the zeros of w the error is relative to the
-larger term of the reflection).  It replaces wofz because importing
-scipy.special costs 0.2-0.3 s, about half of a spectrum or cascade run, while
-a whole susceptibility takes ~50 ms.
+alone, on the closed upper half-plane, where every Voigt argument lies (a line
+width is never negative): the rational approximation of J. A. C. Weideman,
+SIAM J. Numer. Anal. 31, 1497 (1994), with 40 terms for |z| < 8, and the
+asymptotic series i/(sqrt(pi) z) sum_k (2k-1)!!/(2z^2)^k, 12 terms by Horner's
+rule, beyond.  Against scipy.special.wofz it is within 1e-13 relative (worst
+measured 4.5e-14, out to |Re z| = 3.5e4 and on both sides of |z| = 8).  It
+replaces wofz because importing scipy.special costs 0.2-0.3 s, about half of
+a spectrum or cascade run, while a whole susceptibility takes ~50 ms.
 
 susceptibilities evaluates every line of every cell of a filter chain as one
 (lines x points) Voigt block, so a chain costs one Faddeeva call per grid
-slice; a block holds at most BLOCK_POINTS complex entries on any grid.
+slice; a block holds at most BLOCK_POINTS complex entries for chains of up to
+BLOCK_POINTS lines, and one grid point per slice beyond.
 
 Susceptibility convention: chi(Delta) per line component the beam drives
 (sigma+, sigma-, pi: labelled along B, see MODES) with Im chi >= 0
@@ -109,26 +109,16 @@ def _asymptotic(z: np.ndarray) -> np.ndarray:
 
 
 def faddeeva(z) -> np.ndarray:
-    """w(z) = exp(-z^2) erfc(-iz), vectorized, for finite complex z.
-
-    The upper half-plane (and the real axis) is computed directly, from any
-    finite z without overflow; Im z < 0 uses the reflection
-    w(z) = 2 exp(-z^2) - w(-z), which overflows for large |Im z|.
-    """
+    """w(z) = exp(-z^2) erfc(-iz), vectorized, for finite complex z with
+    Im z >= 0, computed from any such z without overflow."""
     z = np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("faddeeva requires finite input")
-    lower = z.imag < 0.0
-    reflect = lower.any()
-    upper = np.where(lower, -z, z) if reflect else z
-    w = np.empty_like(upper)
-    far = np.abs(upper) >= _FAR_RADIUS
-    w[far] = _asymptotic(upper[far])
+    if not (np.all(np.isfinite(z)) and np.all(z.imag >= 0.0)):
+        raise ValueError("faddeeva requires finite input with Im z >= 0")
+    w = np.empty_like(z)
+    far = np.abs(z) >= _FAR_RADIUS
+    w[far] = _asymptotic(z[far])
     near = ~far
-    w[near] = _weideman(upper[near])
-    if reflect:
-        zl = z[lower]
-        w[lower] = 2.0 * np.exp(-zl * zl) - w[lower]
+    w[near] = _weideman(z[near])
     return w
 
 
@@ -310,45 +300,33 @@ def susceptibilities(cells, grid_ghz) -> list[ComplexSpectrum]:
     """Complex susceptibility of all modes of each cell, all on one grid.
 
     Every line of every cell (isotopes, modes) is one row of a single
-    (lines x points) Voigt block, evaluated BLOCK_POINTS // lines grid
+    (lines x points) Voigt block, evaluated max(1, BLOCK_POINTS // lines) grid
     points at a time.  Each mode is its own contiguous run of rows summed with
     their weights, the product with a (modes x lines) weight matrix, added row
     by row in a fixed order (a BLAS product's rounding depends on the block's
     width and thread count), so a column's bytes depend neither on the slice
     width nor on the other cells in the block.  Each cell's lines are built
-    once; _block splits cells whose lines together exceed BLOCK_POINTS into
-    smaller groups (one cell has at most 100 lines).
+    once.
     """
     grid = _validate_grid(grid_ghz)
     cells = list(cells)
     per_cell = [_mode_lines(cell) for cell in cells]
-    rows = iter(_block(per_cell, grid))
-    return [ComplexSpectrum(grid_ghz=grid, chi={m: next(rows) for m in lines}, cell=cell)
-            for cell, lines in zip(cells, per_cell)]
-
-
-def _block(per_cell: list[dict[str, np.ndarray]], grid: np.ndarray) -> list[np.ndarray]:
-    """chi of every mode of the given cells' lines, one row per mode in
-    order; halved between cells while their lines exceed BLOCK_POINTS."""
     modes = [lines for cell_modes in per_cell for lines in cell_modes.values()]
     mode_lines = [lines.shape[1] for lines in modes]
-    n_lines = sum(mode_lines)
-    if n_lines > BLOCK_POINTS and len(per_cell) > 1:
-        half = len(per_cell) // 2
-        return _block(per_cell[:half], grid) + _block(per_cell[half:], grid)
-
     chi = np.zeros((len(modes), grid.size), dtype=complex)
     filled = [k for k, n in enumerate(mode_lines) if n]
     if filled:
         center, weight, sigma, gamma = np.concatenate(modes, axis=1)[:, :, None]
         starts = np.cumsum([0] + [mode_lines[k] for k in filled[:-1]])
-        step = max(1, BLOCK_POINTS // n_lines)
+        step = max(1, BLOCK_POINTS // sum(mode_lines))
         for lo in range(0, grid.size, step):
             part = slice(lo, lo + step)
             prof = voigt_profile(grid[None, part], center, sigma, gamma)
             prof *= weight
             chi[filled, part] = np.add.reduceat(prof, starts, axis=0)
-    return list(chi)
+    rows = iter(chi)
+    return [ComplexSpectrum(grid_ghz=grid, chi={m: next(rows) for m in lines}, cell=cell)
+            for cell, lines in zip(cells, per_cell)]
 
 
 def susceptibility(cell: CellConfig, grid_ghz) -> ComplexSpectrum:

@@ -13,6 +13,7 @@ import pytest
 import rbfilter
 from rbfilter import cli, io, lineshape, photon_stats, propagation
 from rbfilter.config import load_config
+from rbfilter.errors import NumericalError
 from rbfilter.fitting import model_transmission
 from rbfilter.io import read_spectrum_csv, write_spectrum_csv
 from rbfilter.lineshape import CellConfig, TRANSVERSE
@@ -544,10 +545,15 @@ def test_exit_2_on_malformed_config(tmp_path):
     assert run("constants", "--out", str(tmp_path), "--config", str(cfg)) == 2
 
 
-def test_exit_2_on_invalid_config_value(tmp_path):
+def test_exit_2_on_invalid_config_value(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"cells": {"absorption": {"temperature_c": 500}}}))
     assert run("spectrum", "--out", str(tmp_path), "--config", str(cfg)) == 2
+    # a cell the validator accepts, but with no line to list
+    cfg.write_text(json.dumps({"cells": {"faraday": {"rb85_fraction": 0, "rb87_fraction": 0}}}))
+    assert run("lines", "--cell", "faraday", "--out", str(tmp_path), "--config", str(cfg)) == 2
+    assert "config error: cells.faraday: both isotope fractions are zero" in capsys.readouterr().err
+    assert not list(tmp_path.glob("lines_*.csv"))
 
 
 def test_exit_2_on_preset_config_conflict(tmp_path):
@@ -598,6 +604,9 @@ def test_exit_2_on_unknown_fit_parameter(tmp_path, capsys):
     assert "fit: unknown free parameter 'length_m'" in err and "'length_cm'" in err
     assert run("fit", "--out", str(tmp_path), "--data", data,
                "--free", "temperature_c", "--initial", "temperature_c:95") == 2
+    assert run("fit", "--out", str(tmp_path), "--data", data,
+               "--free", "temperature_c", "--initial", "temperature_c=abc") == 2
+    assert "config error: --initial temperature_c: not a number: 'abc'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("initial", ["temperature_c=98,b_field_mt=12",
@@ -631,6 +640,25 @@ def test_exit_2_on_repeated_initial_key(tmp_path, capsys):
                "--initial", "temperature_c=60,temperature_c=98") == 2
     assert "--initial temperature_c given more than once" in capsys.readouterr().err
     assert not (tmp_path / "fit.json").exists()
+
+
+def _raise_numerical_error(*args, **kwargs):
+    raise NumericalError("objective returned non-finite value")
+
+
+def _overflow(*args, **kwargs):
+    return np.exp(np.float64(1e3))  # a FloatingPointError under main's errstate
+
+
+@pytest.mark.parametrize("callee, message", [(_raise_numerical_error, "non-finite value"),
+                                             (_overflow, "overflow")],
+                         ids=["numerical", "floating-point"])
+def test_exit_4_on_numerical_failure(tmp_path, capsys, monkeypatch, callee, message):
+    monkeypatch.setattr(cli, "optimize", callee)
+    assert run("optimize", "--out", str(tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and message in err
+    assert not (tmp_path / "optimize.json").exists()
 
 
 def test_version_flag():

@@ -190,6 +190,7 @@ def test_schema_ranges_are_the_validated_ranges(data):
      "noise.n_regions: value 1001 outside valid range [1, 1000]"),
     ({"noise": {"preset": "custom", "n_sig": -1.0}},
      "noise.n_sig: value -1.0 outside valid range [0.0, 100.0]"),
+    ({"fom": {"signal_detunings_ghz": 3}}, "fom.signal_detunings_ghz: expected a pair of numbers"),
 ])
 def test_cross_key_rules_read_only_values_that_validated(config, error):
     """A key given an invalid value reports that alone: the isotope sum, grid
@@ -241,9 +242,15 @@ def test_detuning_pairs_must_be_finite(fom):
         validate_config({"fom": fom})
 
 
-@pytest.mark.parametrize("seed", [float("inf"), float("nan"), 2**70, 10**400])
-def test_seed_outside_u64_is_a_config_error(seed):
-    with pytest.raises(ConfigError, match="seed"):
+@pytest.mark.parametrize("seed, error", [
+    pytest.param(float("inf"), "must be finite", id="inf"),
+    pytest.param(float("nan"), "must be finite", id="nan"),
+    pytest.param(2**70, r"value \d+ outside valid range", id=str(2**70)),
+    pytest.param(10**400, r"value \d+ outside valid range", id=str(10**400)),
+    pytest.param(1.5, "expected an integer, got 1.5", id="1.5"),
+])
+def test_seed_outside_u64_is_a_config_error(seed, error):
+    with pytest.raises(ConfigError, match=f"^seed: {error}"):
         validate_config({"seed": seed})
 
 

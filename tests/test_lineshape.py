@@ -59,17 +59,6 @@ def test_faddeeva_against_quadrature_oracle():
     assert rel.max() < 1e-6
 
 
-def test_faddeeva_reflection_consistency():
-    # w(z) + w(-z) = 2 exp(-z^2) links the lower half plane to the upper
-    rng = np.random.default_rng(8)
-    z = rng.normal(0, 2, 50) + 1j * rng.uniform(-3, -0.05, 50)
-    lhs = faddeeva(z) + faddeeva(-z)
-    rhs = 2.0 * np.exp(-z * z)
-    # scale by the summand size: the identity can cancel to near zero
-    scale = np.abs(faddeeva(-z)) + np.abs(rhs)
-    assert np.max(np.abs(lhs - rhs) / scale) < 1e-13
-
-
 WOFZ_TOL = 1e-13
 
 
@@ -80,12 +69,11 @@ def test_faddeeva_matches_wofz():
 
     rng = np.random.default_rng(17)
     n = 20000
-    theta = rng.uniform(-math.pi, math.pi, n)
+    theta = rng.uniform(0.0, math.pi, n)
     samples = {
         # Im z 1e-6 .. 1e2, |Re z| up to 3.5e4: a 20 C cell at the grid's 1e4 GHz edge
         "upper half-plane": (rng.choice([-1.0, 1.0], n) * 10 ** rng.uniform(-3, math.log10(3.5e4), n)
                              + 1j * 10 ** rng.uniform(-6, 2, n)),
-        "lower strip -5 <= Im z < 0": rng.uniform(-30.0, 30.0, n) + 1j * rng.uniform(-5.0, 0.0, n),
         "just inside |z| = R": lineshape._FAR_RADIUS * (1 - 1e-12) * np.exp(1j * theta),
         "just outside |z| = R": lineshape._FAR_RADIUS * (1 + 1e-12) * np.exp(1j * theta),
         "z = 0 and z = i": np.array([0.0, 1j]),
@@ -93,14 +81,7 @@ def test_faddeeva_matches_wofz():
     worst = {}
     for name, z in samples.items():
         want = wofz(z)
-        # below the real axis w is the difference 2 exp(-z^2) - w(-z), and it has
-        # zeros (the first near +-1.99 - 1.35i): there the error is taken relative
-        # to the larger summand, since neither kernel knows the difference better
-        # (at 4.818 - 4.479i, where |w| is 1e-2 of the summand, wofz is 7.2e-13
-        # from the mpmath value and this kernel 1.1e-13)
-        scale, lower = np.abs(want), z.imag < 0
-        scale[lower] = np.maximum(scale[lower], 2.0 * np.abs(np.exp(-z[lower] ** 2)))
-        worst[name] = float(np.max(np.abs(faddeeva(z) - want) / scale))
+        worst[name] = float(np.max(np.abs(faddeeva(z) - want) / np.abs(want)))
     print(f"faddeeva vs wofz: worst rel {max(worst.values()):.2e} (tol {WOFZ_TOL:.0e}); "
           + ", ".join(f"{name} {rel:.1e}" for name, rel in worst.items()))
     assert max(worst.values()) <= WOFZ_TOL, worst
@@ -118,7 +99,7 @@ def test_faddeeva_does_not_depend_on_slice_width():
     """Each point's bytes are the same whichever points share its call, even
     alone in its branch."""
     rng = np.random.default_rng(9)
-    z = rng.normal(0.0, 6.0, 400) + 1j * rng.uniform(-2.0, 10.0, 400)
+    z = rng.normal(0.0, 6.0, 400) + 1j * rng.uniform(0.0, 10.0, 400)
     want = faddeeva(z).tobytes()
     for width in (1, 2, 3, 7, 13):
         got = np.concatenate([faddeeva(z[lo:lo + width]) for lo in range(0, z.size, width)])
@@ -126,10 +107,10 @@ def test_faddeeva_does_not_depend_on_slice_width():
 
 
 def test_faddeeva_rejects_non_finite():
-    with pytest.raises(ValueError):
-        faddeeva(complex(np.nan, 1.0))
-    with pytest.raises(ValueError):
-        faddeeva(complex(1.0, np.inf))
+    """Nor a finite z below the real axis, where no Voigt argument lies."""
+    for z in (complex(np.nan, 1.0), complex(1.0, np.inf), [1j, complex(2.0, -1e-300)]):
+        with pytest.raises(ValueError):
+            faddeeva(z)
 
 
 def test_voigt_gaussian_limit():
@@ -309,9 +290,9 @@ def test_susceptibility_evaluates_the_grid_in_bounded_slices(monkeypatch):
 
 
 def test_voigt_block_is_bounded_on_the_largest_accepted_grid(monkeypatch):
-    """The config accepts grid.points up to 1e7: no block holds more than
-    BLOCK_POINTS entries, whatever the line count.  Computed from one slice's
-    shape, not run: every slice but the last has it on any longer grid."""
+    """The config accepts grid.points up to 1e7: no block of the dual filter
+    holds more than BLOCK_POINTS entries.  Computed from one slice's shape, not
+    run: every slice but the last has it on any longer grid."""
     max_points = 10_000_000
     lines, b_most = max((_n_lines(CellConfig(b_field_t=b, geometry="transverse")), b)
                         for b in np.linspace(0.0, 0.3, 31))
@@ -324,22 +305,22 @@ def test_voigt_block_is_bounded_on_the_largest_accepted_grid(monkeypatch):
     (n_lines, width), _ = shapes
     assert n_lines == 2 * lines and n_lines * min(max_points, width) <= lineshape.BLOCK_POINTS
 
-    # a chain with more lines than a block holds is split between cells, with
-    # the same bytes, and each cell's lines are built once
+    # a chain with more lines than a block holds runs one grid point per
+    # slice, with the same bytes, and each cell's lines are built once
     chain = [CellConfig(name=f"cell{k}", b_field_t=b, geometry="transverse")
              for k, b in enumerate((0.0, 1e-2, 0.3))]
     grid = default_grid(7)
     want = susceptibilities(chain, grid)
     shapes.clear()
-    monkeypatch.setattr(lineshape, "BLOCK_POINTS", max(map(_n_lines, chain)) + 1)
+    chain_lines = sum(map(_n_lines, chain))
+    monkeypatch.setattr(lineshape, "BLOCK_POINTS", chain_lines - 1)
     built = []
     mode_lines = lineshape._mode_lines
     monkeypatch.setattr(lineshape, "_mode_lines",
                         lambda cell: built.append(cell) or mode_lines(cell))
     got = susceptibilities(chain, grid)
     assert built == chain
-    assert len(shapes) > 1 and max(n * points for n, points in shapes) <= lineshape.BLOCK_POINTS
-    assert sum(n * points for n, points in shapes) == sum(map(_n_lines, chain)) * grid.size
+    assert shapes == [(chain_lines, 1)] * grid.size
     for a, b in zip(want, got):
         for mode in a.chi:
             assert a.chi[mode].tobytes() == b.chi[mode].tobytes()

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbfilter.config import validate_config
-from rbfilter.errors import ConfigError
+from rbfilter.errors import ConfigError, NumericalError
 from rbfilter.optimize import (
     OPERATING_KEYS,
     PAPER_OPTIMUM,
@@ -140,6 +140,11 @@ def test_operating_keys_are_the_one_table(data):
 def test_optimize_budget_too_small():
     with pytest.raises(ConfigError):
         optimize(ParamBox(), budget=50)
+
+
+def test_optimize_raises_on_a_non_finite_objective():
+    with pytest.raises(NumericalError, match="non-finite"):
+        optimize(ParamBox(), budget=100, objective_fn=lambda x: math.nan)
 
 
 def test_optimize_collapsed_box_returns_the_point():

@@ -240,6 +240,8 @@ def test_counts_batch_validation():
     with pytest.raises(DataError):
         CountsBatch(n_s=np.zeros((4, 5), dtype=np.int64),
                     n_as=np.zeros((4, 5), dtype=np.int64), layout=layout)
+    with pytest.raises(DataError, match="empty frame stream"):
+        CountsBatch(n_s=good[:0], n_as=good[:0], layout=layout)
 
 
 @pytest.mark.parametrize("top, accepted", [(photon_stats.COUNT_MAX, True),
