@@ -20,25 +20,25 @@ The correlation map and the delete-one-block jackknife come from exact
 integer sums per jackknife block: n, Σx, Σy, Σx², Σy² and each region's
 on-pair Σxy, plus one (m, m) Σxy for the map.  A batch has one reader,
 CountsBatch._runs(reduce): reduce(n_s, n_as, lo) of each run of at most
-CHUNK_FRAMES frames from row lo, in row order.  Plain arrays are read in runs
-of CHUNK_FRAMES rows; a simulated batch's runs are its chunks, each drawn
-again from its seed, with reduce run by the worker thread that drew it.
-_run_sums reads a run in sub-blocks that never cross a block edge, so every
-sum is exact in int64 (counts lie in [0, COUNT_MAX]) and none depends on where
-the rows are cut, on the chunking or on the worker count.  The jackknife drops
-a block by subtracting its sums from the totals; each comoment is formed from
-sums shifted by the rounded means (_comoment), so its one float step does not
-cancel.
+_chunk_frames(n_regions) frames (CHUNK_ENTRIES entries) from row lo, in row
+order.  Plain arrays are read in runs of that many rows; a simulated batch's
+runs are its chunks, each drawn again from its seed, with reduce run by the
+worker thread that drew it.  _run_sums adds the sums of sub-blocks that never
+cross a block edge to the totals, so every sum is exact in int64 (counts lie
+in [0, COUNT_MAX]) and none depends on where the rows are cut, on the
+chunking, on the worker count or on the order of the adds.  The jackknife
+drops a block by subtracting its sums from the totals; each comoment is formed
+from sums shifted by the rounded means (_comoment), so its one float step does
+not cancel.
 
 A simulated batch keeps its block sums and the arguments that drew it, not
 its counts, which are drawn again when asked for: the whole int16 arrays on
 the first read of n_s or n_as, or one chunk at a time for the CLI's per-frame
-export.  Memory per worker: one chunk's int16 counts of both arms (4 B per
-entry: 1.3 MB at 10 regions), one slice of DRAW_ENTRIES int64 draws (256 kB),
-float64 copies of one sub-block of each arm, DRAW_ENTRIES entries or 256
-rows, whichever is more (256 kB each at 10 regions, 2 MB at 1000), and at many
-regions the run's (m, m) Σxy and one sub-block's product (8 MB each at 1000).
-Nothing grows with the frame count.
+export.  Memory per worker: one chunk's int16 counts of both arms (512 kB),
+int64 draws, indices and thinned counts of a slice of DRAW_ENTRIES (768 kB),
+float64 copies of one sub-block of each arm (256 kB each at 10 regions, 1 MB
+at 1000, where a chunk is 131 frames) and one sub-block's (m, m) product (8 MB
+at 1000), beside the totals' int64 (m, m) Σxy.  Nothing grows with the frames.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ from __future__ import annotations
 import contextvars
 import math
 import os
+import threading
 from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -55,11 +56,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-# frames per seeded chunk of simulate_frames; part of the stream's definition
-CHUNK_FRAMES = 1 << 15
+# entries (frames x regions) per seeded chunk of simulate_frames; part of the stream
+CHUNK_ENTRIES = 1 << 17
 # counts are stored as int16: a region's count per frame is a handful of photons
 COUNT_MAX = int(np.iinfo(np.int16).max)
-# entries per sampler call in _draw_chunk, whose int64 draws are its only temporary
+# entries per sampler call in _draw_chunk, whose draws are its only temporaries
 DRAW_ENTRIES = 1 << 15
 
 
@@ -177,9 +178,10 @@ class CountsBatch:
 
     def _runs(self, reduce):
         """reduce(n_s, n_as, lo) of each run of frames from row lo, in row
-        order: here runs of CHUNK_FRAMES rows, as a simulated batch's chunks."""
-        return (reduce(self.n_s[lo:lo + CHUNK_FRAMES], self.n_as[lo:lo + CHUNK_FRAMES], lo)
-                for lo in range(0, self.n_frames, CHUNK_FRAMES))
+        order: here runs of _chunk_frames rows, as a simulated batch's chunks."""
+        step = _chunk_frames(self.layout.n_regions)
+        return (reduce(self.n_s[lo:lo + step], self.n_as[lo:lo + step], lo)
+                for lo in range(0, self.n_frames, step))
 
     @cached_property
     def _moments(self) -> _BlockSums:
@@ -198,6 +200,11 @@ def sample_thermal(rng: np.random.Generator, nbar: float, size) -> np.ndarray:
     return draws
 
 
+def _chunk_frames(n_regions: int) -> int:
+    """Frames per chunk: at most CHUNK_ENTRIES entries, and at least one frame."""
+    return max(1, CHUNK_ENTRIES // n_regions)
+
+
 def _cpu_count() -> int:
     """CPUs this process may run on."""
     try:
@@ -211,6 +218,15 @@ def _check_fits(bound: int, noise: NoiseModel) -> None:
     if bound > COUNT_MAX:
         raise DataError(f"a region's photon count can reach {bound}, past the int16 "
                         f"count limit {COUNT_MAX}: {noise!r}")
+
+
+def _thinned(rng: np.random.Generator, pairs: np.ndarray, eta: float) -> np.ndarray:
+    """rng.binomial(pairs, eta), drawn only for nonzero pairs: NumPy gives 0
+    for n = 0 before it reads the generator, so the stream is the same."""
+    hit = np.flatnonzero(pairs)
+    out = np.zeros_like(pairs)
+    np.put(out, hit, rng.binomial(pairs.take(hit), eta))
+    return out
 
 
 def _draw_chunk(rng: np.random.Generator, noise: NoiseModel, b: float,
@@ -236,10 +252,10 @@ def _draw_chunk(rng: np.random.Generator, noise: NoiseModel, b: float,
         _check_fits(pair_max, noise)
         n_as[rows] = n_pair
     for rows in slices:
-        n_s[rows] = rng.binomial(n_as[rows], noise.eta_s)
+        n_s[rows] = _thinned(rng, n_as[rows], noise.eta_s)
     for rows in slices:
         # mirror pairing: signal drawn for Stokes region i lands in AS region m-1-i
-        n_as[rows] = rng.binomial(n_as[rows], noise.eta_as)[:, ::-1]
+        n_as[rows] = _thinned(rng, n_as[rows], noise.eta_as)[:, ::-1]
     if b > 0:
         for counts in (n_s, n_as):
             for rows in slices:
@@ -251,21 +267,22 @@ def _draw_chunk(rng: np.random.Generator, noise: NoiseModel, b: float,
 def _drawn(frames: int, noise: NoiseModel, seed: int, layout: RegionLayout, reduce):
     """reduce(n_s, n_as, lo) of each chunk of the stream, in row order.
 
-    Chunk i holds rows lo = i * CHUNK_FRAMES onward and draws from its own
-    generator, SeedSequence(seed).spawn(n_chunks)[i], into int16 arrays of its
-    own, so the chunks run on a thread per available CPU (NumPy's samplers
-    release the GIL) and the stream depends only on the arguments, not on the
-    CPU count.  reduce runs in the worker, while the chunk is in cache; a
-    chunk is submitted only when the oldest result is taken, so at most one
-    chunk per worker is in flight.
+    Chunk i holds rows lo = i * _chunk_frames(n_regions) onward and draws from
+    its own generator, SeedSequence(seed).spawn(n_chunks)[i], into int16
+    arrays of its own, so the chunks run on a thread per available CPU
+    (NumPy's samplers release the GIL) and the stream depends only on the
+    arguments, not on the CPU count.  reduce runs in the worker, while the
+    chunk is in cache.  Two chunks per worker are queued, so a worker that
+    finishes early starts the next at once; only running jobs hold counts.
     """
     b = noise.background_per_region(layout)
-    starts = range(0, frames, CHUNK_FRAMES)
+    step = _chunk_frames(layout.n_regions)
+    starts = range(0, frames, step)
     seeds = np.random.SeedSequence(seed).spawn(len(starts))
     workers = min(_cpu_count(), len(starts))
 
     def job(lo, seed_seq):
-        n_s = np.empty((min(CHUNK_FRAMES, frames - lo), layout.n_regions), dtype=np.int16)
+        n_s = np.empty((min(step, frames - lo), layout.n_regions), dtype=np.int16)
         n_as = np.empty_like(n_s)
         _draw_chunk(np.random.default_rng(seed_seq), noise, b, n_s, n_as)
         return reduce(n_s, n_as, lo)
@@ -275,7 +292,7 @@ def _drawn(frames: int, noise: NoiseModel, seed: int, layout: RegionLayout, redu
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
         for lo, seed_seq in zip(starts, seeds):
-            if len(pending) == workers:
+            if len(pending) == 2 * workers:
                 yield pending.popleft().result()
             # a context copy per job carries the caller's np.errstate into the worker
             pending.append(pool.submit(contextvars.copy_context().run, job, lo, seed_seq))
@@ -287,12 +304,12 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
                     layout: RegionLayout | None = None) -> CountsBatch:
     """Draw a reproducible stream of camera frames.
 
-    Frames are drawn in chunks of CHUNK_FRAMES, each from its own spawned
-    seed, on a thread per available CPU (see _drawn).  The worker that draws
-    a chunk reduces it to block sums and drops it; the batch keeps the
-    sums, so the correlation functions read no counts.  Its n_s and n_as
-    are drawn again, from the same seeds, when first read, and are then kept
-    read-only.  Counts are int16, 2 bytes each; a model whose counts could
+    Frames are drawn in chunks of _chunk_frames(n_regions), each from its own
+    spawned seed, on a thread per available CPU (see _drawn).  The worker that
+    draws a chunk adds its block sums to the batch's and drops it; the batch
+    keeps the sums, so the correlation functions read no counts.  Its n_s and
+    n_as are drawn again, from the same seeds, when first read, and are then
+    kept read-only.  Counts are int16, 2 bytes each; a model whose counts could
     pass 32767 raises DataError here rather than wrap.  Memory per worker is
     in the module docstring.
     """
@@ -377,22 +394,20 @@ def _block_edges(n: int) -> np.ndarray:
     return np.linspace(0, n, n_blocks + 1, dtype=int)
 
 
-def _run_sums(x: np.ndarray, y: np.ndarray, pair: np.ndarray, edges: np.ndarray, lo: int):
-    """Sums of x and y, rows lo.. of a stream and at most CHUNK_FRAMES rows:
-    the first block they touch, the (blocks, 5, m) sums of each block they
-    touch, and the (m, m) Σxy.
+def _run_sums(x: np.ndarray, y: np.ndarray, pair: np.ndarray, edges: np.ndarray, lo: int,
+              total: _BlockSums, lock) -> None:
+    """Add the sums of x and y, rows lo.. of a stream, to total: the (5, m)
+    sums of each block they touch and the (m, m) Σxy.
 
     The rows are read in sub-blocks of DRAW_ENTRIES entries or 256 rows,
     whichever is more, that never cross a block edge, each copied to float64.
-    Every sub-block sum of counts up to COUNT_MAX is an integer below 2**53, so
-    it is exact whatever order BLAS adds in, and it is added to its block's
-    int64 sums.  The (m, m) cross sum stays in float64 for the whole run, below
-    CHUNK_FRAMES * COUNT_MAX**2 < 2**53, and is converted once.
+    A sub-block has at most DRAW_ENTRIES rows, so its sums of counts up to
+    COUNT_MAX are integers below 2**53, exact whatever order BLAS adds in, and
+    are added to total's int64 sums under lock: in any order, the same bits.
     """
     n, m = x.shape
     cuts = np.concatenate(([lo], edges[(edges > lo) & (edges < lo + n)], [lo + n])) - lo
-    sums = np.zeros((cuts.size - 1, 5, m), dtype=np.int64)
-    sxy = np.zeros((m, m))
+    first = np.searchsorted(edges, lo, side="right") - 1
     # BLAS needs a few hundred rows for the (m, m) product to run at speed
     step = max(DRAW_ENTRIES // m, 256)
     ones = np.ones(step)
@@ -402,26 +417,25 @@ def _run_sums(x: np.ndarray, y: np.ndarray, pair: np.ndarray, edges: np.ndarray,
             b = min(a + step, cuts[k + 1])
             xs, ys = x[a:b].astype(float), y[a:b].astype(float)
             cross = xs.T @ ys
-            sxy += cross
             # column sums as a BLAS product: several times faster than .sum(axis=0)
             # on narrow rows
-            sums[k] += np.stack([ones[:b - a] @ xs, ones[:b - a] @ ys,
-                                 np.einsum("ij,ij->j", xs, xs), np.einsum("ij,ij->j", ys, ys),
-                                 cross[cols, pair]]).astype(np.int64)
+            part = np.stack([ones[:b - a] @ xs, ones[:b - a] @ ys,
+                             np.einsum("ij,ij->j", xs, xs), np.einsum("ij,ij->j", ys, ys),
+                             cross[cols, pair]]).astype(np.int64)
+            with lock:
+                total.sums[first + k] += part
+                np.add(total.sxy, cross, out=total.sxy, dtype=np.int64, casting="unsafe")
             del xs, ys, cross  # freed before the next sub-block's copies are made
-    return np.searchsorted(edges, lo, side="right") - 1, sums, sxy.astype(np.int64)
 
 
 def _sums(runs, n: int, pair: np.ndarray) -> _BlockSums:
     """The block sums of an n-frame stream from runs(reduce), its reader."""
     edges = _block_edges(n)
-    sums = np.zeros((edges.size - 1, 5, pair.size), dtype=np.int64)
-    sxy = 0
-    for first, part, part_xy in runs(lambda x, y, lo: _run_sums(x, y, pair, edges, lo)):
-        sums[first:first + len(part)] += part
-        part_xy += sxy  # in place: no third (m, m) array beside the total and the run's
-        sxy = part_xy
-    return _BlockSums(np.diff(edges), sums, sxy)
+    total = _BlockSums(np.diff(edges), np.zeros((edges.size - 1, 5, pair.size), dtype=np.int64),
+                       np.zeros((pair.size, pair.size), dtype=np.int64))
+    lock = threading.Lock()
+    deque(runs(lambda x, y, lo: _run_sums(x, y, pair, edges, lo, total, lock)), maxlen=0)
+    return total
 
 
 def _comoment(sxy, sx, sy, n, mul=np.multiply):

@@ -226,12 +226,12 @@ def test_photon_sim_command(tmp_path):
     assert lines[1:] == [",".join(map(str, row)) for row in expected.tolist()]
 
 
-@pytest.mark.parametrize("flags, draws", [([], 4), (["--frames-csv"], 8)],
+@pytest.mark.parametrize("flags, draws", [([], 8), (["--frames-csv"], 16)],
                          ids=["summary", "frames-csv"])
 def test_photon_sim_draws_each_chunk_once_per_pass(tmp_path, monkeypatch, flags, draws):
-    """The preset's 1e5 frames are 4 chunks.  simulate_frames draws each once
-    and reduces it to block sums, which nothing computes again after it
-    returns; --frames-csv draws every chunk a second time for the file."""
+    """The preset's 1e5 frames of 10 regions are 8 chunks.  simulate_frames
+    draws each once and reduces it to block sums, which nothing computes again
+    after it returns; --frames-csv draws every chunk a second time for the file."""
     calls = []
 
     def counted(name, fn):
@@ -247,7 +247,7 @@ def test_photon_sim_draws_each_chunk_once_per_pass(tmp_path, monkeypatch, flags,
     assert run("photon-sim", "--preset", "paper-optimum", "--seed", "5", *flags,
                "--out", str(tmp_path)) == 0
     returned = calls.index("returned")
-    assert calls[:returned].count("draw") == 4 and "moments" in calls[:returned]
+    assert calls[:returned].count("draw") == 8 and "moments" in calls[:returned]
     assert calls.count("draw") == draws
     assert "moments" not in calls[returned:]
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import frames_csv_bytes, simulate_frames_serial
 from strategies import frame_arrays_held
 
-from rbfilter import __version__
+from rbfilter import __version__, photon_stats
 from rbfilter.config import (
     MAX_COUNTS_PER_ARM,
     SCHEMA,
@@ -35,7 +35,6 @@ from rbfilter.io import (
 )
 from rbfilter.optimize import PAPER_OPTIMUM, build_cells
 from rbfilter.photon_stats import (
-    CHUNK_FRAMES,
     COUNT_MAX,
     CountsBatch,
     RegionLayout,
@@ -483,14 +482,15 @@ def test_frames_csv_of_a_simulated_batch_is_drawn_chunk_by_chunk(tmp_path):
     """Three chunks, the last one 7 frames long, drawn again from the seed as
     they are written: the bytes of the serial oracle's counts, and the batch
     still holds no count arrays."""
-    frames = 2 * CHUNK_FRAMES + 7
+    chunk = photon_stats._chunk_frames(4)
+    frames = 2 * chunk + 7
     noise, _ = filtered_preset()
     batch = simulate_frames(frames, noise, seed=19, layout=RegionLayout(4))
     p = tmp_path / "frames.csv"
     write_frames_csv(str(p), batch)
     assert frame_arrays_held(batch) == []
     assert p.read_bytes() == frames_csv_bytes(*simulate_frames_serial(frames, noise, 19, 4,
-                                                                      CHUNK_FRAMES))
+                                                                      chunk))
 
 
 def test_frames_csv_writer_memory_stays_flat_at_200_regions(tmp_path):

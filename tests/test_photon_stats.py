@@ -23,7 +23,7 @@ from rbfilter import photon_stats
 from rbfilter.config import MAX_COUNTS_PER_ARM
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.photon_stats import (
-    CHUNK_FRAMES,
+    CHUNK_ENTRIES,
     CountsBatch,
     NoiseModel,
     RegionLayout,
@@ -105,9 +105,9 @@ def test_simulate_frames_deterministic_and_seed_sensitive():
 
 
 # SHA-256 of the int64 bytes of n_s then n_as, seed 11, recorded from the
-# chunked sampler (CHUNK_FRAMES frames per SeedSequence.spawn child) when the
-# counts were stored as int64; the last case is two chunks, the second one
-# frame long.
+# chunked sampler (2**15 frames per SeedSequence.spawn child, which is still
+# the chunk at 4 regions) when the counts were stored as int64; the last case
+# is two chunks, the second one frame long.
 @pytest.mark.parametrize("noise, layout, frames, digest", [
     (*filtered_preset(), 3001,
      "198dd8df99308214b9938e58f765ade195a0f1db33b42acf541f222733c2a561"),
@@ -116,7 +116,7 @@ def test_simulate_frames_deterministic_and_seed_sensitive():
     (NoiseModel(n_sig=0.8, eta_s=0.7, eta_as=0.4, b_fluorescence=0.0, b_leakage=0.0,
                 intensifier_per_frame=0.0), RegionLayout(n_regions=4), 3001,
      "57e617c9fb00512f1872dfe02fdb21563d2bd28818bc5232585aa911c2b2a2ae"),
-    (filtered_preset()[0], RegionLayout(n_regions=4), CHUNK_FRAMES + 1,
+    (filtered_preset()[0], RegionLayout(n_regions=4), photon_stats._chunk_frames(4) + 1,
      "4027e06239332d058175ef3960edb51dd5984ec19a4d3ff416869398aae2a705"),
 ], ids=["filtered", "unfiltered", "no-background", "two-chunks"])
 def test_simulate_frames_stream_is_pinned(noise, layout, frames, digest):
@@ -128,16 +128,28 @@ def test_simulate_frames_stream_is_pinned(noise, layout, frames, digest):
     assert hashlib.sha256(stream).hexdigest() == digest
 
 
+def _chunk_edges(n_regions: int) -> list:
+    """(frames, n_regions) pairs at the chunk edges of n_regions: one chunk
+    less a frame, one chunk, one chunk and a frame, two chunks and 7 frames."""
+    chunk = photon_stats._chunk_frames(n_regions)
+    return [pytest.param(frames, n_regions, id=str(frames))
+            for frames in (chunk - 1, chunk, chunk + 1, 2 * chunk + 7)]
+
+
 @pytest.mark.parametrize("one_worker", [False, True], ids=["all-cpus", "one-worker"])
-@pytest.mark.parametrize("frames", [1, CHUNK_FRAMES - 1, CHUNK_FRAMES, CHUNK_FRAMES + 1,
-                                    2 * CHUNK_FRAMES + 7])
-def test_simulate_frames_matches_serial_oracle(monkeypatch, frames, one_worker):
-    """Chunk i draws from spawned seed i whatever the worker count."""
+@pytest.mark.parametrize("frames, n_regions", [pytest.param(1, 10, id="1"), *_chunk_edges(4),
+                                               *_chunk_edges(10)])
+def test_simulate_frames_matches_serial_oracle(monkeypatch, frames, n_regions, one_worker):
+    """Chunk i draws from spawned seed i whatever the worker count: at the
+    chunk edges of 4 regions (2**15 frames, as before chunks were bounded by
+    entries) and of 10 regions (13107 frames)."""
     if one_worker:
         monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 1)
-    noise, layout = filtered_preset()
+    noise, _ = filtered_preset()
+    layout = RegionLayout(n_regions)
     batch = simulate_frames(frames, noise, seed=19, layout=layout)
-    n_s, n_as = simulate_frames_serial(frames, noise, 19, layout.n_regions, CHUNK_FRAMES)
+    n_s, n_as = simulate_frames_serial(frames, noise, 19, n_regions,
+                                       photon_stats._chunk_frames(n_regions))
     assert batch.n_s.dtype == np.int16 and batch.n_as.dtype == np.int16
     assert np.array_equal(batch.n_s, n_s) and np.array_equal(batch.n_as, n_as)
 
@@ -147,7 +159,8 @@ def test_counts_written_in_place_by_more_workers_than_cpus(monkeypatch):
     short switch interval interleaves the eight workers' writes."""
     monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 8)
     noise, _ = filtered_preset()
-    frames = 9 * CHUNK_FRAMES + 3
+    chunk = photon_stats._chunk_frames(2)
+    frames = 9 * chunk + 3
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -155,42 +168,95 @@ def test_counts_written_in_place_by_more_workers_than_cpus(monkeypatch):
         counts = batch.n_s, batch.n_as
     finally:
         sys.setswitchinterval(interval)
-    n_s, n_as = simulate_frames_serial(frames, noise, 23, 2, CHUNK_FRAMES)
+    n_s, n_as = simulate_frames_serial(frames, noise, 23, 2, chunk)
     assert np.array_equal(counts[0], n_s) and np.array_equal(counts[1], n_as)
 
 
 def test_simulation_memory_does_not_grow_with_frames(monkeypatch):
     """A simulated batch keeps block sums, not counts: each of two workers
-    holds one chunk's int16 counts (6.6 MB at 50 regions), its int64 draws in
+    holds one chunk's int16 counts (524 kB at 50 regions), its int64 draws in
     slices of DRAW_ENTRIES, and float64 copies of one sub-block of each arm,
     DRAW_ENTRIES entries or 256 rows.  None of these grows with the frame
-    count: copies of a whole block (frames / 50 rows) would add 6 MB at 6
-    chunks, and the count arrays 39 MB."""
+    count: copies of a whole block (frames / 50 rows) would add 2 MB from 25
+    to 75 chunks, and the count arrays 26 MB."""
     monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 2)
     noise, _ = filtered_preset()
     m = 50
     layout = RegionLayout(m)
+    chunk = photon_stats._chunk_frames(m)
     batches, peak = {}, {}
-    for chunks in (2, 6):
+    for chunks in (25, 75):
         tracemalloc.start()
         try:
-            batches[chunks] = simulate_frames(chunks * CHUNK_FRAMES, noise, seed=7, layout=layout)
+            batches[chunks] = simulate_frames(chunks * chunk, noise, seed=7, layout=layout)
             pair_correlation_summary(batches[chunks])
             peak[chunks] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    chunk_counts = 2 * CHUNK_FRAMES * m * 4
+    chunk_counts = 2 * chunk * m * 4
     sub_blocks = 2 * 2 * 8 * max(photon_stats.DRAW_ENTRIES, 256 * m)
     for k in peak:
         # the slack holds each worker's int64 draws, a few slices at once
         assert peak[k] <= chunk_counts + sub_blocks + 3e6
-    assert peak[6] - peak[2] <= 1e6
+    assert peak[75] - peak[25] <= 1e6
 
     assert not any(frame_arrays_held(batch) for batch in batches.values())
-    batch = batches[2]
+    batch = batches[25]
     n_s = batch.n_s
     assert len(frame_arrays_held(batch)) == 2 and batch.n_s is n_s
-    assert n_s.shape == (2 * CHUNK_FRAMES, m) and not n_s.flags.writeable
+    assert n_s.shape == (25 * chunk, m) and not n_s.flags.writeable
+
+
+def test_simulation_memory_at_many_regions_is_bounded_by_chunk_entries(monkeypatch):
+    """At 1000 regions a chunk is CHUNK_ENTRIES // 1000 = 131 frames.  Each of
+    two workers holds one chunk's int16 counts (4 B an entry), float64 copies
+    of both arms (16 B an entry), int64 draws, indices and thinned counts of a
+    slice of DRAW_ENTRIES entries, and one sub-block's (m, m) float64 product;
+    beside them the batch keeps its int64 (m, m) Σxy and block sums.  Chunks
+    of 2**15 frames at any region count held 21 MB of counts here, and 131 MB
+    per worker at 2**15 frames or more."""
+    monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 2)
+    noise, _ = filtered_preset()
+    m = 1000
+    square = 8 * m * m
+    per_worker = 20 * CHUNK_ENTRIES + 3 * 8 * photon_stats.DRAW_ENTRIES + square
+    kept = square + 5 * 8 * photon_stats.JACKKNIFE_BLOCKS * m
+    tracemalloc.start()
+    try:
+        batch = simulate_frames(40 * photon_stats._chunk_frames(m), noise, seed=7,
+                                layout=RegionLayout(m))
+        drawn = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        pair_correlation_summary(batch)
+        summarised = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert drawn <= 2 * per_worker + kept + 2e6
+    # the map's comoments and quotient: a few (m, m) float64 arrays, whatever the chunking
+    assert summarised <= kept + 4 * square + 1e6
+
+
+@pytest.mark.parametrize("pairs", [[0, 3, 0, 2], [0, 200, 0, 90]], ids=["inversion", "btpe"])
+@pytest.mark.parametrize("eta", [0.32, 0.52])
+def test_binomial_reads_no_bits_for_a_zero_pair(pairs, eta):
+    """_draw_chunk thins only the pair numbers that are not 0.  That leaves the
+    stream as it was only while NumPy's binomial gives 0 for n = 0 without
+    reading the generator, in both of its samplers (n p at most 30 or not)."""
+    full, short = np.random.default_rng(29), np.random.default_rng(29)
+    drawn = full.binomial(pairs, eta)
+    hit = np.flatnonzero(pairs)
+    skipped = short.binomial(np.asarray(pairs)[hit], eta)
+    message = (f"NumPy {np.__version__}: binomial reads the generator for n = 0, so "
+               "thinning only the nonzero pair numbers changes the frame stream")
+    assert drawn[hit].tolist() == skipped.tolist(), message
+    assert full.bit_generator.state == short.bit_generator.state, message
+
+    pairs = sample_thermal(np.random.default_rng(3), 0.5, (64, 10)).astype(np.int16)
+    full, short = np.random.default_rng(31), np.random.default_rng(31)
+    thinned = photon_stats._thinned(short, pairs, eta)
+    assert thinned.dtype == np.int16 and thinned.shape == pairs.shape
+    assert np.array_equal(thinned, full.binomial(pairs, eta))
+    assert full.bit_generator.state == short.bit_generator.state
 
 
 @pytest.mark.parametrize("one_worker", [False, True], ids=["all-cpus", "one-worker"])
@@ -200,7 +266,8 @@ def test_counts_past_int16_raise_rather_than_wrap(monkeypatch, one_worker):
         monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 1)
     noise = NoiseModel(n_sig=0.0, b_fluorescence=5e4, b_leakage=0.0, intensifier_per_frame=0.0)
     with pytest.raises(DataError, match="int16 count limit 32767: NoiseModel"):
-        simulate_frames(CHUNK_FRAMES + 1, noise, seed=3, layout=RegionLayout(n_regions=1))
+        simulate_frames(photon_stats._chunk_frames(1) + 1, noise, seed=3,
+                        layout=RegionLayout(n_regions=1))
 
 
 def test_thermal_pairs_past_int16_raise_rather_than_wrap():
@@ -220,7 +287,8 @@ def test_simulate_frames_workers_see_the_callers_errstate(monkeypatch):
     monkeypatch.setattr(photon_stats, "_draw_chunk", spy)
     noise, layout = filtered_preset()
     with np.errstate(over="raise"):
-        simulate_frames(2 * CHUNK_FRAMES + 1, noise, seed=1, layout=layout)
+        simulate_frames(2 * photon_stats._chunk_frames(layout.n_regions) + 1, noise, seed=1,
+                        layout=layout)
     assert seen == ["raise"] * 3
 
 
@@ -381,7 +449,7 @@ def _or_error(fn, batch):
 
 
 @settings(max_examples=20, deadline=None)
-@given(frames=st.integers(1, 3 * CHUNK_FRAMES), n_regions=st.integers(1, 12),
+@given(frames=st.integers(1, 3 * 2**15), n_regions=st.integers(1, 12),
        one_worker=st.booleans(), unfiltered=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_moments_kept_by_simulate_frames_match_the_array_path(frames, n_regions, one_worker,
                                                               unfiltered, seed):
@@ -408,9 +476,9 @@ def test_moments_kept_by_simulate_frames_match_the_array_path(frames, n_regions,
         assert reads == []  # the sums simulate_frames kept: no pass over the counts
         plain = CountsBatch(n_s=np.array(batch.n_s), n_as=np.array(batch.n_as), layout=layout)
         read = _or_error(_summary_and_map, plain)
-        # the plain arrays are read once, in runs of at most CHUNK_FRAMES rows
+        # the plain arrays are read once, in runs of at most a chunk's rows
         assert sum(shape[0] for shape in reads) == frames
-        assert max(shape[0] for shape in reads) <= CHUNK_FRAMES
+        assert max(shape[0] for shape in reads) <= photon_stats._chunk_frames(n_regions)
 
     again = _or_error(_summary_and_map, other)
     if isinstance(kept, str) or isinstance(read, str):
@@ -549,9 +617,10 @@ def test_moments_stay_exact_in_the_validator_range():
     # int64 block sums: Σx² and Σxy over every frame, 50 sd above the mean and
     # at the count limit itself
     assert frames * high**2 < frames * top**2 < 2**63
-    # float64 sums before the int64 ones: a sub-block of DRAW_ENTRIES entries, and
-    # the (m, m) Σxy of one run of CHUNK_FRAMES rows, are integers below 2**53
-    assert max(photon_stats.DRAW_ENTRIES, CHUNK_FRAMES) * top**2 < 2**53
+    # float64 sums before the int64 ones: a sub-block has at most DRAW_ENTRIES
+    # rows (256 rows when a row has more than DRAW_ENTRIES / 256 entries), so
+    # each of its sums, its (m, m) Σxy too, is an integer below 2**53
+    assert max(photon_stats.DRAW_ENTRIES, 256) * top**2 < 2**53
     # the shifted comoment Σxy - cy Σx - cx v: each of its three terms, and so
     # every partial sum, is at most frames * top**2 in size
     assert 3 * frames * top**2 < 2**63
