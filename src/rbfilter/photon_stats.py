@@ -20,25 +20,25 @@ The correlation map and the delete-one-block jackknife come from exact
 integer sums per jackknife block: n, Σx, Σy, Σx², Σy² and each region's
 on-pair Σxy, plus one (m, m) Σxy for the map.  A batch has one reader,
 CountsBatch._runs(reduce): reduce(n_s, n_as, lo) of each run of at most
-_chunk_frames(n_regions) frames (CHUNK_ENTRIES entries) from row lo, in row
-order.  Plain arrays are read in runs of that many rows; a simulated batch's
-runs are its chunks, each drawn again from its seed, with reduce run by the
-worker thread that drew it.  _run_sums adds the sums of sub-blocks that never
-cross a block edge to the totals, so every sum is exact in int64 (counts lie
-in [0, COUNT_MAX]) and none depends on where the rows are cut, on the
-chunking, on the worker count or on the order of the adds.  The jackknife
-drops a block by subtracting its sums from the totals; each comoment is formed
-from sums shifted by the rounded means (_comoment), so its one float step does
-not cancel.
+_chunk_frames(n_regions) frames from row lo, in row order.  Plain arrays are
+read in runs of that many rows; a simulated batch's runs are its chunks, each
+drawn again from its seed, with reduce run by the worker thread that drew it.
+_run_sums adds the sums of sub-blocks that never cross a block edge to the
+totals, so every sum is exact in int64 (counts lie in [0, COUNT_MAX]) and none
+depends on where the rows are cut, on the chunking, on the worker count or on
+the order of the adds.  The jackknife drops a block by subtracting its sums
+from the totals; each comoment is formed from sums shifted by the rounded
+means (_comoment), so its one float step does not cancel.
 
 A simulated batch keeps its block sums and the arguments that drew it, not
 its counts, which are drawn again when asked for: the whole int16 arrays on
 the first read of n_s or n_as, or one chunk at a time for the CLI's per-frame
-export.  Memory per worker: one chunk's int16 counts of both arms (512 kB),
-int64 draws, indices and thinned counts of a slice of DRAW_ENTRIES (768 kB),
-float64 copies of one sub-block of each arm (256 kB each at 10 regions, 1 MB
-at 1000, where a chunk is 131 frames) and one sub-block's (m, m) product (8 MB
-at 1000), beside the totals' int64 (m, m) Σxy.  Nothing grows with the frames.
+export.  Memory per worker: one chunk's int16 counts of both arms (4 B per
+entry: 512 kB at 10 regions, 33 MB at 1000), int64 draws, indices and thinned
+counts of a slice of DRAW_ENTRIES (768 kB), float64 copies of one sub-block of
+each arm, DRAW_ENTRIES entries or 256 rows, whichever is more (256 kB each at
+10 regions, 2 MB at 1000), and one sub-block's (m, m) product (8 MB at 1000),
+beside the totals' int64 (m, m) Σxy.  Nothing grows with the frame count.
 """
 
 from __future__ import annotations
@@ -56,8 +56,10 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-# entries (frames x regions) per seeded chunk of simulate_frames; part of the stream
+# entries (frames x regions) per seeded chunk of simulate_frames, but at least
+# CHUNK_FRAMES_MIN frames (see _chunk_frames); both are part of the stream
 CHUNK_ENTRIES = 1 << 17
+CHUNK_FRAMES_MIN = 1 << 13
 # counts are stored as int16: a region's count per frame is a handful of photons
 COUNT_MAX = int(np.iinfo(np.int16).max)
 # entries per sampler call in _draw_chunk, whose draws are its only temporaries
@@ -201,8 +203,9 @@ def sample_thermal(rng: np.random.Generator, nbar: float, size) -> np.ndarray:
 
 
 def _chunk_frames(n_regions: int) -> int:
-    """Frames per chunk: at most CHUNK_ENTRIES entries, and at least one frame."""
-    return max(1, CHUNK_ENTRIES // n_regions)
+    """Frames per chunk.  The floor keeps a chunk's draw long: BLAS's pool
+    threads spin a while after each product, on the other workers' CPUs."""
+    return max(CHUNK_FRAMES_MIN, CHUNK_ENTRIES // n_regions)
 
 
 def _cpu_count() -> int:
@@ -434,7 +437,8 @@ def _sums(runs, n: int, pair: np.ndarray) -> _BlockSums:
     total = _BlockSums(np.diff(edges), np.zeros((edges.size - 1, 5, pair.size), dtype=np.int64),
                        np.zeros((pair.size, pair.size), dtype=np.int64))
     lock = threading.Lock()
-    deque(runs(lambda x, y, lo: _run_sums(x, y, pair, edges, lo, total, lock)), maxlen=0)
+    for _ in runs(lambda x, y, lo: _run_sums(x, y, pair, edges, lo, total, lock)):
+        pass
     return total
 
 

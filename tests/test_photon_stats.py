@@ -24,6 +24,7 @@ from rbfilter.config import MAX_COUNTS_PER_ARM
 from rbfilter.errors import ConfigError, DataError
 from rbfilter.photon_stats import (
     CHUNK_ENTRIES,
+    CHUNK_FRAMES_MIN,
     CountsBatch,
     NoiseModel,
     RegionLayout,
@@ -174,18 +175,18 @@ def test_counts_written_in_place_by_more_workers_than_cpus(monkeypatch):
 
 def test_simulation_memory_does_not_grow_with_frames(monkeypatch):
     """A simulated batch keeps block sums, not counts: each of two workers
-    holds one chunk's int16 counts (524 kB at 50 regions), its int64 draws in
+    holds one chunk's int16 counts (1.6 MB at 50 regions), its int64 draws in
     slices of DRAW_ENTRIES, and float64 copies of one sub-block of each arm,
     DRAW_ENTRIES entries or 256 rows.  None of these grows with the frame
-    count: copies of a whole block (frames / 50 rows) would add 2 MB from 25
-    to 75 chunks, and the count arrays 26 MB."""
+    count: copies of a whole block (frames / 50 rows) would add 1.6 MB from 4
+    to 16 chunks, and the count arrays 20 MB."""
     monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 2)
     noise, _ = filtered_preset()
     m = 50
     layout = RegionLayout(m)
     chunk = photon_stats._chunk_frames(m)
     batches, peak = {}, {}
-    for chunks in (25, 75):
+    for chunks in (4, 16):
         tracemalloc.start()
         try:
             batches[chunks] = simulate_frames(chunks * chunk, noise, seed=7, layout=layout)
@@ -198,40 +199,42 @@ def test_simulation_memory_does_not_grow_with_frames(monkeypatch):
     for k in peak:
         # the slack holds each worker's int64 draws, a few slices at once
         assert peak[k] <= chunk_counts + sub_blocks + 3e6
-    assert peak[75] - peak[25] <= 1e6
+    assert peak[16] - peak[4] <= 1e6
 
     assert not any(frame_arrays_held(batch) for batch in batches.values())
-    batch = batches[25]
+    batch = batches[4]
     n_s = batch.n_s
     assert len(frame_arrays_held(batch)) == 2 and batch.n_s is n_s
-    assert n_s.shape == (25 * chunk, m) and not n_s.flags.writeable
+    assert n_s.shape == (4 * chunk, m) and not n_s.flags.writeable
 
 
 def test_simulation_memory_at_many_regions_is_bounded_by_chunk_entries(monkeypatch):
-    """At 1000 regions a chunk is CHUNK_ENTRIES // 1000 = 131 frames.  Each of
-    two workers holds one chunk's int16 counts (4 B an entry), float64 copies
-    of both arms (16 B an entry), int64 draws, indices and thinned counts of a
-    slice of DRAW_ENTRIES entries, and one sub-block's (m, m) float64 product;
-    beside them the batch keeps its int64 (m, m) Σxy and block sums.  Chunks
-    of 2**15 frames at any region count held 21 MB of counts here, and 131 MB
-    per worker at 2**15 frames or more."""
-    monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 2)
+    """At 1000 regions a chunk is CHUNK_FRAMES_MIN frames, as CHUNK_ENTRIES //
+    1000 is fewer.  The one worker holds one chunk's int16 counts (4 B an
+    entry), float64 copies of a 256-row sub-block of both arms, int64 draws,
+    indices and thinned counts of a slice of DRAW_ENTRIES entries, and one
+    sub-block's (m, m) float64 product; beside them the batch keeps its int64
+    (m, m) Σxy and block sums.  Chunks of 2**15 frames held both chunks'
+    counts here, 66 MB, and 131 MB at 2**15 frames or more."""
+    monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 1)
     noise, _ = filtered_preset()
     m = 1000
+    chunk = photon_stats._chunk_frames(m)
+    assert chunk == CHUNK_FRAMES_MIN > CHUNK_ENTRIES // m
     square = 8 * m * m
-    per_worker = 20 * CHUNK_ENTRIES + 3 * 8 * photon_stats.DRAW_ENTRIES + square
+    per_worker = 4 * chunk * m + 16 * 256 * m + 3 * 8 * photon_stats.DRAW_ENTRIES + square
     kept = square + 5 * 8 * photon_stats.JACKKNIFE_BLOCKS * m
     tracemalloc.start()
     try:
-        batch = simulate_frames(40 * photon_stats._chunk_frames(m), noise, seed=7,
-                                layout=RegionLayout(m))
+        batch = simulate_frames(2 * chunk, noise, seed=7, layout=RegionLayout(m))
         drawn = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         pair_correlation_summary(batch)
         summarised = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert drawn <= 2 * per_worker + kept + 2e6
+    # the slack holds a few slices of draws at once, as in the test at 50 regions
+    assert drawn <= per_worker + kept + 3e6
     # the map's comoments and quotient: a few (m, m) float64 arrays, whatever the chunking
     assert summarised <= kept + 4 * square + 1e6
 
