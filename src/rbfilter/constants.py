@@ -40,9 +40,9 @@ RB87_D1_CENTROID_HZ = 377.107_463_380e12
 TORR_TO_PA = 133.322_368
 
 
-def hyperfine_shift_mhz(a_mhz: float, nuclear_spin: float, f: float, j: float = 0.5) -> float:
-    """Zero-field hyperfine energy A*K/2 of level F, in MHz, relative to the manifold centroid."""
-    k = f * (f + 1.0) - nuclear_spin * (nuclear_spin + 1.0) - j * (j + 1.0)
+def hyperfine_shift_mhz(a_mhz: float, nuclear_spin: float, f: float) -> float:
+    """Zero-field energy A*K/2 (MHz) of level F of a J = 1/2 manifold, from its centroid."""
+    k = f * (f + 1.0) - nuclear_spin * (nuclear_spin + 1.0) - 0.75
     return 0.5 * a_mhz * k
 
 
@@ -63,26 +63,10 @@ class IsotopeSpec:
     g_i: float
     natural_linewidth_mhz: float
 
-    def __post_init__(self):
-        if self.nuclear_spin not in (1.5, 2.5):
-            raise ValueError(f"{self.name}: nuclear spin must be 3/2 or 5/2, got {self.nuclear_spin}")
-        if self.mass_kg <= 0.0:
-            raise ValueError(f"{self.name}: mass must be positive")
-        if not 0.0 <= self.natural_abundance <= 1.0:
-            raise ValueError(f"{self.name}: abundance must lie in [0, 1]")
-        if self.natural_linewidth_mhz <= 0.0:
-            raise ValueError(f"{self.name}: natural linewidth must be positive")
-        if not self.ground_splitting_mhz > self.excited_splitting_mhz > 0.0:
-            raise ValueError(f"{self.name}: hyperfine splittings must satisfy ground > excited > 0")
-
     # For J = 1/2 the two hyperfine levels F = I +- 1/2 are split by A (I + 1/2).
     @property
     def ground_splitting_mhz(self) -> float:
         return self.a_ground_mhz * (self.nuclear_spin + 0.5)
-
-    @property
-    def excited_splitting_mhz(self) -> float:
-        return self.a_excited_mhz * (self.nuclear_spin + 0.5)
 
     @property
     def centroid_frequency_hz(self) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .lineshape import CELL_KEYS, CellConfig, with_keys
+from .lineshape import CELL_KEYS, CellConfig, _validate_grid, with_keys
 from .optimize import PAPER_OPTIMUM, build_cells
 from .propagation import cell_transmission
 
@@ -36,14 +36,12 @@ class MeasuredSpectrum:
     transmission: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.detuning_ghz, dtype=float)
+        d = _validate_grid(self.detuning_ghz)
         t = np.asarray(self.transmission, dtype=float)
-        if d.ndim != 1 or d.shape != t.shape or d.size < 2:
-            raise DataError("measured spectrum needs matching 1-D detuning and transmission arrays")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(t))):
-            raise DataError("measured spectrum contains non-finite values")
-        if not np.all(np.diff(d) > 0):
-            raise DataError("measured detunings must be strictly increasing")
+        if d.shape != t.shape or d.size < 2:
+            raise DataError("measured spectrum needs matching detuning and transmission arrays")
+        if not np.all(np.isfinite(t)):
+            raise DataError("measured transmission contains non-finite values")
         if t.min() < 0.0 or t.max() > 1.05:
             raise DataError("measured transmission outside [0, 1.05] (calibration overshoot bound)")
         self.detuning_ghz = d

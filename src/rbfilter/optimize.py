@@ -80,7 +80,7 @@ class ChainParams:
     b_far_mt: float
 
     def as_array(self) -> np.ndarray:
-        return np.array([self.t_abs_c, self.t_far_c, self.b_abs_mt, self.b_far_mt])
+        return np.array([getattr(self, name) for name in OPERATING_KEYS])
 
     @staticmethod
     def from_array(x) -> "ChainParams":
@@ -127,11 +127,9 @@ class ParamBox:
 
 @dataclass
 class FigureOfMerit:
-    params: ChainParams
     objective: float
     signal_transmissions: dict[float, float]
     noise_suppressions_db: dict[float, float]
-    spec: FomSpec
 
 
 _REFERENCE_CELLS = (
@@ -179,13 +177,7 @@ def score(params: ChainParams, spec: FomSpec | None = None,
     }
     shortfall = sum(max(0.0, spec.min_suppression_db - s) for s in supp.values())
     objective = min(signal.values()) if shortfall == 0.0 else -shortfall
-    return FigureOfMerit(
-        params=params,
-        objective=objective,
-        signal_transmissions=signal,
-        noise_suppressions_db=supp,
-        spec=spec,
-    )
+    return FigureOfMerit(objective, signal, supp)
 
 
 @dataclass
@@ -198,13 +190,12 @@ class OptimizeResult:
     wall_time_s: float
 
 
-def _grid_axes(box: ParamBox, grid_budget: int) -> list[np.ndarray]:
-    """Axis samples for the scan; the Faraday field gets the dense axis.
+def _grid_axes(lo: np.ndarray, hi: np.ndarray, grid_budget: int) -> list[np.ndarray]:
+    """Axis samples for the scan of [lo, hi]; the Faraday field gets the dense axis.
 
     The Faraday-band centers move by ~0.3 GHz/mT, so the b_far axis is sampled
     at <= 1/3 mT spacing (~100 MHz band motion) when the budget allows.
     """
-    lo, hi = box.lower(), box.upper()
 
     def axis(i, n):
         if lo[i] == hi[i] or n <= 1:
@@ -328,10 +319,12 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
         def objective_fn(x):
             return score(ChainParams.from_array(x), spec, cells).objective
 
+    lo, hi = box.lower(), box.upper()
+    span = hi - lo
     trace: list[tuple[np.ndarray, float]] = []
 
     def evaluate(x) -> float:
-        x = box.clip(np.asarray(x, dtype=float))
+        x = np.clip(np.asarray(x, dtype=float), lo, hi)
         val = float(objective_fn(x))
         if not math.isfinite(val):
             raise NumericalError(f"objective returned non-finite value at {x.tolist()}")
@@ -343,7 +336,7 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
 
     nm_share = max(60 * restarts, budget // 5)
     grid_budget = max(1, budget - nm_share - len(trace))
-    axes = _grid_axes(box, grid_budget)
+    axes = _grid_axes(lo, hi, grid_budget)
     for combo in itertools.product(*axes):
         if len(trace) >= budget - nm_share:
             break
@@ -354,30 +347,29 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
     starts: list[np.ndarray] = []
     for i in order:
         x = trace[i][0]
-        if all(np.linalg.norm((x - s) / (box.upper() - box.lower() + 1e-300)) > 0.02 for s in starts):
+        if all(np.linalg.norm((x - s) / (span + 1e-300)) > 0.02 for s in starts):
             starts.append(x)
         if len(starts) >= restarts:
             break
     while len(starts) < restarts:
-        starts.append(box.lower() + rng.random(4) * (box.upper() - box.lower()))
+        starts.append(lo + rng.random(4) * span)
 
-    span = box.upper() - box.lower()
     scale = np.where(span > 0, span, 1.0)
     per_restart = max(30, (budget - len(trace)) // max(len(starts), 1))
     for x0 in starts:
         if len(trace) >= budget:
             break
-        u0 = (x0 - box.lower()) / scale
-        minimize(lambda u: -evaluate(box.lower() + u * scale), initial_simplex(u0, 0.05),
+        u0 = (x0 - lo) / scale
+        minimize(lambda u: -evaluate(lo + u * scale), initial_simplex(u0, 0.05),
                  min(per_restart, budget - len(trace)))
 
     best_i = max(range(len(trace)), key=lambda i: trace[i][1])
     best_x, best_val = trace[best_i]
-    best_params = ChainParams.from_array(box.clip(best_x))
+    best_params = ChainParams.from_array(best_x)  # evaluate stored it clipped
     if physical:
         fom = score(best_params, spec, cells)
     else:
-        fom = FigureOfMerit(best_params, best_val, {}, {}, spec)
+        fom = FigureOfMerit(best_val, {}, {})
     return OptimizeResult(
         best_params=best_params,
         best_objective=best_val,

@@ -38,7 +38,9 @@ entry: 512 kB at 10 regions, 33 MB at 1000), int64 draws, indices and thinned
 counts of a slice of DRAW_ENTRIES (768 kB), float64 copies of one sub-block of
 each arm, DRAW_ENTRIES entries or 256 rows, whichever is more (256 kB each at
 10 regions, 2 MB at 1000), and one sub-block's (m, m) product (8 MB at 1000),
-beside the totals' int64 (m, m) Σxy.  Nothing grows with the frame count.
+beside the totals' int64 (m, m) Σxy.  Up to 2 x workers chunks may wait in
+the queue (the frames writer's reduce returns its chunk); POOL_ENTRIES caps
+them, at 2 workers for 1000 regions.  Nothing grows with the frame count.
 """
 
 from __future__ import annotations
@@ -64,6 +66,8 @@ CHUNK_FRAMES_MIN = 1 << 13
 COUNT_MAX = int(np.iinfo(np.int16).max)
 # entries per sampler call in _draw_chunk, whose draws are its only temporaries
 DRAW_ENTRIES = 1 << 15
+# entries of the 2 * workers chunks _drawn may hold at once: 2 workers at 1000 regions
+POOL_ENTRIES = 1 << 25
 
 
 @dataclass(frozen=True)
@@ -274,15 +278,16 @@ def _drawn(frames: int, noise: NoiseModel, seed: int, layout: RegionLayout, redu
     its own generator, SeedSequence(seed).spawn(n_chunks)[i], into int16
     arrays of its own, so the chunks run on a thread per available CPU
     (NumPy's samplers release the GIL) and the stream depends only on the
-    arguments, not on the CPU count.  reduce runs in the worker, while the
+    arguments, not on the worker count.  reduce runs in the worker, while the
     chunk is in cache.  Two chunks per worker are queued, so a worker that
-    finishes early starts the next at once; only running jobs hold counts.
+    finishes early starts the next at once; each may hold its counts, as the
+    frames writer's reduce returns them, hence the cap on workers.
     """
     b = noise.background_per_region(layout)
     step = _chunk_frames(layout.n_regions)
     starts = range(0, frames, step)
     seeds = np.random.SeedSequence(seed).spawn(len(starts))
-    workers = min(_cpu_count(), len(starts))
+    workers = max(1, min(_cpu_count(), len(starts), POOL_ENTRIES // (2 * step * layout.n_regions)))
 
     def job(lo, seed_seq):
         n_s = np.empty((min(step, frames - lo), layout.n_regions), dtype=np.int16)
@@ -308,7 +313,7 @@ def simulate_frames(frames: int, noise: NoiseModel, seed: int,
     """Draw a reproducible stream of camera frames.
 
     Frames are drawn in chunks of _chunk_frames(n_regions), each from its own
-    spawned seed, on a thread per available CPU (see _drawn).  The worker that
+    spawned seed, on a capped thread pool (see _drawn).  The worker that
     draws a chunk adds its block sums to the batch's and drops it; the batch
     keeps the sums, so the correlation functions read no counts.  Its n_s and
     n_as are drawn again, from the same seeds, when first read, and are then

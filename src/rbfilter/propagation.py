@@ -234,15 +234,8 @@ def opaque_region_width(grid_ghz, transmission, level: float = 0.5) -> float:
         return 0.0
     if below[0] or below[-1]:
         raise DataError("opaque region extends beyond the detuning grid")
-    idx = np.nonzero(below)[0]
-    i0, i1 = idx[0], idx[-1]
-
-    def cross(ia, ib):
-        ta, tb = t[ia], t[ib]
-        if tb == ta:
-            return grid[ia]
-        return grid[ia] + (level - ta) * (grid[ib] - grid[ia]) / (tb - ta)
-
-    left = cross(i0 - 1, i0)
-    right = cross(i1, i1 + 1)
+    i0, i1 = np.flatnonzero(below)[[0, -1]]
+    # each edge's two samples in increasing t, as np.interp wants: t[i0] < level <= t[i0 - 1]
+    left = np.interp(level, t[[i0, i0 - 1]], grid[[i0, i0 - 1]])
+    right = np.interp(level, t[[i1, i1 + 1]], grid[[i1, i1 + 1]])
     return float(right - left)

@@ -113,8 +113,6 @@ class LineTable:
     1/2, independent of B.
     """
 
-    isotope: str
-    b_field_t: float
     lines: dict[str, tuple[np.ndarray, np.ndarray]]
 
     @property
@@ -142,4 +140,4 @@ def zeeman_lines(isotope_name: str, b_field_t: float, geometry: str = "longitudi
         s = pop * np.abs(ve.T @ p @ vg) ** 2
         idx_e, idx_g = np.nonzero(s > 1e-12)
         lines[_COMPONENT_NAME[q]] = (ee[idx_e] - eg[idx_g]) * 1e-9, s[idx_e, idx_g]
-    return LineTable(isotope=isotope_name, b_field_t=b_field_t, lines=lines)
+    return LineTable(lines)

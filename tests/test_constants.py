@@ -29,6 +29,16 @@ def test_natural_abundances_sum_to_one():
     assert sum(iso.natural_abundance for iso in ISOTOPES.values()) == pytest.approx(1.0)
 
 
+def test_isotope_data_is_physical():
+    isotopes = ISOTOPES.values()
+    assert {iso.nuclear_spin for iso in isotopes} == {1.5, 2.5}
+    assert all(iso.mass_kg > 0.0 for iso in isotopes)
+    assert all(0.0 <= iso.natural_abundance <= 1.0 for iso in isotopes)
+    assert all(iso.natural_linewidth_mhz > 0.0 for iso in isotopes)
+    # both manifolds are J = 1/2, split by A (I + 1/2): the ground one is the wider
+    assert all(iso.a_ground_mhz > iso.a_excited_mhz > 0.0 for iso in isotopes)
+
+
 def test_hyperfine_shift_interval_rule():
     # E(F) - E(F-1) = A*F for J = 1/2
     for iso in (RB85, RB87):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from rbfilter.config import validate_config
 from rbfilter.errors import ConfigError, NumericalError
+from rbfilter.lineshape import LONGITUDINAL, TRANSVERSE
 from rbfilter.optimize import (
     OPERATING_KEYS,
     PAPER_OPTIMUM,
@@ -23,6 +24,7 @@ from rbfilter.optimize import (
 from rbfilter.propagation import dual_filter
 
 from oracles import scipy_nelder_mead
+from strategies import cell_configs
 
 
 def test_reference_point_lands_in_both_signal_windows():
@@ -267,3 +269,19 @@ def test_optimize_deterministic_given_seed():
     assert a.best_params == b.best_params
     assert a.best_objective == b.best_objective
     assert len(a.trace) == len(b.trace)
+
+
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_physical_optimize_is_deterministic_on_drawn_cells_and_boxes(data, seed):
+    """Two runs with the same box, cells and seed evaluate the same points in
+    the same order, with the same values and the same best point."""
+    box = ParamBox(**{name: tuple(sorted(data.draw(st.lists(st.floats(key.lo, key.hi),
+                                                            min_size=2, max_size=2))))
+                      for name, (_, key) in OPERATING_KEYS.items()})
+    cells = (data.draw(cell_configs(TRANSVERSE)), data.draw(cell_configs(LONGITUDINAL)))
+    a, b = (optimize(box, budget=100, seed=seed, cells=cells) for _ in range(2))
+    assert [x.tolist() for x, _ in a.trace] == [x.tolist() for x, _ in b.trace]
+    assert [v for _, v in a.trace] == [v for _, v in b.trace]
+    assert a.best_params == b.best_params and a.best_objective == b.best_objective
+    assert a.best_fom == b.best_fom

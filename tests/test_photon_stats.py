@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 from unittest import mock
@@ -237,6 +238,32 @@ def test_simulation_memory_at_many_regions_is_bounded_by_chunk_entries(monkeypat
     assert drawn <= per_worker + kept + 3e6
     # the map's comoments and quotient: a few (m, m) float64 arrays, whatever the chunking
     assert summarised <= kept + 4 * square + 1e6
+
+
+def test_pool_is_capped_by_the_chunks_it_can_hold(monkeypatch):
+    """The queue may hold 2 x workers drawn chunks, so _drawn starts no more
+    workers than POOL_ENTRIES has room for, whatever the CPU count: 2 at 1000
+    regions, and at least 128 up to 16 regions.  With room for four 10-region
+    chunks, eight CPUs get two workers."""
+    def cap(m):
+        return photon_stats.POOL_ENTRIES // (2 * photon_stats._chunk_frames(m) * m)
+
+    assert cap(1000) == 2 and min(map(cap, range(1, 17))) >= 128
+    m = 10
+    chunk = photon_stats._chunk_frames(m)
+    monkeypatch.setattr(photon_stats, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(photon_stats, "POOL_ENTRIES", 4 * chunk * m)
+    threads = set()
+    draw = photon_stats._draw_chunk
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        draw(*args)
+
+    monkeypatch.setattr(photon_stats, "_draw_chunk", spy)
+    noise, _ = filtered_preset()
+    simulate_frames(8 * chunk, noise, seed=5, layout=RegionLayout(m))
+    assert 1 <= len(threads) <= 2
 
 
 @pytest.mark.parametrize("pairs", [[0, 3, 0, 2], [0, 200, 0, 90]], ids=["inversion", "btpe"])
