@@ -35,12 +35,14 @@ its counts, which are drawn again when asked for: the whole int16 arrays on
 the first read of n_s or n_as, or one chunk at a time for the CLI's per-frame
 export.  Memory per worker: one chunk's int16 counts of both arms (4 B per
 entry: 512 kB at 10 regions, 33 MB at 1000), int64 draws, indices and thinned
-counts of a slice of DRAW_ENTRIES (768 kB), float64 copies of one sub-block of
-each arm, DRAW_ENTRIES entries or 256 rows, whichever is more (256 kB each at
-10 regions, 2 MB at 1000), and one sub-block's (m, m) product (8 MB at 1000),
-beside the totals' int64 (m, m) Σxy.  Up to 2 x workers chunks may wait in
-the queue (the frames writer's reduce returns its chunk); POOL_ENTRIES caps
-them, at 2 workers for 1000 regions.  Nothing grows with the frame count.
+counts of a slice of DRAW_ENTRIES (768 kB), a background slice's int64
+positions and bincount (141 kB at the filtered preset, below 1.5 MB), float64
+copies of one sub-block of each arm, DRAW_ENTRIES entries or 256 rows,
+whichever is more (256 kB each at 10 regions, 2 MB at 1000), and one
+sub-block's (m, m) product (8 MB at 1000), beside the totals' int64 (m, m)
+Σxy.  Up to 2 x workers chunks may wait in the queue (the frames writer's
+reduce returns its chunk); POOL_ENTRIES caps them, at 2 workers for 1000
+regions.  Nothing grows with the frame count.
 """
 
 from __future__ import annotations
@@ -66,6 +68,10 @@ CHUNK_FRAMES_MIN = 1 << 13
 COUNT_MAX = int(np.iinfo(np.int16).max)
 # entries per sampler call in _draw_chunk, whose draws are its only temporaries
 DRAW_ENTRIES = 1 << 15
+# entries per background slice in _draw_chunk, part of the stream: 2^12 is GIL-bound, 2^15 adds RSS
+BACKGROUND_ENTRIES = DRAW_ENTRIES // 2
+# mean from which _background draws per entry: NumPy's poisson turns to PTRS there
+POISSON_SCATTER_MAX = 10.0
 # entries of the 2 * workers chunks _drawn may hold at once: 2 workers at 1000 regions
 POOL_ENTRIES = 1 << 25
 
@@ -236,15 +242,24 @@ def _thinned(rng: np.random.Generator, pairs: np.ndarray, eta: float) -> np.ndar
     return out
 
 
+def _background(rng: np.random.Generator, lam: float, size: int) -> np.ndarray:
+    """size iid Poisson(lam) counts; below POISSON_SCATTER_MAX, a Poisson(lam *
+    size) total placed uniformly, as a Poisson process split over cells gives
+    independent Poisson cells (Devroye 1986, ch. X)."""
+    if lam >= POISSON_SCATTER_MAX:
+        return rng.poisson(lam, size)
+    return np.bincount(rng.integers(0, size, rng.poisson(lam * size)), minlength=size)
+
+
 def _draw_chunk(rng: np.random.Generator, noise: NoiseModel, b: float,
                 n_s: np.ndarray, n_as: np.ndarray) -> None:
     """Fill one chunk's (frames, regions) slices of both count arrays.
 
     Each sampler draws the whole chunk before the next starts (thermal pairs,
-    Stokes thinning, anti-Stokes thinning, the two Poisson backgrounds), in
-    slices of at most DRAW_ENTRIES entries written straight into the int16
-    arrays; NumPy's samplers take the bit stream element by element, so the
-    slicing leaves the stream as if each sampler drew the chunk at once.  The
+    Stokes thinning, anti-Stokes thinning, the two Poisson backgrounds) into
+    the int16 arrays.  The first three read the stream element by element in
+    slices of DRAW_ENTRIES, as if drawn at once; each background's slices of
+    BACKGROUND_ENTRIES flat entries are part of the stream (_background).  The
     pair numbers wait in n_as until both binomials have read them.  Each int64
     draw is checked before it is cast: a binomial count is at most the pair
     number, so the chunk's largest pair number plus the largest Poisson
@@ -264,11 +279,11 @@ def _draw_chunk(rng: np.random.Generator, noise: NoiseModel, b: float,
         # mirror pairing: signal drawn for Stokes region i lands in AS region m-1-i
         n_as[rows] = _thinned(rng, n_as[rows], noise.eta_as)[:, ::-1]
     if b > 0:
-        for counts in (n_s, n_as):
-            for rows in slices:
-                background = rng.poisson(b, size=counts[rows].shape)
+        for flat in (n_s.reshape(-1), n_as.reshape(-1)):  # views: _drawn's arrays are contiguous
+            for lo in range(0, flat.size, BACKGROUND_ENTRIES):
+                background = _background(rng, b, min(BACKGROUND_ENTRIES, flat.size - lo))
                 _check_fits(pair_max + int(background.max()), noise)
-                counts[rows] += background
+                flat[lo:lo + background.size] += background
 
 
 def _drawn(frames: int, noise: NoiseModel, seed: int, layout: RegionLayout, reduce):

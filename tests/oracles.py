@@ -226,7 +226,12 @@ def simulate_frames_serial(frames: int, noise, seed: int, n_regions: int,
                            chunk: int) -> tuple[np.ndarray, np.ndarray]:
     """(n_s, n_as) drawn chunk by chunk in order, chunk k from spawned seed k:
     thermal pair, Stokes thinning, mirrored anti-Stokes thinning, then the
-    Stokes and anti-Stokes Poisson backgrounds."""
+    Stokes and anti-Stokes Poisson backgrounds.
+
+    A background of mean 10 or more per region is one Poisson draw per entry.
+    A smaller one is drawn, arm by arm, over the arm's entries in row order,
+    16384 at a time: a Poisson(mean x 16384) number of photons, each landing
+    on one of the 16384 entries uniformly at random."""
     background = (noise.b_fluorescence + noise.b_leakage
                   + noise.intensifier_per_frame / (2.0 * n_regions))
     n_chunks = -(-frames // chunk)
@@ -240,12 +245,26 @@ def simulate_frames_serial(frames: int, noise, seed: int, n_regions: int,
             pair = np.zeros(shape, dtype=np.int64)
         s = rng.binomial(pair, noise.eta_s)
         a = rng.binomial(pair, noise.eta_as)[:, ::-1]
-        if background > 0:
+        if background >= 10.0:
             s = s + rng.poisson(background, size=shape)
             a = a + rng.poisson(background, size=shape)
+        elif background > 0:
+            s = s + _scattered_photons(rng, background, s.size).reshape(shape)
+            a = a + _scattered_photons(rng, background, a.size).reshape(shape)
         stokes.append(s)
         anti_stokes.append(a)
     return np.concatenate(stokes), np.concatenate(anti_stokes)
+
+
+def _scattered_photons(rng: np.random.Generator, mean: float, entries: int) -> np.ndarray:
+    """Photons per entry when, for each run of 16384 entries (the last may be
+    shorter), a Poisson(mean x run length) number of them land uniformly."""
+    hits = np.zeros(entries, dtype=np.int64)
+    for start in range(0, entries, 16384):
+        width = min(16384, entries - start)
+        where = rng.integers(0, width, size=rng.poisson(mean * width))
+        np.add.at(hits, start + where, 1)
+    return hits
 
 
 def frames_csv_bytes(n_s, n_as) -> bytes:

@@ -108,19 +108,26 @@ def test_simulate_frames_deterministic_and_seed_sensitive():
 
 # SHA-256 of the int64 bytes of n_s then n_as, seed 11, recorded from the
 # chunked sampler (2**15 frames per SeedSequence.spawn child, which is still
-# the chunk at 4 regions) when the counts were stored as int64; the last case
-# is two chunks, the second one frame long.
+# the chunk at 4 regions) when the counts were stored as int64.  The fourth
+# case is two chunks, the second one frame long.  "filtered", "unfiltered"
+# and "two-chunks" were re-recorded when backgrounds below 10 per region came
+# to be scattered over slices of entries; "no-background" (no background
+# drawn) and "strong-background" (12.2 per region, one Poisson draw per entry)
+# were recorded before that change and kept their bits through it.
 @pytest.mark.parametrize("noise, layout, frames, digest", [
     (*filtered_preset(), 3001,
-     "198dd8df99308214b9938e58f765ade195a0f1db33b42acf541f222733c2a561"),
+     "fcf32ee38d1ed1c4a7d664fbba2b70aabd24798165a1fbcc4d77b46e130a8914"),
     (*unfiltered_preset(), 3001,
-     "ee49b136dc72f4d7be6e82647db9e87aea3c5a604dd8558fc6c2f1514d65cd83"),
+     "af24df0513e543f12a4eab7232ed47112294c32a68b6709ac56a2c84d65c58cf"),
     (NoiseModel(n_sig=0.8, eta_s=0.7, eta_as=0.4, b_fluorescence=0.0, b_leakage=0.0,
                 intensifier_per_frame=0.0), RegionLayout(n_regions=4), 3001,
      "57e617c9fb00512f1872dfe02fdb21563d2bd28818bc5232585aa911c2b2a2ae"),
     (filtered_preset()[0], RegionLayout(n_regions=4), photon_stats._chunk_frames(4) + 1,
-     "4027e06239332d058175ef3960edb51dd5984ec19a4d3ff416869398aae2a705"),
-], ids=["filtered", "unfiltered", "no-background", "two-chunks"])
+     "d6d470a82357668d6bae667d20708f63e24a69510ba167ebab0bc654e53adae2"),
+    (NoiseModel(n_sig=0.5, b_fluorescence=6.0, b_leakage=6.0, intensifier_per_frame=1.5),
+     RegionLayout(n_regions=4), 3001,
+     "13fe613848bfa2e6a8278195f30af8e651f878c00a6a7169d29776894df225ad"),
+], ids=["filtered", "unfiltered", "no-background", "two-chunks", "strong-background"])
 def test_simulate_frames_stream_is_pinned(noise, layout, frames, digest):
     batch = simulate_frames(frames, noise, seed=11, layout=layout)
     assert batch.n_s.dtype == np.int16 and batch.n_as.dtype == np.int16
@@ -128,6 +135,9 @@ def test_simulate_frames_stream_is_pinned(noise, layout, frames, digest):
     assert batch.n_s.flags.c_contiguous and batch.n_as.flags.c_contiguous
     stream = batch.n_s.astype(np.int64).tobytes() + batch.n_as.astype(np.int64).tobytes()
     assert hashlib.sha256(stream).hexdigest() == digest
+    n_s, n_as = simulate_frames_serial(frames, noise, 11, layout.n_regions,
+                                       photon_stats._chunk_frames(layout.n_regions))
+    assert np.array_equal(batch.n_s, n_s) and np.array_equal(batch.n_as, n_as)
 
 
 def _chunk_edges(n_regions: int) -> list:
@@ -264,6 +274,56 @@ def test_pool_is_capped_by_the_chunks_it_can_hold(monkeypatch):
     noise, _ = filtered_preset()
     simulate_frames(8 * chunk, noise, seed=5, layout=RegionLayout(m))
     assert 1 <= len(threads) <= 2
+
+
+def _poisson_chi_square_p(counts: np.ndarray, mean: float) -> float:
+    """p-value of a chi-square test of counts against scipy's Poisson(mean),
+    over bins of k merged from the left until each expects at least 5 counts;
+    the last bin is k and above, and a short remainder joins the bin before."""
+    from scipy import stats
+
+    top = int(stats.poisson.isf(1e-12, mean)) + 1
+    expected = counts.size * np.append(stats.poisson.pmf(np.arange(top), mean),
+                                       stats.poisson.sf(top - 1, mean))
+    observed = np.bincount(np.minimum(counts, top), minlength=top + 1)
+    bins_e, bins_o, e, o = [], [], 0.0, 0
+    for ek, ok in zip(expected, observed):
+        e, o = e + ek, o + ok
+        if e >= 5.0:
+            bins_e.append(e)
+            bins_o.append(o)
+            e, o = 0.0, 0
+    bins_e[-1] += e
+    bins_o[-1] += o
+    return float(stats.chisquare(bins_o, bins_e).pvalue)
+
+
+@pytest.mark.parametrize("lam", [0.01, 0.075, 1.435, 9.99, 10.0, 50.0])
+def test_background_matches_scipy_poisson(lam):
+    """_background against scipy.stats.poisson on both sides of the switch at
+    POISSON_SCATTER_MAX (0.075 and 1.435 are the presets' means per region):
+    the marginal of 16 slices of BACKGROUND_ENTRIES entries and the totals of
+    10,000 slices of 16 entries by chi-square, and the correlation of entries
+    0 and 15 of those slices within 4 SE of 0.
+
+    False alarms, for a correct sampler and a fresh set of seeds: each
+    chi-square gate 1e-4, each correlation gate 6e-5 (normal) and 6e-4 at
+    0.01, where it fails only on 6 or more of an expected 1 coincident
+    photon; about 0.2 % over the six means.  The seeds here are fixed.
+    """
+    rng = np.random.default_rng(round(1000 * lam))
+    marginal = np.concatenate([photon_stats._background(rng, lam, photon_stats.BACKGROUND_ENTRIES)
+                               for _ in range(16)])
+    slices = np.stack([photon_stats._background(rng, lam, 16) for _ in range(10_000)])
+    p_marginal = _poisson_chi_square_p(marginal, lam)
+    p_total = _poisson_chi_square_p(slices.sum(axis=1), 16 * lam)
+    r = np.corrcoef(slices[:, 0], slices[:, 15])[0, 1]
+    z = r * math.sqrt(len(slices))
+    print(f"poisson vs scipy: lambda {lam}: marginal p {p_marginal:.3g}, slice total p "
+          f"{p_total:.3g} (gate p > 1e-4); r(entry 0, entry 15) {r:+.4f} = {z:+.2f} SE (gate 4)")
+    assert marginal.size == 16 * photon_stats.BACKGROUND_ENTRIES and marginal.min() >= 0
+    assert p_marginal > 1e-4 and p_total > 1e-4
+    assert abs(z) < 4.0
 
 
 @pytest.mark.parametrize("pairs", [[0, 3, 0, 2], [0, 200, 0, 90]], ids=["inversion", "btpe"])
