@@ -24,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import RunConfig, read_config, validate_config
+from .config import SCHEMA, RunConfig, read_config, validate_config
 from .constants import DEFAULT_DETUNINGS, ISOTOPES, REFERENCE, vapor_pressure_pa
 from .errors import ConfigError, DataError, NumericalError
 from .fitting import FIT_PARAM_RANGES, fit_spectrum
@@ -107,7 +107,7 @@ def cmd_constants(cfg: RunConfig, args) -> list[str]:
 
 def cmd_lines(cfg: RunConfig, args) -> list[str]:
     cell = cfg.cells[args.cell]
-    isotopes = [iso for iso in ("Rb85", "Rb87") if cell.fraction(iso) > 0.0]
+    isotopes = [iso for iso in ISOTOPES if cell.fraction(iso) > 0.0]
     if not isotopes:
         raise ConfigError([f"cells.{args.cell}: both isotope fractions are zero"])
     return [_write(args, f"lines_{iso.lower()}.csv", write_lines_csv,
@@ -163,7 +163,7 @@ def cmd_optimize(cfg: RunConfig, args) -> list[str]:
                               {**columns, "objective": np.array(objectives)},
                               index_name="evaluation"))
     payload = {
-        "best_params": dataclasses.asdict(result.best_params),
+        "best_params": result.best_params._asdict(),
         "objective": result.best_objective,
         "signal_transmissions": {repr(k): v for k, v in result.best_fom.signal_transmissions.items()},
         "noise_suppressions_db": {repr(k): v for k, v in result.best_fom.noise_suppressions_db.items()},
@@ -240,9 +240,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("constants", cmd_constants, "dump physical constants as JSON")
     p = command("lines", cmd_lines, "emit Zeeman line tables as CSV")
-    p.add_argument("--cell", choices=["absorption", "faraday"], default="absorption")
+    p.add_argument("--cell", choices=list(SCHEMA["cells"]), default="absorption")
     p = command("spectrum", cmd_spectrum, "single-cell transmission spectrum as CSV")
-    p.add_argument("--cell", choices=["absorption", "faraday"], default="absorption")
+    p.add_argument("--cell", choices=list(SCHEMA["cells"]), default="absorption")
     p = command("cascade", cmd_cascade, "dual-filter chain transmission as CSV")
     p.add_argument("--psi-sweep", action="store_true",
                    help="sweep the absorption-cell polarization angle 0..90 deg")
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"comma-separated subset of {sorted(FIT_PARAM_RANGES)}")
     p.add_argument("--initial", default="", metavar="K=V,...",
                    help="initial guesses for free parameters")
-    p.add_argument("--cell", choices=["absorption", "faraday"], default="absorption",
+    p.add_argument("--cell", choices=list(SCHEMA["cells"]), default="absorption",
                    help="template cell for the model")
     return parser
 

@@ -3,10 +3,11 @@
 Config keys carry explicit unit suffixes (temperature_c, b_field_mt,
 length_cm, polarization_angle_deg).  Every key and what it accepts is in
 SCHEMA; a cell key's range and SI conversion is its entry in
-lineshape.CELL_KEYS, which SCHEMA uses as is and with_keys applies, and the
-search box's keys are optimize.OPERATING_KEYS.  Validation is one walk over
-SCHEMA and is total: every problem in the file is reported in one pass with
-its dotted key path, and no partially built object escapes a failed load.
+lineshape.CELL_KEYS, which SCHEMA uses as is and with_keys applies; the search
+box's keys and default ranges are optimize.OPERATING_KEYS, which ChainParams
+and ParamBox are built from.  Validation is one walk over SCHEMA and is total:
+every problem in the file is reported in one pass with its dotted key path,
+and no partially built object escapes a failed load.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,7 +69,7 @@ SCHEMA = {
               "intensifier_per_frame": Key(0.0, 1e4)},
     "optimizer": {"budget": Key(100, 10**7, integer=True), "restarts": Key(1, 20, integer=True),
                   "box": {name: Pair(key.lo, key.hi, ordered=True)
-                          for name, (_, key) in OPERATING_KEYS.items()}},
+                          for name, (_, key, _) in OPERATING_KEYS.items()}},
 }
 
 
@@ -103,7 +104,7 @@ def preset_paper_optimum() -> dict:
         "optimizer": {
             "budget": 2000,
             "restarts": 3,
-            "box": {name: list(pair) for name, pair in asdict(box).items()},
+            "box": {name: list(pair) for name, pair in box._asdict().items()},
         },
     }
 

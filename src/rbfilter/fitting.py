@@ -73,10 +73,11 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
     """Unweighted least squares over the named free parameters.
 
     Each parameter is a cell key in config units (temperature_c in Celsius,
-    length_cm in cm).  initial holds a starting value for every free parameter
-    and nothing else; one ConfigError lists every problem with either.  Fixed
-    parameters come from the template cell; extinction is the analyzer's, as
-    in model_transmission.
+    length_cm in cm) over its FIT_PARAM_RANGES range, rb87_fraction only up to
+    1 - the template's rb85_fraction.  initial holds a starting value for every
+    free parameter and nothing else; one ConfigError lists every problem with
+    either.  Fixed parameters come from the template cell; extinction is the
+    analyzer's, as in model_transmission.
     """
     free = list(free)
     errors = [] if free else ["fit: free parameter set is empty"]
@@ -92,11 +93,16 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
         raise DataError(f"fit needs >= {MIN_FIT_ROWS} rows, got {measured.n_rows}")
 
     template = template or replace(build_cells(PAPER_OPTIMUM)[0], name="fit")
-    lo, hi = np.array([FIT_PARAM_RANGES[p] for p in free]).T
+    lo87, hi87 = FIT_PARAM_RANGES["rb87_fraction"]
+    ranges = {**FIT_PARAM_RANGES, "rb87_fraction": (lo87, min(hi87, 1.0 - template.rb85_fraction))}
+    lo, hi = np.array([ranges[p] for p in free]).T
     x0 = np.array([float(initial[p]) for p in free])
-    if not np.all((lo <= x0) & (x0 <= hi)):  # NaN fails too
-        raise ConfigError([f"fit: initial {p}={initial[p]} outside range {FIT_PARAM_RANGES[p]}"
-                           for p, v, a, b in zip(free, x0, lo, hi) if not a <= v <= b])
+    errors = [f"fit: initial {p}={initial[p]} outside range {ranges[p]}"
+              for p, v, a, b in zip(free, x0, lo, hi) if not a <= v <= b]  # NaN fails too
+    if "rb87_fraction" in free and ranges["rb87_fraction"][1] <= lo87:
+        errors.append(f"fit: rb87_fraction has no range: rb85_fraction is {template.rb85_fraction}")
+    if errors:
+        raise ConfigError(errors)
     span = hi - lo
     grid = measured.detuning_ghz
     target = measured.transmission
@@ -131,13 +137,14 @@ def fit_spectrum(measured: MeasuredSpectrum, free: list[str] | tuple[str, ...],
 
 
 def _levenberg_marquardt(residuals, u: np.ndarray):
-    """Least squares of residuals(u) over [0, 1]^p by Levenberg-Marquardt,
-    each step clipped to the box.  J is a forward difference with step
-    sqrt(eps), inward at the upper bound.  The damping is scaled by J's column
-    norms and the step solves [J; sqrt(lam) D] step = [-r; 0] by lstsq, so a
-    column the data cannot see gets no step instead of a singular system.
-    Stops on a relative cost decrease or a step (relative to |u|) below 1e-8,
-    or on runaway damping.  Returns (u, r, J), with r and J evaluated at u.
+    """Least squares of residuals(u) over [0, 1]^p by Levenberg-Marquardt, each
+    step clipped to the box; a parameter on a bound whose cost falls outward is
+    held there, as clipping its step stalls the fit.  J is a forward difference
+    with step sqrt(eps), inward at the upper bound.  The damping is scaled by
+    J's column norms and the step solves [J; sqrt(lam) D] step = [-r; 0] by
+    lstsq, so a column the data cannot see gets no step instead of a singular
+    system.  Stops on a relative cost decrease or a step (relative to |u|)
+    below 1e-8, or on runaway damping.  Returns (u, r, J), r and J at u.
     """
     h0 = math.sqrt(np.finfo(float).eps)
 
@@ -155,8 +162,11 @@ def _levenberg_marquardt(residuals, u: np.ndarray):
     lam = 1e-3
     while lam < 1e10:
         damping = np.sqrt(lam) * np.linalg.norm(jac, axis=0)
-        step = np.linalg.lstsq(np.vstack([jac, np.diag(damping)]),
-                               np.concatenate([-r, np.zeros(u.size)]), rcond=None)[0]
+        grad = jac.T @ r
+        moving = ~(((u <= 0.0) & (grad > 0.0)) | ((u >= 1.0) & (grad < 0.0)))
+        step = np.zeros(u.size)
+        step[moving] = np.linalg.lstsq(np.vstack([jac[:, moving], np.diag(damping[moving])]),
+                                       np.concatenate([-r, np.zeros(moving.sum())]), rcond=None)[0]
         u_new = np.clip(u + step, 0.0, 1.0)
         if np.linalg.norm(u_new - u) <= 1e-8 * (1e-8 + np.linalg.norm(u)):
             break

@@ -8,9 +8,9 @@ coarse grid scan weighted toward the Faraday field axis (the transmission
 bands shift by roughly 0.3 GHz/mT, so that axis needs the finest sampling)
 followed by Nelder-Mead restarts from the best cells.
 
-The operating point (ChainParams) and its search box (ParamBox) are in config
-units (Celsius, mT) under the optimizer.box names; OPERATING_KEYS maps each to
-its cell and cell key, and build_cells sets them through lineshape.with_keys.
+OPERATING_KEYS gives each operating parameter (an optimizer.box key in config
+units) its cell, cell key and default range; ChainParams and ParamBox are built
+from it, and build_cells sets a point through lineshape.with_keys.
 
 The figure of merit is this package's own construction; the reference
 experiment tuned its operating point by hand.
@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +32,13 @@ from .lineshape import CELL_KEYS, CellConfig, LONGITUDINAL, TRANSVERSE, with_key
 from .propagation import T_FLOOR, WOLLASTON_EXTINCTION, dual_filter
 
 # Each searched parameter under its optimizer.box name, in config units: the
-# cell it sets (0 absorption, 1 faraday) and that cell's key.  The only place
-# the operating point's names, units, ranges and cells are written.
+# cell it sets (0 absorption, 1 faraday), that cell's key and its default search
+# range.  The only place the operating point's names, order, cells and box are written.
 OPERATING_KEYS = {
-    "t_abs_c": (0, CELL_KEYS["temperature_c"]),
-    "t_far_c": (1, CELL_KEYS["temperature_c"]),
-    "b_abs_mt": (0, CELL_KEYS["b_field_mt"]),
-    "b_far_mt": (1, CELL_KEYS["b_field_mt"]),
+    "t_abs_c": (0, CELL_KEYS["temperature_c"], (90.0, 120.0)),
+    "t_far_c": (1, CELL_KEYS["temperature_c"], (60.0, 120.0)),
+    "b_abs_mt": (0, CELL_KEYS["b_field_mt"], (5.0, 20.0)),
+    "b_far_mt": (1, CELL_KEYS["b_field_mt"], (1.0, 20.0)),
 }
 
 
@@ -69,59 +70,46 @@ class FomSpec:
             raise ConfigError(errors)
 
 
-@dataclass(frozen=True)
-class ChainParams:
-    """The four searched operating parameters of the cascade, in config units
-    and in OPERATING_KEYS order."""
+class ChainParams(namedtuple("ChainParams", OPERATING_KEYS)):
+    """The searched operating parameters of the cascade, one field per
+    OPERATING_KEYS name, in its order and config units."""
 
-    t_abs_c: float
-    t_far_c: float
-    b_abs_mt: float
-    b_far_mt: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([getattr(self, name) for name in OPERATING_KEYS])
-
-    @staticmethod
-    def from_array(x) -> "ChainParams":
-        return ChainParams(*map(float, x))
+    @classmethod
+    def from_array(cls, x) -> "ChainParams":
+        return cls._make(map(float, x))
 
 
 PAPER_OPTIMUM = ChainParams(t_abs_c=100.0, t_far_c=102.0, b_abs_mt=10.0, b_far_mt=10.0)
 
 
-@dataclass(frozen=True)
-class ParamBox:
-    """Search ranges in config units; defaults follow the cells' documented
-    operational limits.
+class ParamBox(namedtuple("ParamBox", OPERATING_KEYS,
+                          defaults=[box for _, _, box in OPERATING_KEYS.values()])):
+    """Search ranges in config units, one (lo, hi) per OPERATING_KEYS name,
+    each defaulting to the table's range.  Every range must be ordered and lie
+    within its cell key's range, so each searched cell is one a config may
+    name; the constructor and _make, which _replace builds through, check it."""
 
-    Every range must be ordered and lie within its cell key's range, so each
-    searched cell is one a config may name.
-    """
+    def __new__(cls, *args, **kwargs):
+        return cls._make(super().__new__(cls, *args, **kwargs))
 
-    t_abs_c: tuple[float, float] = (90.0, 120.0)
-    t_far_c: tuple[float, float] = (60.0, 120.0)
-    b_abs_mt: tuple[float, float] = (5.0, 20.0)
-    b_far_mt: tuple[float, float] = (1.0, 20.0)
-
-    def __post_init__(self):
+    @classmethod
+    def _make(cls, iterable) -> "ParamBox":
+        box = super()._make(iterable)
         errors = [f"box.{name}: ({lo}, {hi}) must be an ordered range within {[key.lo, key.hi]}"
-                  for name, (_, key) in OPERATING_KEYS.items() for lo, hi in [getattr(self, name)]
+                  for (name, (_, key, _)), (lo, hi) in zip(OPERATING_KEYS.items(), box)
                   if not key.lo <= lo <= hi <= key.hi]
         if errors:
             raise ConfigError(errors)
+        return box
 
     def lower(self) -> np.ndarray:
-        return np.array([getattr(self, name)[0] for name in OPERATING_KEYS])
+        return np.array([lo for lo, _ in self])
 
     def upper(self) -> np.ndarray:
-        return np.array([getattr(self, name)[1] for name in OPERATING_KEYS])
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(x, self.lower(), self.upper())
+        return np.array([hi for _, hi in self])
 
     def contains(self, params: ChainParams) -> bool:
-        x, tol = params.as_array(), 1e-12
+        x, tol = np.array(params), 1e-12
         return bool(np.all(x >= self.lower() - tol) and np.all(x <= self.upper() + tol))
 
 
@@ -153,8 +141,8 @@ def build_cells(params: ChainParams, cells: tuple[CellConfig, CellConfig] = _REF
     point; the config preset and the fit template derive from it.
     """
     values = ({}, {})
-    for name, (i, key) in OPERATING_KEYS.items():
-        values[i][key.name] = getattr(params, name)
+    for (i, key, _), value in zip(OPERATING_KEYS.values(), params):
+        values[i][key.name] = value
     return tuple(with_keys(cell, **keys) for cell, keys in zip(cells, values))
 
 
@@ -332,7 +320,7 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
         return val
 
     if box.contains(PAPER_OPTIMUM):
-        evaluate(PAPER_OPTIMUM.as_array())
+        evaluate(PAPER_OPTIMUM)
 
     nm_share = max(60 * restarts, budget // 5)
     grid_budget = max(1, budget - nm_share - len(trace))
@@ -352,7 +340,7 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
         if len(starts) >= restarts:
             break
     while len(starts) < restarts:
-        starts.append(lo + rng.random(4) * span)
+        starts.append(lo + rng.random(len(box)) * span)
 
     scale = np.where(span > 0, span, 1.0)
     per_restart = max(30, (budget - len(trace)) // max(len(starts), 1))

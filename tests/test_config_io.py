@@ -33,7 +33,7 @@ from rbfilter.io import (
     write_lines_csv,
     write_spectrum_csv,
 )
-from rbfilter.optimize import PAPER_OPTIMUM, build_cells
+from rbfilter.optimize import PAPER_OPTIMUM, ParamBox, build_cells
 from rbfilter.photon_stats import (
     COUNT_MAX,
     CountsBatch,
@@ -230,6 +230,7 @@ def test_optimizer_box_checked_against_cell_ranges():
     ]
     box = validate_config({"optimizer": {"box": {"b_abs_mt": [0, 300]}}}).optimizer_box
     assert box.b_abs_mt == (0.0, 300.0)
+    assert box == ParamBox(b_abs_mt=(0.0, 300.0))  # the other three ranges are the defaults
 
 
 @pytest.mark.parametrize("fom", [{"signal_detunings_ghz": [float("nan"), 7.8]},

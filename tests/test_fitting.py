@@ -106,6 +106,30 @@ def test_fit_rejects_missing_or_out_of_range_initial(truth):
             fit_spectrum(meas, ["temperature_c"], {"temperature_c": bad}, TEMPLATE)
 
 
+def test_fit_bounds_a_freed_rb87_fraction_by_the_template_rb85(truth, model_calls):
+    """The template's 98.5 % Rb85 leaves at most 1.5 % for Rb87: a start past
+    that is rejected, and no evaluated cell's fractions sum past the 1 a
+    config's cell may reach."""
+    meas = MeasuredSpectrum(GRID, truth)
+    with pytest.raises(ConfigError) as info:
+        fit_spectrum(meas, ["rb87_fraction"], {"rb87_fraction": 0.9}, TEMPLATE)
+    assert info.value.errors == [
+        f"fit: initial rb87_fraction=0.9 outside range (0.0, {1.0 - 0.985})"]
+    result = fit_spectrum(meas, ["rb87_fraction"], {"rb87_fraction": 0.005}, TEMPLATE)
+    assert result.params["rb87_fraction"] == pytest.approx(0.015, rel=1e-6)
+    assert all(cell.rb85_fraction + cell.rb87_fraction <= 1.0 + 1e-12 for cell in model_calls)
+
+
+def test_fit_rejects_rb87_fraction_with_no_range(truth):
+    """At rb85_fraction 1 a freed rb87_fraction spans nothing, and the unit-box
+    mapping would divide by that zero span."""
+    pure_rb85 = replace(TEMPLATE, rb85_fraction=1.0, rb87_fraction=0.0)
+    with pytest.raises(ConfigError) as info:
+        fit_spectrum(MeasuredSpectrum(GRID, truth), ["rb87_fraction"], {"rb87_fraction": 0.0},
+                     pure_rb85)
+    assert info.value.errors == ["fit: rb87_fraction has no range: rb85_fraction is 1.0"]
+
+
 def test_fit_rejects_an_initial_value_for_a_parameter_not_free(truth):
     meas = MeasuredSpectrum(GRID, truth)
     with pytest.raises(ConfigError) as info:
@@ -162,7 +186,7 @@ def test_noisy_round_trip_stays_close(truth):
     {"temperature_c": 60.0, "b_field_mt": 100.0},   # past a local minimum near 63 C, 127 mT
     pytest.param({"temperature_c": 140.0, "b_field_mt": 300.0}, marks=pytest.mark.xfail(
         strict=True, reason="stops in the local minimum near 62.8 C, 127.4 mT with rms 0.226; "
-                            "ROADMAP item 'Analytic derivatives through the chain'")),
+                            "ROADMAP item 'A fit that scans its box before it refines'")),
 ])
 def test_round_trip_from_a_range_bound_or_far_start(truth, initial):
     result = fit_spectrum(MeasuredSpectrum(GRID, truth), list(initial), initial, TEMPLATE)
@@ -177,7 +201,7 @@ def test_round_trip_from_a_range_bound_or_far_start(truth, initial):
     (False, {"temperature_c": 96.0, "b_field_mt": 12.0}),        # criterion 10, noiseless
     (True, {"temperature_c": 95.0}),                             # criterion 10, 1 % noise
     (True, {"temperature_c": 140.0}),                            # on the upper range bound
-    (True, {"temperature_c": 96.0, "b_field_mt": 12.0, "rb87_fraction": 0.02, "length_cm": 28.0}),
+    (True, {"temperature_c": 96.0, "b_field_mt": 12.0, "rb87_fraction": 0.012, "length_cm": 28.0}),
 ])
 def test_levenberg_marquardt_matches_dogbox(monkeypatch, truth, noisy, initial):
     """The fit's own solver against SciPy's least_squares(method="dogbox"), its
@@ -207,9 +231,20 @@ def test_levenberg_marquardt_returns_the_jacobian_at_its_point():
     np.testing.assert_allclose(jac, [[0.0], [2.0 * u[0]]], atol=1e-6)
 
 
+def test_levenberg_marquardt_holds_a_parameter_on_its_bound():
+    """The unbounded least-squares point (1.2, 0.9) lies past u0 = 1; on that
+    bound the best u1 is 0.94.  Clipping the Gauss-Newton step would stop at
+    (1, 0.9), where the step points straight out of the box."""
+    def residuals(u):
+        return np.array([u[0] + 2.0 * u[1] - 3.0, u[0] - u[1] - 0.3])
+
+    u, _, _ = _levenberg_marquardt(residuals, np.array([0.5, 0.5]))
+    np.testing.assert_allclose(u, [1.0, 0.94], atol=1e-6)
+
+
 def test_every_model_evaluation_is_counted(truth, model_calls):
     free = ["temperature_c", "b_field_mt", "rb87_fraction", "length_cm"]
-    initial = {"temperature_c": 96.0, "b_field_mt": 12.0, "rb87_fraction": 0.02, "length_cm": 28.0}
+    initial = {"temperature_c": 96.0, "b_field_mt": 12.0, "rb87_fraction": 0.012, "length_cm": 28.0}
     result = fit_spectrum(MeasuredSpectrum(GRID, truth), free, initial, TEMPLATE)
     assert result.n_evaluations == len(model_calls)
     assert result.params == pytest.approx(

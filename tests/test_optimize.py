@@ -101,40 +101,40 @@ def test_fom_spec_rejects_nan_and_infinities(name, value):
 
 
 def test_param_box_validation():
-    with pytest.raises(ConfigError):
-        ParamBox(t_abs_c=(120.0, 90.0))
-    with pytest.raises(ConfigError):
-        ParamBox(b_far_mt=(0.0, float("inf")))
-    with pytest.raises(ConfigError, match=r"box.t_abs_c: \(0.0, 400.0\)"):
-        ParamBox(t_abs_c=(0.0, 400.0))  # past the vapor-pressure formula's domain
-    with pytest.raises(ConfigError, match=r"box.b_far_mt: \(0.0, 500.0\)"):
-        ParamBox(b_far_mt=(0.0, 500.0))
-    ParamBox(t_abs_c=(20.0, 140.0), b_far_mt=(0.0, 300.0))  # the cell table's bounds
-    box = ParamBox()
-    assert box.contains(PAPER_OPTIMUM)
-    clipped = box.clip(np.array([200.0, 0.0, 1.0, -1.0]))
-    assert np.all(clipped >= box.lower()) and np.all(clipped <= box.upper())
+    """A box is checked however it is built: by the constructor, by _make, or
+    by _replace, which builds through _make."""
+    for build in (lambda **ranges: ParamBox(**ranges),
+                  lambda **ranges: ParamBox._make({**ParamBox()._asdict(), **ranges}.values()),
+                  lambda **ranges: ParamBox()._replace(**ranges)):
+        with pytest.raises(ConfigError):
+            build(t_abs_c=(120.0, 90.0))
+        with pytest.raises(ConfigError):
+            build(b_far_mt=(0.0, float("inf")))
+        with pytest.raises(ConfigError, match=r"box.t_abs_c: \(0.0, 400.0\)"):
+            build(t_abs_c=(0.0, 400.0))  # past the vapor-pressure formula's domain
+        with pytest.raises(ConfigError, match=r"box.b_far_mt: \(0.0, 500.0\)"):
+            build(b_far_mt=(0.0, 500.0))
+        build(t_abs_c=(20.0, 140.0), b_far_mt=(0.0, 300.0))  # the cell table's bounds
+        assert build() == ParamBox()
+    assert ParamBox().contains(PAPER_OPTIMUM)
 
 
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_operating_keys_are_the_one_table(data):
-    """ChainParams and ParamBox take the optimizer.box names in config units,
-    the config's box is ParamBox(**box), and build_cells sets exactly the
+    """The config's box is ParamBox(**box), and build_cells sets exactly the
     mapped cell fields, each to key.to_field(value)."""
-    assert [f.name for f in fields(ChainParams)] == list(OPERATING_KEYS)
-    assert [f.name for f in fields(ParamBox)] == list(OPERATING_KEYS)
     box = {name: tuple(sorted(data.draw(st.lists(st.floats(key.lo, key.hi), min_size=2,
                                                  max_size=2))))
-           for name, (_, key) in OPERATING_KEYS.items()}
+           for name, (_, key, _) in OPERATING_KEYS.items()}
     assert validate_config({"optimizer": {"box": box}}).optimizer_box == ParamBox(**box)
 
-    p = ChainParams(**{name: data.draw(st.floats(*pair)) for name, pair in asdict(ParamBox()).items()})
+    p = ChainParams(**{name: data.draw(st.floats(*pair)) for name, pair in ParamBox()._asdict().items()})
     templates = inspect.signature(build_cells).parameters["cells"].default
     built = build_cells(p)
     for i, (cell, template) in enumerate(zip(built, templates)):
         mapped = {key.field: key.to_field(getattr(p, name))
-                  for name, (j, key) in OPERATING_KEYS.items() if j == i}
+                  for name, (j, key, _) in OPERATING_KEYS.items() if j == i}
         assert mapped.keys() == {"temperature_k", "b_field_t"}
         assert asdict(cell) == {**asdict(template), **mapped}
 
@@ -169,7 +169,7 @@ def test_optimize_quadratic_seam_converges():
         return 1.0 - float(u @ u)
 
     result = optimize(box, budget=1500, seed=3, objective_fn=quadratic)
-    u_err = np.abs((result.best_params.as_array() - center) / span)
+    u_err = np.abs((np.array(result.best_params) - center) / span)
     assert np.all(u_err < 1e-4)
     assert result.best_objective == pytest.approx(1.0, abs=1e-8)
     assert result.n_evaluations <= 1500
@@ -278,7 +278,7 @@ def test_physical_optimize_is_deterministic_on_drawn_cells_and_boxes(data, seed)
     the same order, with the same values and the same best point."""
     box = ParamBox(**{name: tuple(sorted(data.draw(st.lists(st.floats(key.lo, key.hi),
                                                             min_size=2, max_size=2))))
-                      for name, (_, key) in OPERATING_KEYS.items()})
+                      for name, (_, key, _) in OPERATING_KEYS.items()})
     cells = (data.draw(cell_configs(TRANSVERSE)), data.draw(cell_configs(LONGITUDINAL)))
     a, b = (optimize(box, budget=100, seed=seed, cells=cells) for _ in range(2))
     assert [x.tolist() for x, _ in a.trace] == [x.tolist() for x, _ in b.trace]
