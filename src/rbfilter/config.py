@@ -12,7 +12,6 @@ and no partially built object escapes a failed load.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import sys
@@ -282,5 +281,7 @@ def load_config(path: str | None = None) -> RunConfig:
 
 def config_hash(resolved: dict) -> str:
     """Stable digest of a resolved config for report provenance."""
+    import hashlib  # loads OpenSSL: only commands that write a JSON report pay for it
+
     blob = json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(blob).hexdigest()

@@ -5,8 +5,10 @@ written in blocks of at most CHUNK_ROWS rows, so a file of any length needs a
 few blocks of memory.  Floats are written with %.16g, so round trips through
 text preserve doubles to the last bit that matters; the integer rows of
 frames.csv are laid out as ASCII bytes in NumPy, the same bytes %d writes.
-JSON reports always embed the package version, the fully resolved
-configuration, and its hash so a result file is reproducible on its own.
+JSON reports always embed the package and NumPy versions, the fully resolved
+configuration, and its hash.  That is not yet enough to reproduce one: the
+photon frame stream depends on NumPy's samplers, and a change that moves the
+stream on purpose does not yet bump the package version.
 """
 
 from __future__ import annotations
@@ -156,7 +158,7 @@ def write_frames_csv(path: str, batch) -> None:
 
 def write_json_report(path: str, payload: dict, resolved_config: dict | None = None) -> None:
     """Write a JSON result file with version and config provenance attached."""
-    doc = {"version": __version__}
+    doc = {"version": __version__, "numpy": np.__version__}
     if resolved_config is not None:
         doc["config"] = resolved_config
         doc["config_hash"] = config_hash(resolved_config)

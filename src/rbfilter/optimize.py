@@ -299,7 +299,6 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
     spec = spec or FomSpec()
     if budget < 100:
         raise ConfigError([f"optimizer budget must be >= 100, got {budget}"])
-    rng = np.random.default_rng(seed)
     t_start = time.perf_counter()
 
     physical = objective_fn is None
@@ -339,8 +338,10 @@ def optimize(box: ParamBox | None = None, spec: FomSpec | None = None,
             starts.append(x)
         if len(starts) >= restarts:
             break
-    while len(starts) < restarts:
-        starts.append(lo + rng.random(len(box)) * span)
+    if len(starts) < restarts:
+        rng = np.random.default_rng(seed)  # built only here: numpy.random loads OpenSSL
+        while len(starts) < restarts:
+            starts.append(lo + rng.random(len(box)) * span)
 
     scale = np.where(span > 0, span, 1.0)
     per_restart = max(30, (budget - len(trace)) // max(len(starts), 1))

@@ -409,6 +409,29 @@ def test_stdout_is_each_file_written_in_write_order(tmp_path, monkeypatch, capsy
     assert sorted(written) == sorted(str(p) for p in Path("out").iterdir())
 
 
+def test_every_json_report_names_the_numpy_that_drew_it(tmp_path, monkeypatch):
+    """The photon stream depends on NumPy's samplers, so each report records
+    NumPy's version right after the package's."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"noise": {"frames": 300}, "grid": {"points": 101},
+                               "optimizer": {"budget": 100}}))
+    grid = np.linspace(-12.0, 12.0, 101)
+    write_spectrum_csv(tmp_path / "measured.csv", grid,
+                       {"transmission": model_transmission(load_config().cells["absorption"], grid)})
+    monkeypatch.chdir(tmp_path)
+    for argv in (["constants"], ["lines"], ["spectrum"], ["cascade", "--psi-sweep"], ["optimize"],
+                 ["photon-sim"], ["fit", "--data", "measured.csv", "--free", "temperature_c",
+                  "--initial", "temperature_c=95"]):
+        assert run(*argv, "--config", str(cfg), "--out", "out") == 0
+    reports = sorted(Path("out").glob("*.json"))
+    assert [p.name for p in reports] == ["constants.json", "fit.json", "optimize.json",
+                                         "photon_summary.json"]
+    for path in reports:
+        doc = json.loads(path.read_text())
+        assert list(doc)[:2] == ["version", "numpy"], path.name
+        assert doc["numpy"] == np.__version__
+
+
 def test_preset_flag_accepted(tmp_path):
     assert run("cascade", "--out", str(tmp_path), "--grid-points", "51",
                "--preset", "paper-optimum") == 0
@@ -417,20 +440,26 @@ def test_preset_flag_accepted(tmp_path):
 
 # ----------------------------------------------------------- import floor
 
-# Imports the CLI in a fresh interpreter, runs the command given (if any) and
-# prints the modules loaded.
+# Imports a module (the CLI unless told otherwise) in a fresh interpreter,
+# runs the command given (if any) and prints the modules loaded.
 CHILD = """
 import sys
-import rbfilter.cli
-code = rbfilter.cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+import {module} as module
+code = module.main(sys.argv[1:]) if sys.argv[1:] else 0
 print(" ".join(sys.modules))
 sys.exit(code)
 """
 
+# NumPy 2 imports numpy.random on first use; before, numpy itself imported it,
+# and through it (secrets, hmac) OpenSSL's _hashlib
+needs_lazy_numpy_random = pytest.mark.skipif(
+    np.lib.NumpyVersion(np.__version__) < "2.0.0",
+    reason="this NumPy imports numpy.random, and with it _hashlib, at import")
 
-def modules_loaded_by(*argv) -> set[str]:
+
+def modules_loaded_by(*argv, module="rbfilter.cli") -> set[str]:
     src = str(Path(rbfilter.__file__).resolve().parents[1])
-    done = subprocess.run([sys.executable, "-c", CHILD, *argv],
+    done = subprocess.run([sys.executable, "-c", CHILD.format(module=module), *argv],
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
@@ -447,6 +476,43 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_importing_the_cli_loads_no_thread_pool():
     assert "concurrent.futures" not in modules_loaded_by()
+
+
+@needs_lazy_numpy_random
+def test_importing_the_cli_loads_no_openssl():
+    assert "_hashlib" not in modules_loaded_by()
+
+
+def test_importing_the_package_loads_every_layer_module():
+    """bench/cli_shim.py wraps package functions right after the first
+    rbfilter import: a layer imported later would bind the wrapped names."""
+    layers = ["config", "constants", "errors", "fitting", "lineshape", "optimize", "photon_stats",
+              "propagation", "zeeman"]
+    assert {f"rbfilter.{name}" for name in layers} <= modules_loaded_by(module="rbfilter")
+
+
+@needs_lazy_numpy_random
+@pytest.mark.parametrize("argv", [
+    pytest.param(["lines"], id="lines"),
+    pytest.param(["spectrum", "--cell", "absorption"], id="spectrum-absorption"),
+    pytest.param(["spectrum", "--cell", "faraday"], id="spectrum-faraday"),
+    pytest.param(["cascade"], id="cascade"),
+    pytest.param(["cascade", "--psi-sweep"], id="cascade-psi-sweep"),
+])
+def test_commands_that_write_no_json_report_load_no_openssl(tmp_path, argv):
+    """Only a JSON report's config hash needs hashlib, which loads OpenSSL."""
+    assert "_hashlib" not in modules_loaded_by(*argv, "--grid-points", "101", "--out", str(tmp_path))
+
+
+@needs_lazy_numpy_random
+@pytest.mark.parametrize("budget, draws", [(200, False), (100, True)])
+def test_optimize_loads_numpy_random_only_to_draw_a_restart_point(tmp_path, budget, draws):
+    """At the default box a budget of 200 leaves grid cells for every restart;
+    at 100 only PAPER_OPTIMUM is scanned, and two restart points are drawn."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"optimizer": {"budget": budget}}))
+    loaded = modules_loaded_by("optimize", "--config", str(cfg), "--out", str(tmp_path))
+    assert ("numpy.random" in loaded) == draws
 
 
 @pytest.mark.parametrize("argv", [

@@ -533,4 +533,4 @@ def test_json_report_without_config_omits_hash(tmp_path):
     p = tmp_path / "r.json"
     write_json_report(str(p), {"ok": True})
     doc = json.loads(p.read_text())
-    assert doc == {"version": __version__, "ok": True}
+    assert doc == {"version": __version__, "numpy": np.__version__, "ok": True}

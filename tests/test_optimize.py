@@ -207,6 +207,29 @@ def test_optimize_looks_up_minimize_at_call_time(monkeypatch):
     assert len(calls) == 3
 
 
+def test_restart_points_are_drawn_from_the_seed(monkeypatch):
+    """At budget 100 the grid scan leaves no room after PAPER_OPTIMUM, so
+    restarts 2 and 3 start at the seed's first two draws, in unit-box
+    coordinates; a generator built from any other seed starts elsewhere."""
+    import rbfilter.optimize as module
+    real = module.minimize
+    first_vertices = {}
+    for seed in (0, 12345):
+        starts = first_vertices[seed] = []
+
+        def recording(fun, sim, maxfev):
+            starts.append(sim[0].copy())
+            return real(fun, sim, maxfev)
+
+        monkeypatch.setattr(module, "minimize", recording)
+        optimize(ParamBox(), budget=100, seed=seed, objective_fn=lambda x: 0.0)
+        rng = np.random.default_rng(seed)
+        assert len(starts) == 3
+        for got in starts[1:]:
+            np.testing.assert_allclose(got, rng.random(4), rtol=0, atol=1e-12)
+    assert not np.allclose(first_vertices[0][1:], first_vertices[12345][1:])
+
+
 def _rosenbrock(x):
     return float(np.sum(100.0 * (x[1:] - x[:-1] ** 2) ** 2 + (1.0 - x[:-1]) ** 2))
 
